@@ -13,38 +13,44 @@ import csv
 import json
 import sys
 import warnings
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__, report as report_mod
-from .design import (
-    PreparedCorpus,
-    TestCell,
-    TreatmentSpec,
-    build_units,
-    enumerate_families,
-    view_features,
-)
-from .errors import EditfxError
-from .estimation import estimate_all, estimate_cell
+from .design import PreparedCorpus, TreatmentSpec, enumerate_families
+from .errors import ConfigError, EditfxError
+from .estimation import estimate_all
 from .inference import infer_all
 from .motifs import MOTIF_LABELS, MotifRuleset, audit_sample, cooccurrence_matrix
-from .robustness import SignReversalSpec, ceiling, loo_stability, sign_of
+from .robustness import SignReversalSpec, baseline_cells, ceiling, loo_stability, sign_of
 from .store import ingest, serialize
 from .surface import WordLists, delta as surface_delta
 from .synth import SynthConfig, generate
 
-RUN_CONFIG_KEYS = {
-    "seed": 0,
-    "alpha": 0.05,
-    "resamples": 500,
-    "min_cell": 10,
-    "min_arm": 3,
-    "scope": "cell",
-    "refit": True,
-    "percentile_p": False,
-    "include_demos": False,
-    "workers": 1,
-}
+@dataclass(frozen=True)
+class RunConfig:
+    """Analysis settings: defaults, overlaid by a JSON config file, then flags."""
+
+    seed: int = 0
+    alpha: float = 0.05
+    resamples: int = 500
+    min_cell: int = 10
+    min_arm: int = 3
+    scope: str = "cell"
+    refit: bool = True
+    percentile_p: bool = False
+    include_demos: bool = False
+    workers: int = 1
+
+    def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            kind = type(item.default)
+            allowed = (int, float) if kind is float else kind
+            if (isinstance(value, bool) and kind is not bool) or not isinstance(value, allowed):
+                raise ConfigError(
+                    f"config key '{item.name}' must be {kind.__name__}, got {value!r}"
+                )
 
 
 def _require_file(path: str, what: str) -> str:
@@ -53,24 +59,26 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _load_run_config(path: str | None, args: argparse.Namespace) -> dict:
+def _load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Defaults, overlaid by the JSON config file, overlaid by flags."""
-    merged = dict(RUN_CONFIG_KEYS)
+    values = {}
     if path is not None:
         _require_file(path, "config file")
         try:
             doc = json.loads(Path(path).read_text("utf-8"))
         except json.JSONDecodeError as exc:
             raise EditfxError(f"config file is not valid JSON: {exc}") from exc
-        unknown = set(doc) - set(RUN_CONFIG_KEYS)
+        if not isinstance(doc, dict):
+            raise EditfxError("config file must hold a JSON object")
+        unknown = set(doc) - {item.name for item in fields(RunConfig)}
         if unknown:
             raise EditfxError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(doc)
-    for key in RUN_CONFIG_KEYS:
-        value = getattr(args, key, None)
+        values.update(doc)
+    for item in fields(RunConfig):
+        value = getattr(args, item.name, None)
         if value is not None:
-            merged[key] = value
-    return merged
+            values[item.name] = value
+    return RunConfig(**values)
 
 
 def _prepared(records, args) -> PreparedCorpus:
@@ -209,9 +217,9 @@ def _cmd_estimate(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         families = enumerate_families(
-            records, min_cell=cfg["min_cell"], min_arm=cfg["min_arm"], prepared=prepared
+            records, min_cell=cfg.min_cell, min_arm=cfg.min_arm, prepared=prepared
         )
-    bundle = estimate_all(families, scope=cfg["scope"], workers=cfg["workers"])
+    bundle = estimate_all(families, scope=cfg.scope, workers=cfg.workers)
     doc = report_mod.estimates_to_json(bundle)
     report_mod.write_json(out / "estimates.json", doc)
     report_mod.write_text(out / "estimates.csv", report_mod.estimates_to_csv(doc["estimates"]))
@@ -228,21 +236,21 @@ def _cmd_infer(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         families = enumerate_families(
-            records, min_cell=cfg["min_cell"], min_arm=cfg["min_arm"], prepared=prepared
+            records, min_cell=cfg.min_cell, min_arm=cfg.min_arm, prepared=prepared
         )
     results, skipped = infer_all(
         families,
-        master_seed=cfg["seed"],
-        resamples=cfg["resamples"],
-        alpha=cfg["alpha"],
-        refit=cfg["refit"],
-        percentile_p=cfg["percentile_p"],
-        workers=cfg["workers"],
+        master_seed=cfg.seed,
+        resamples=cfg.resamples,
+        alpha=cfg.alpha,
+        refit=cfg.refit,
+        percentile_p=cfg.percentile_p,
+        workers=cfg.workers,
     )
-    doc = report_mod.inference_to_json(results, skipped, cfg["alpha"])
+    doc = report_mod.inference_to_json(results, skipped, cfg.alpha)
     report_mod.write_json(out / "inference.json", doc)
     report_mod.write_text(
-        out / "inference.csv", report_mod.inference_to_csv(doc["results"], cfg["alpha"])
+        out / "inference.csv", report_mod.inference_to_csv(doc["results"], cfg.alpha)
     )
     print(f"tested {len(results)} cells, skipped {len(skipped)}")
     return 0
@@ -253,13 +261,9 @@ def _cmd_loo(args) -> int:
     prepared = _prepared(records, args)
     spec = TreatmentSpec(view=args.view, feature_name=args.feature)
     if args.sign_a is None or args.sign_b is None:
-        signs = {}
-        units, _ = build_units(records, spec, prepared)
-        for group in (args.group_a, args.group_b):
-            cell_units = [u for u in units if u.task_group == group]
-            cell = TestCell(spec=spec, task_group=group, units=cell_units)
-            signs[group] = sign_of(estimate_cell(cell).acmgd_sipw)
-        sign_a, sign_b = signs[args.group_a], signs[args.group_b]
+        groups = (args.group_a, args.group_b)
+        _, baselines = baseline_cells(records, spec, groups, prepared)
+        sign_a, sign_b = (sign_of(value) for value in baselines)
     else:
         sign_a, sign_b = args.sign_a, args.sign_b
     reversal = SignReversalSpec(
@@ -295,14 +299,14 @@ def _cmd_receptivity(args) -> int:
         warnings.simplefilter("ignore")
         families = enumerate_families(
             records,
-            min_cell=cfg["min_cell"],
-            min_arm=cfg["min_arm"],
+            min_cell=cfg.min_cell,
+            min_arm=cfg.min_arm,
             views=("annotation",),
             prepared=prepared,
         )
     rows = []
     if families:
-        bundle = estimate_all(families, scope=cfg["scope"], workers=cfg["workers"])
+        bundle = estimate_all(families, scope=cfg.scope, workers=cfg.workers)
         rows = report_mod.estimates_to_json(bundle)["estimates"]
     doc = report_mod.receptivity_section(records, rows)
     out = Path(args.out)
@@ -348,21 +352,7 @@ def _cmd_report(args) -> int:
     records, _ = ingest(args.input, strict=True)
     cfg = _load_run_config(args.config, args)
     prepared = _prepared(records, args)
-    report_mod.run_report(
-        records,
-        out,
-        seed=cfg["seed"],
-        alpha=cfg["alpha"],
-        resamples=cfg["resamples"],
-        min_cell=cfg["min_cell"],
-        min_arm=cfg["min_arm"],
-        scope=cfg["scope"],
-        refit=cfg["refit"],
-        percentile_p=cfg["percentile_p"],
-        include_demos=cfg["include_demos"],
-        workers=cfg["workers"],
-        prepared=prepared,
-    )
+    report_mod.run_report(records, out, prepared=prepared, **asdict(cfg))
     print(f"wrote report bundle into {out}")
     return 0
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO
+from functools import cached_property
+from typing import IO, Callable
 
 import numpy as np
 
@@ -105,6 +107,11 @@ class TestCell:
     def cell_id(self) -> str:
         return f"{self.spec.view}:{self.spec.feature_name}:{self.task_group}"
 
+    @cached_property
+    def data(self) -> CellData:
+        """The cell's units packed once, shared by estimation and inference."""
+        return CellData(self.units)
+
 
 @dataclass
 class TestFamily:
@@ -115,6 +122,30 @@ class TestFamily:
     @property
     def m(self) -> int:
         return len(self.cells)
+
+
+def map_cells(fn: Callable, cells: list[TestCell], workers: int, skip: tuple) -> list:
+    """fn(cell) for each cell in order, on `workers` threads.
+
+    A cell whose call raises one of `skip` yields (cell_id, message)
+    instead, so the output does not depend on scheduling.
+    """
+
+    def guarded(cell: TestCell):
+        try:
+            return fn(cell)
+        except skip as exc:
+            return (cell.cell_id, str(exc))
+
+    if workers == 1:
+        return [guarded(cell) for cell in cells]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(guarded, cells))
+
+
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
 
 
 class PreparedCorpus:
@@ -299,29 +330,22 @@ class CellData:
     """
 
     def __init__(self, units: list[AnalysisUnit]):
-        n = len(units)
-        if n == 0:
+        if not units:
             raise ConfigError("cannot pack an empty unit list")
         self.pair_ids = [u.pair_id for u in units]
-        self.treatment = np.fromiter((u.treatment for u in units), dtype=np.int8, count=n)
-        self.outcome = np.fromiter((u.outcome for u in units), dtype=np.float64, count=n)
-        self.numeric = np.empty((n, len(NUMERIC_COVARIATES)), dtype=np.float64)
-        for col, name in enumerate(NUMERIC_COVARIATES):
-            for row, unit in enumerate(units):
-                self.numeric[row, col] = unit.covariates.numeric[name]
-        self.cat_levels: list[tuple[str, ...]] = []
-        self.cat_codes = np.empty((n, len(CATEGORICAL_COVARIATES)), dtype=np.int32)
-        for col, name in enumerate(CATEGORICAL_COVARIATES):
-            values = [u.covariates.categorical[name] for u in units]
-            levels = tuple(sorted(set(values)))
-            index = {level: k for k, level in enumerate(levels)}
-            self.cat_levels.append(levels)
-            self.cat_codes[:, col] = [index[v] for v in values]
-        self.blocks = sorted(set(u.block_id for u in units))
-        block_index = {b: k for k, b in enumerate(self.blocks)}
-        self.block_codes = np.fromiter(
-            (block_index[u.block_id] for u in units), dtype=np.int32, count=n
+        self.treatment = np.array([u.treatment for u in units], dtype=np.int8)
+        self.outcome = np.array([u.outcome for u in units], dtype=np.float64)
+        self.numeric = np.array(
+            [[u.covariates.numeric[name] for name in NUMERIC_COVARIATES] for u in units],
+            dtype=np.float64,
         )
+        categorical = [
+            _level_codes([u.covariates.categorical[name] for u in units])
+            for name in CATEGORICAL_COVARIATES
+        ]
+        self.cat_levels = [tuple(levels) for levels, _ in categorical]
+        self.cat_codes = np.column_stack([codes for _, codes in categorical])
+        self.blocks, self.block_codes = _level_codes([u.block_id for u in units])
         self.block_members = [
             np.flatnonzero(self.block_codes == k) for k in range(len(self.blocks))
         ]
@@ -350,14 +374,25 @@ class CellData:
                 columns.append((codes[:, col] == level).astype(np.float64)[:, None])
         return np.hstack(columns)
 
-    def encode_with_names(self, idx: np.ndarray | None = None) -> tuple[np.ndarray, list[str]]:
+    def column_names(self, idx: np.ndarray | None = None) -> list[str]:
+        """Names of the columns encode(idx) returns, in order."""
         codes = self.cat_codes if idx is None else self.cat_codes[idx]
         names = list(NUMERIC_COVARIATES)
         for col, var in enumerate(CATEGORICAL_COVARIATES):
             present = np.unique(codes[:, col])
             for level in present[1:]:
                 names.append(f"{var}={self.cat_levels[col][level]}")
-        return self.encode(idx), names
+        return names
+
+    def encode_with_names(self, idx: np.ndarray | None = None) -> tuple[np.ndarray, list[str]]:
+        return self.encode(idx), self.column_names(idx)
+
+
+def _level_codes(values: list) -> tuple[list, np.ndarray]:
+    """Sorted distinct values, and each value's position among them."""
+    levels = sorted(set(values))
+    index = {level: k for k, level in enumerate(levels)}
+    return levels, np.array([index[v] for v in values], dtype=np.int32)
 
 
 def units_to_csv(units: list[AnalysisUnit], stream: IO[str]) -> None:

@@ -9,13 +9,12 @@ its gap to the weighted one are reported alongside.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .design import AnalysisUnit, CellData, TestCell, TestFamily
+from .design import AnalysisUnit, CellData, TestCell, TestFamily, check_workers, map_cells
 from .errors import ConfigError, DegenerateCellError, PositivityError, SchemaError
 
 RIDGE_LAMBDA = 1e-4
@@ -141,14 +140,26 @@ def fit_propensity(units: list[AnalysisUnit], ridge: float = RIDGE_LAMBDA) -> Pr
     return fit_propensity_packed(data, ridge=ridge)
 
 
-def fit_propensity_packed(
-    data: CellData, idx: np.ndarray | None = None, ridge: float = RIDGE_LAMBDA
-) -> PropensityModel:
+def _fit(
+    data: CellData, idx: np.ndarray | None, ridge: float
+) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    """Fit the rows idx (all rows when None) as their own population.
+
+    Returns (beta, the rows' clipped probabilities, converged, iterations).
+    """
     t = data.treatment if idx is None else data.treatment[idx]
     if t.min() == t.max():
         raise PositivityError("all units share one arm; propensity is unidentified")
-    matrix, names = data.encode_with_names(idx)
+    matrix = data.encode(idx)
     beta, converged, iterations = irls_logistic(matrix, t.astype(np.float64), ridge)
+    return beta, _probabilities(beta, matrix), converged, iterations
+
+
+def fit_propensity_packed(
+    data: CellData, idx: np.ndarray | None = None, ridge: float = RIDGE_LAMBDA
+) -> PropensityModel:
+    beta, _, converged, iterations = _fit(data, idx, ridge)
+    names = data.column_names(idx)
     return PropensityModel(
         intercept=float(beta[0]),
         coefficients={name: float(b) for name, b in zip(names, beta[1:])},
@@ -158,11 +169,15 @@ def fit_propensity_packed(
     )
 
 
+def _probabilities(beta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    eta = beta[0] + matrix @ beta[1:]
+    return np.clip(expit(eta), PROB_CLIP, 1.0 - PROB_CLIP)
+
+
 def predict_probabilities(model: PropensityModel, matrix: np.ndarray) -> np.ndarray:
     """Fitted treatment probabilities, clipped away from 0 and 1."""
     beta = np.array([model.intercept] + [model.coefficients[c] for c in model.schema])
-    eta = beta[0] + matrix @ beta[1:]
-    return np.clip(expit(eta), PROB_CLIP, 1.0 - PROB_CLIP)
+    return _probabilities(beta, matrix)
 
 
 def stabilized_weights(
@@ -201,64 +216,56 @@ def weighted_difference(
     return treated_mean - control_mean
 
 
+def sipw(
+    data: CellData,
+    idx: np.ndarray | None = None,
+    probabilities: np.ndarray | None = None,
+    rate: float | None = None,
+    ridge: float = RIDGE_LAMBDA,
+) -> tuple[float, WeightVector]:
+    """Stabilized-IPW treated-minus-control difference over the rows idx.
+
+    Without given probabilities the propensity model is fitted on those
+    rows themselves; rate defaults to their treated fraction.
+    """
+    t = (data.treatment if idx is None else data.treatment[idx]).astype(np.float64)
+    outcome = data.outcome if idx is None else data.outcome[idx]
+    if probabilities is None:
+        probabilities = _fit(data, idx, ridge)[1]
+    wv = stabilized_weights(t, probabilities, marginal_rate=rate)
+    return weighted_difference(t, outcome, wv.weights), wv
+
+
 def estimate_cell(
     cell: TestCell,
-    data: CellData | None = None,
     ridge: float = RIDGE_LAMBDA,
-    scope_model: PropensityModel | None = None,
-    scope_rate: float | None = None,
+    probabilities: np.ndarray | None = None,
+    rate: float | None = None,
 ) -> CellEstimate:
     """Point estimates for one cell.
 
-    By default the propensity model is fitted on the cell itself. A
-    model fitted on a wider population (and that population's marginal
-    rate) can be supplied instead for sensitivity analysis.
+    By default the propensity model is fitted on the cell itself. The
+    cell's probabilities under a model fitted on a wider population (and
+    that population's marginal rate) can be supplied instead.
     """
-    if data is None:
-        data = CellData(cell.units)
+    data = cell.data
     t = data.treatment.astype(np.float64)
     n_treated = int(t.sum())
     n_control = int(len(t) - t.sum())
     if n_treated == 0 or n_control == 0:
         raise PositivityError(f"cell {cell.cell_id} has an empty arm")
-    if scope_model is None:
-        model = fit_propensity_packed(data, ridge=ridge)
-        probabilities = predict_probabilities(model, data.encode())
-        rate = None
-    else:
-        probabilities = predict_probabilities(scope_model, _encode_for(scope_model, data))
-        rate = scope_rate
-    wv = stabilized_weights(t, probabilities, marginal_rate=rate)
-    sipw = weighted_difference(t, data.outcome, wv.weights)
+    estimate, wv = sipw(data, probabilities=probabilities, rate=rate, ridge=ridge)
     naive = weighted_difference(t, data.outcome, np.ones_like(t))
     return CellEstimate(
         view=cell.spec.view,
         feature=cell.spec.feature_name,
         task_group=cell.task_group,
-        acmgd_sipw=sipw,
+        acmgd_sipw=estimate,
         acmgd_naive=naive,
         n_treated=n_treated,
         n_control=n_control,
         cap_hits=wv.cap_hits,
     )
-
-
-def _encode_for(model: PropensityModel, data: CellData) -> np.ndarray:
-    """Encode a cell against a wider model's column schema.
-
-    Numeric z-scores still come from the cell (the model's training
-    scaling is not recoverable from coefficients alone and the contract
-    is schema alignment, not scale replay); dummy columns are matched by
-    name, absent levels become zero columns.
-    """
-    matrix, names = data.encode_with_names()
-    by_name = {name: matrix[:, k] for k, name in enumerate(names)}
-    n = matrix.shape[0]
-    aligned = np.zeros((n, len(model.schema)))
-    for k, name in enumerate(model.schema):
-        if name in by_name:
-            aligned[:, k] = by_name[name]
-    return aligned
 
 
 @dataclass
@@ -277,51 +284,36 @@ def estimate_all(
     """Estimates for every cell of every family, in sorted cell order.
 
     scope="cell" fits the propensity per cell; scope="pooled" fits one
-    model per feature on all of its groups pooled and reuses it (with the
-    pooled marginal rate) inside each cell. Cells that fail positivity or
+    model per feature on all of its groups pooled, and gives each cell
+    that model's probabilities on its own rows of the pooled design,
+    with the pooled marginal rate. Cells that fail positivity or
     degenerate are recorded as skipped, not raised. Output is identical
     for any worker count.
     """
     if scope not in ("cell", "pooled"):
         raise ConfigError("scope must be 'cell' or 'pooled'")
+    check_workers(workers)
     bundle = EstimateBundle(estimates=[])
     for family in families:
         if not family.cells:
             raise ConfigError(f"family '{family.name}' has no cells")
         cells = sorted(family.cells, key=lambda c: (c.spec.feature_name, c.task_group))
-        pooled: dict[str, tuple[PropensityModel, float]] = {}
-        if scope == "pooled":
-            by_feature: dict[str, list[AnalysisUnit]] = {}
-            for cell in cells:
-                by_feature.setdefault(cell.spec.feature_name, []).extend(cell.units)
-            for feature, units in by_feature.items():
-                data = CellData(units)
-                pooled[feature] = (
-                    fit_propensity_packed(data, ridge=ridge),
-                    float(data.treatment.mean()),
-                )
+        pooled: dict[str, tuple[np.ndarray, float]] = {}
+        features = {c.spec.feature_name for c in cells} if scope == "pooled" else set()
+        for feature in sorted(features):
+            group = [c for c in cells if c.spec.feature_name == feature]
+            data = CellData([u for c in group for u in c.units])
+            probabilities = _fit(data, None, ridge)[1]
+            bounds = np.cumsum([0] + [len(c.units) for c in group])
+            for c, start, stop in zip(group, bounds, bounds[1:]):
+                pooled[c.cell_id] = (probabilities[start:stop], float(data.treatment.mean()))
 
         def one(cell: TestCell) -> CellEstimate:
-            model, rate = pooled.get(cell.spec.feature_name, (None, None))
-            return estimate_cell(cell, ridge=ridge, scope_model=model, scope_rate=rate)
+            probabilities, rate = pooled.get(cell.cell_id, (None, None))
+            return estimate_cell(cell, ridge=ridge, probabilities=probabilities, rate=rate)
 
-        results: list[CellEstimate | tuple[str, str]] = []
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(one, cell) for cell in cells]
-                for cell, future in zip(cells, futures):
-                    try:
-                        results.append(future.result())
-                    except (PositivityError, DegenerateCellError) as exc:
-                        results.append((cell.cell_id, str(exc)))
-        else:
-            for cell in cells:
-                try:
-                    results.append(one(cell))
-                except (PositivityError, DegenerateCellError) as exc:
-                    results.append((cell.cell_id, str(exc)))
         gaps = []
-        for item in results:
+        for item in map_cells(one, cells, workers, (PositivityError, DegenerateCellError)):
             if isinstance(item, CellEstimate):
                 bundle.estimates.append(item)
                 gaps.append(item.confounding_magnitude)

@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design import CellData, TestCell, TestFamily
+from .design import TestCell, TestFamily, check_workers, map_cells
 from .errors import ConfigError, DegenerateCellError, PositivityError, UnstableCellError
-from .estimation import (
-    fit_propensity_packed,
-    predict_probabilities,
-    stabilized_weights,
-    weighted_difference,
-)
+from .estimation import sipw, weighted_difference
 
 TIER_BH = "bh_significant"
 TIER_UNCORRECTED = "uncorrected_significant"
@@ -80,25 +74,11 @@ def derive_cell_seed(master_seed: int, view: str, feature: str, group: str) -> i
     return int.from_bytes(digest[:8], "big")
 
 
-def _sipw_estimate(data: CellData, idx: np.ndarray) -> float:
-    t = data.treatment[idx].astype(np.float64)
-    model = fit_propensity_packed(data, idx)
-    probabilities = predict_probabilities(model, data.encode(idx))
-    wv = stabilized_weights(t, probabilities)
-    return weighted_difference(t, data.outcome[idx], wv.weights)
-
-
-def _naive_estimate(data: CellData, idx: np.ndarray) -> float:
-    t = data.treatment[idx].astype(np.float64)
-    return weighted_difference(t, data.outcome[idx], np.ones_like(t))
-
-
 def block_bootstrap(
     cell: TestCell,
     cfg: BootstrapConfig,
     recipe: str = "sipw",
     mode: str = "block",
-    data: CellData | None = None,
 ) -> BootstrapResult:
     """Bootstrap one cell's estimate.
 
@@ -113,30 +93,25 @@ def block_bootstrap(
         raise ConfigError("recipe must be 'sipw' or 'naive'")
     if mode not in ("block", "iid"):
         raise ConfigError("mode must be 'block' or 'iid'")
-    if data is None:
-        data = CellData(cell.units)
+    data = cell.data
     n_blocks = len(data.blocks)
     if mode == "block" and n_blocks < 2:
         raise ConfigError("block bootstrap needs at least 2 blocks")
 
-    point_weights: np.ndarray | None = None
+    weights = np.ones(data.n)
     if recipe == "sipw":
-        if cfg.refit:
-            estimator = _sipw_estimate
-        else:
-            t_full = data.treatment.astype(np.float64)
-            model = fit_propensity_packed(data)
-            probabilities = predict_probabilities(model, data.encode())
-            point_weights = stabilized_weights(t_full, probabilities).weights
+        point, point_weights = sipw(data)
+        weights = None if cfg.refit else point_weights.weights
 
-            def estimator(d: CellData, idx: np.ndarray) -> float:
-                t = d.treatment[idx].astype(np.float64)
-                return weighted_difference(t, d.outcome[idx], point_weights[idx])
+    def estimator(idx: np.ndarray) -> float:
+        """The recipe's estimate on rows idx; refits when weights is None."""
+        if weights is None:
+            return sipw(data, idx)[0]
+        t = data.treatment[idx].astype(np.float64)
+        return weighted_difference(t, data.outcome[idx], weights[idx])
 
-        point = _sipw_estimate(data, np.arange(data.n))
-    else:
-        estimator = _naive_estimate
-        point = _naive_estimate(data, np.arange(data.n))
+    if recipe == "naive":
+        point = estimator(np.arange(data.n))
 
     estimates = np.empty(cfg.resamples)
     valid = 0
@@ -153,7 +128,7 @@ def block_bootstrap(
             discarded += 1
             continue
         try:
-            estimates[valid] = estimator(data, idx)
+            estimates[valid] = estimator(idx)
         except (PositivityError, DegenerateCellError):
             discarded += 1
             continue
@@ -236,6 +211,7 @@ def infer_family(
     toward the family's m. Per-cell seeds derive from the master seed
     and the cell identity, so any worker count gives identical output.
     """
+    check_workers(workers)
     cells = sorted(family.cells, key=lambda c: (c.spec.feature_name, c.task_group))
 
     def one(cell: TestCell) -> BootstrapResult:
@@ -249,22 +225,7 @@ def infer_family(
         )
         return block_bootstrap(cell, cfg)
 
-    outcomes: list[BootstrapResult | tuple[str, str]] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(one, cell) for cell in cells]
-            for cell, future in zip(cells, futures):
-                try:
-                    outcomes.append(future.result())
-                except (ConfigError, UnstableCellError, PositivityError) as exc:
-                    outcomes.append((cell.cell_id, str(exc)))
-    else:
-        for cell in cells:
-            try:
-                outcomes.append(one(cell))
-            except (ConfigError, UnstableCellError, PositivityError) as exc:
-                outcomes.append((cell.cell_id, str(exc)))
-
+    outcomes = map_cells(one, cells, workers, (ConfigError, UnstableCellError, PositivityError))
     tested = [
         (cell, res) for cell, res in zip(cells, outcomes) if isinstance(res, BootstrapResult)
     ]

@@ -17,7 +17,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .design import PreparedCorpus, enumerate_families, view_features, TreatmentSpec
+from .design import PreparedCorpus, check_workers, enumerate_families, view_features, TreatmentSpec
 from .errors import ConfigError, DegenerateCellError, SchemaError
 from .estimation import EstimateBundle, estimate_all
 from .inference import InferenceResult, infer_all, tier_of, TIER_MARKERS, TIER_NONE
@@ -346,6 +346,7 @@ def run_report(
     Returns the provenance document. Output is a deterministic function
     of (records, config); the worker count changes scheduling only.
     """
+    check_workers(workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if prepared is None:

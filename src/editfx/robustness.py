@@ -23,7 +23,7 @@ from scipy.special import stdtr
 from scipy.stats import rankdata
 
 from . import surface as surface_mod
-from .design import PreparedCorpus, TestCell, TreatmentSpec, build_units
+from .design import AnalysisUnit, PreparedCorpus, TestCell, TreatmentSpec, build_units
 from .errors import ConfigError, DegenerateCellError
 from .estimation import estimate_cell
 from .store import ComparisonRecord, headroom
@@ -149,22 +149,33 @@ def sign_of(value: float) -> str:
     return "0"
 
 
-def _group_estimate(
+def _sipw_or_none(spec: TreatmentSpec, group: str, units: list[AnalysisUnit]) -> float | None:
+    """SIPW estimate for one (spec, group) cell, or None if an arm is empty."""
+    if {u.treatment for u in units} != {0, 1}:
+        return None
+    return estimate_cell(TestCell(spec=spec, task_group=group, units=units)).acmgd_sipw
+
+
+def baseline_cells(
     records: list[ComparisonRecord],
     spec: TreatmentSpec,
-    group: str,
-    prepared: PreparedCorpus,
-) -> float | None:
-    """SIPW estimate for one (spec, group) cell, or None if an arm is empty."""
+    groups: tuple[str, str],
+    prepared: PreparedCorpus | None = None,
+) -> tuple[list[list[AnalysisUnit]], list[float]]:
+    """Each reversal group's units over the whole corpus, and its SIPW estimate.
+
+    Raises ConfigError for a group with no records and DegenerateCellError
+    for a group whose cell has an empty arm.
+    """
+    for group in groups:
+        if not any(r.task_group == group for r in records):
+            raise ConfigError(f"reversal references task group '{group}' with no records")
     units, _ = build_units(records, spec, prepared)
-    cell_units = [u for u in units if u.task_group == group]
-    if not cell_units:
-        return None
-    arms = {u.treatment for u in cell_units}
-    if arms != {0, 1}:
-        return None
-    cell = TestCell(spec=spec, task_group=group, units=cell_units)
-    return estimate_cell(cell).acmgd_sipw
+    cells = [[u for u in units if u.task_group == group] for group in groups]
+    estimates = [_sipw_or_none(spec, group, cell) for group, cell in zip(groups, cells)]
+    if None in estimates:
+        raise DegenerateCellError("baseline cell for the reversal has an empty arm")
+    return cells, estimates
 
 
 def loo_stability(
@@ -175,7 +186,9 @@ def loo_stability(
     """Re-estimate a sign reversal with each dataset held out in turn.
 
     Each split reruns the full per-cell pipeline (propensity refit and
-    all) on the remaining records. A split whose exclusion empties a
+    all) on the baseline cells' units outside the held-out dataset; a
+    unit depends only on its own record, so these are the units the
+    remaining records would give. A split whose exclusion empties a
     group or an arm is skipped with a note rather than scored. A corpus
     whose reversal groups draw on a single dataset produces total=0 and
     a warning.
@@ -183,25 +196,18 @@ def loo_stability(
     if prepared is None:
         prepared = PreparedCorpus(records)
     groups = (reversal.group_a, reversal.group_b)
-    for group in groups:
-        if not any(r.task_group == group for r in records):
-            raise ConfigError(f"reversal references task group '{group}' with no records")
-    baseline_a = _group_estimate(records, reversal.spec, reversal.group_a, prepared)
-    baseline_b = _group_estimate(records, reversal.spec, reversal.group_b, prepared)
-    if baseline_a is None or baseline_b is None:
-        raise DegenerateCellError("baseline cell for the reversal has an empty arm")
+    cells, (baseline_a, baseline_b) = baseline_cells(records, reversal.spec, groups, prepared)
     datasets = sorted({r.dataset for r in records if r.task_group in groups})
     splits: list[LooSplit] = []
     skipped: list[tuple[str, str]] = []
     for dataset in datasets:
-        remaining = [r for r in records if r.dataset != dataset]
-        if not any(r.task_group == reversal.group_a for r in remaining) or not any(
-            r.task_group == reversal.group_b for r in remaining
-        ):
+        if not {r.task_group for r in records if r.dataset != dataset}.issuperset(groups):
             skipped.append((dataset, "exclusion empties a reversal group"))
             continue
-        estimate_a = _group_estimate(remaining, reversal.spec, reversal.group_a, prepared)
-        estimate_b = _group_estimate(remaining, reversal.spec, reversal.group_b, prepared)
+        estimate_a, estimate_b = (
+            _sipw_or_none(reversal.spec, group, [u for u in cell if u.dataset != dataset])
+            for group, cell in zip(groups, cells)
+        )
         if estimate_a is None or estimate_b is None:
             skipped.append((dataset, "exclusion empties a treatment arm"))
             continue

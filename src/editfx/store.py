@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -232,7 +233,12 @@ def parse_record(doc: dict[str, Any]) -> ComparisonRecord:
 
     if "step_index" not in doc:
         raise IngestError("missing required field 'step_index'")
-    step_index = int(doc["step_index"])
+    step_index = doc["step_index"]
+    if isinstance(step_index, bool) or (
+        isinstance(step_index, float) and not step_index.is_integer()
+    ):
+        raise IngestError(f"step_index {step_index!r} must be an integer")
+    step_index = int(step_index)
     if step_index < 0:
         raise IngestError(f"step_index {step_index} must be >= 0")
 
@@ -254,6 +260,8 @@ def parse_record(doc: dict[str, Any]) -> ComparisonRecord:
     computed_gain = acc_after - acc_before
     if "gain" in doc and doc["gain"] is not None:
         gain = float(doc["gain"])
+        if not math.isfinite(gain):
+            raise IngestError(f"gain {gain} is not finite")
         if abs(gain - computed_gain) > GAIN_TOLERANCE:
             raise IngestError(
                 f"gain {gain} disagrees with accuracy_after - accuracy_before "

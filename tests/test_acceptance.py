@@ -200,7 +200,9 @@ def test_criterion_03_weight_contracts(capsys):
             converged=True,
             iterations=1,
         )
-        est = estimate_cell(cell, scope_model=constant, scope_rate=pbar)
+        est = estimate_cell(
+            cell, probabilities=predict_probabilities(constant, data.encode()), rate=pbar
+        )
         reduction = abs(est.acmgd_sipw - est.acmgd_naive)
         reduction_ok = reduction < 1e-12
 

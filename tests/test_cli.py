@@ -302,6 +302,26 @@ class TestRunConfig:
         assert main(argv) == 1
         assert "config file is not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc", [{"resamples": "50"}, {"refit": 1}, {"alpha": True}, {"scope": None}]
+    )
+    def test_wrongly_typed_config_value_fails(self, corpus_path, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "x"
+        argv = ["infer", "--input", str(corpus_path), "--out", str(out), "--config", str(cfg_path)]
+        assert main(argv) == 1
+        (key,) = doc
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "infer", "report"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_fails(self, corpus_path, tmp_path, capsys, command, workers):
+        out = tmp_path / "x"
+        argv = [command, "--input", str(corpus_path), "--out", str(out), "--workers", workers]
+        assert main(argv) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+
 
 class TestStageCache:
     def test_cached_stages_reproduce_estimates(self, corpus_path, tmp_path):

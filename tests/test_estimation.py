@@ -1,5 +1,7 @@
 """Propensity fitting, stabilized weights, and cell estimates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -22,11 +24,25 @@ from editfx.estimation import (
     weighted_difference,
 )
 
-from editfx.design import AnalysisUnit, TestFamily
+from editfx.design import AnalysisUnit, PreparedCorpus, TestFamily, build_units
+from editfx.synth import SynthConfig, generate
 
 from test_design import make_covariates, make_unit
 
 TestFamily.__test__ = False
+
+
+def moved(unit: AnalysisUnit, dataset: str, word_shift: float) -> AnalysisUnit:
+    """The unit relabelled to another dataset, with a longer before prompt."""
+    numeric = dict(unit.covariates.numeric)
+    numeric["p1_word_count"] += word_shift
+    covariates = replace(
+        unit.covariates,
+        numeric=numeric,
+        categorical={**unit.covariates.categorical, "dataset": dataset},
+    )
+    block_id = (dataset, unit.block_id[1])
+    return replace(unit, covariates=covariates, dataset=dataset, block_id=block_id)
 
 
 def neg_penalized_loglik(beta, design, y, ridge):
@@ -263,7 +279,9 @@ class TestEstimateCell:
             converged=True,
             iterations=1,
         )
-        est = estimate_cell(cell, scope_model=constant, scope_rate=pbar)
+        est = estimate_cell(
+            cell, probabilities=predict_probabilities(constant, data.encode()), rate=pbar
+        )
         assert abs(est.acmgd_sipw - est.acmgd_naive) < 1e-12
 
     def test_empty_arm_raises(self):
@@ -322,6 +340,54 @@ class TestEstimateAll:
             abs(a.acmgd_sipw - b.acmgd_sipw) > 1e-9
             for a, b in zip(cell_scope.estimates, pooled_scope.estimates)
         )
+
+    def test_pooled_scope_slices_the_pooled_fit(self):
+        math = make_cell(n=120, seed=10, task_group="math")
+        logical = make_cell(n=150, seed=11, task_group="logical")
+        relabel = {"ds_a": "ds_c", "ds_b": "ds_d"}
+        logical = TestCell(
+            spec=logical.spec,
+            task_group="logical",
+            units=[moved(u, relabel[u.dataset], 3.0) for u in logical.units],
+        )
+        family = TestFamily(name="surface", cells=[math, logical])
+        bundle = estimate_all([family], scope="pooled")
+        # Sorted cell order puts logical first, so its rows lead the pooled design.
+        pooled = CellData(logical.units + math.units)
+        probabilities = predict_probabilities(fit_propensity_packed(pooled), pooled.encode())
+        rate = float(pooled.treatment.mean())
+        rows = {"logical": slice(0, 150), "math": slice(150, 270)}
+        assert [e.task_group for e in bundle.estimates] == ["logical", "math"]
+        for cell, est in zip((logical, math), bundle.estimates):
+            data = CellData(cell.units)
+            t = data.treatment.astype(np.float64)
+            wv = stabilized_weights(t, probabilities[rows[cell.task_group]], marginal_rate=rate)
+            expected = weighted_difference(t, data.outcome, wv.weights)
+            assert est.acmgd_sipw == pytest.approx(expected, abs=1e-12)
+            assert est.cap_hits == wv.cap_hits
+
+    def test_pooled_scope_recovers_synthetic_ground_truth(self):
+        records, _ = generate(
+            SynthConfig(
+                n=10_000,
+                tau=0.05,
+                beta_confound=0.1,
+                gamma=(0.0, 1.0),
+                groups=("math", "logical"),
+                seed=0,
+            )
+        )
+        spec = TreatmentSpec(view="surface", feature_name="word_count")
+        units, _ = build_units(records, spec, PreparedCorpus(records))
+        cells = [
+            TestCell(spec=spec, task_group=g, units=[u for u in units if u.task_group == g])
+            for g in ("math", "logical")
+        ]
+        bundle = estimate_all([TestFamily(name="surface", cells=cells)], scope="pooled")
+        assert len(bundle.estimates) == 2
+        for est in bundle.estimates:
+            assert abs(est.acmgd_naive - 0.05) > 0.03
+            assert abs(est.acmgd_sipw - 0.05) < 0.015
 
     def test_invalid_scope_and_empty_family(self):
         family = self.make_family()

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from editfx.design import TestCell, TestFamily, TreatmentSpec
+from editfx.design import CellData, TestCell, TestFamily, TreatmentSpec
 from editfx.errors import ConfigError, UnstableCellError
+from editfx.estimation import (
+    fit_propensity_packed,
+    predict_probabilities,
+    stabilized_weights,
+    weighted_difference,
+)
 from editfx.inference import (
     TIER_BH,
     TIER_NONE,
@@ -208,6 +214,32 @@ class TestBlockBootstrap:
         reuse = block_bootstrap(cell, BootstrapConfig(resamples=40, seed=5, refit=False))
         assert refit.estimate == pytest.approx(reuse.estimate)
         assert not np.array_equal(refit.resample_estimates, reuse.resample_estimates)
+
+    @pytest.mark.parametrize("refit", [True, False])
+    def test_resamples_match_public_reference_path(self, refit):
+        cell = make_cell(n=160, seed=25)
+        cfg = BootstrapConfig(resamples=40, seed=9, refit=refit)
+        result = block_bootstrap(cell, cfg)
+        data = CellData(cell.units)
+        full = predict_probabilities(fit_propensity_packed(data), data.encode())
+        point_weights = stabilized_weights(data.treatment, full).weights
+        n_blocks = len(data.blocks)
+        expected = []
+        for r in range(cfg.resamples):
+            drawn = np.random.default_rng([cfg.seed, r]).integers(0, n_blocks, size=n_blocks)
+            idx = np.concatenate([data.block_members[b] for b in drawn])
+            t = data.treatment[idx].astype(np.float64)
+            if t.min() == t.max():
+                continue
+            if refit:
+                model = fit_propensity_packed(data, idx)
+                probabilities = predict_probabilities(model, data.encode(idx))
+                weights = stabilized_weights(t, probabilities).weights
+            else:
+                weights = point_weights[idx]
+            expected.append(weighted_difference(t, data.outcome[idx], weights))
+        assert result.valid_resamples == len(expected) > 0
+        np.testing.assert_array_equal(result.resample_estimates, expected)
 
     def test_iid_mode_runs(self):
         cell = make_cell(n=160, seed=24)

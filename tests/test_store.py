@@ -87,6 +87,17 @@ class TestParseRecord:
         with pytest.raises(IngestError, match="step_index"):
             parse_record(base_doc(step_index=-1))
 
+    def test_non_finite_gain_rejected(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(IngestError, match="gain"):
+                parse_record(base_doc(gain=value))
+
+    def test_step_index_must_be_integral(self):
+        assert parse_record(base_doc(step_index=4.0)).step_index == 4
+        for value in (3.7, True, False):
+            with pytest.raises(IngestError, match="step_index"):
+                parse_record(base_doc(step_index=value))
+
     def test_annotations_validated(self):
         doc = base_doc(annotations_before={"Clarity": 7, "Demos": 1})
         record = parse_record(doc)
@@ -128,6 +139,20 @@ class TestIngest:
         with pytest.raises(IngestError) as err:
             ingest(path, strict=True)
         assert err.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "bad", [{"gain": float("nan")}, {"step_index": 3.7}, {"step_index": True}]
+    )
+    def test_invalid_numbers_name_the_line_or_are_skipped(self, tmp_path, bad):
+        lines = [json.dumps(base_doc()), json.dumps(base_doc(pair_id="x2", **bad))]
+        path = self.write(tmp_path, lines)
+        with pytest.raises(IngestError) as err:
+            ingest(path, strict=True)
+        assert err.value.line_number == 2
+        assert str(err.value).startswith("line 2: ")
+        records, stats = ingest(path, strict=False)
+        assert [r.pair_id for r in records] == ["x1"]
+        assert stats.skipped_count == 1
 
     def test_lenient_skips_and_counts(self, tmp_path):
         lines = [
