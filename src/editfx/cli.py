@@ -1,56 +1,33 @@
 """Command-line entry point.
 
 Subcommands run individual pipeline stages or compose the full report
-bundle. Stage outputs (features/motifs JSONL) are cached so later
-stages can resume without recomputation. Exit codes: 0 success, 1
-validation failure, 2 internal error.
+bundle. Every analysis command takes its settings from one RunConfig
+(defaults < --config file < flags); estimate, infer and receptivity are
+views over report.Pipeline. Stage outputs (features/motifs JSONL) are
+cached, keyed on what they were computed from, so later stages can
+resume without recomputation. Exit codes: 0 success, 1 validation
+failure, 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import hashlib
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, report as report_mod
-from .design import PreparedCorpus, TreatmentSpec, enumerate_families
-from .errors import ConfigError, EditfxError
-from .estimation import estimate_all
-from .inference import infer_all
-from .motifs import MOTIF_LABELS, MotifRuleset, audit_sample, cooccurrence_matrix
+from .design import PreparedCorpus, TreatmentSpec
+from .errors import EditfxError
+from .motifs import MOTIF_LABELS, MotifRuleset, audit_sample, cooccurrence_matrix, default_ruleset
+from .report import Pipeline, RunConfig
 from .robustness import SignReversalSpec, baseline_cells, ceiling, loo_stability, sign_of
 from .store import ingest, serialize
-from .surface import WordLists, delta as surface_delta
+from .surface import WordLists, default_wordlists, delta as surface_delta
 from .synth import SynthConfig, generate
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Analysis settings: defaults, overlaid by a JSON config file, then flags."""
-
-    seed: int = 0
-    alpha: float = 0.05
-    resamples: int = 500
-    min_cell: int = 10
-    min_arm: int = 3
-    scope: str = "cell"
-    refit: bool = True
-    percentile_p: bool = False
-    include_demos: bool = False
-    workers: int = 1
-
-    def __post_init__(self):
-        for item in fields(self):
-            value = getattr(self, item.name)
-            kind = type(item.default)
-            allowed = (int, float) if kind is float else kind
-            if (isinstance(value, bool) and kind is not bool) or not isinstance(value, allowed):
-                raise ConfigError(
-                    f"config key '{item.name}' must be {kind.__name__}, got {value!r}"
-                )
 
 
 def _require_file(path: str, what: str) -> str:
@@ -81,57 +58,83 @@ def _load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _prepared(records, args) -> PreparedCorpus:
-    wordlists = None
-    if getattr(args, "wordlists", None):
+def _analysis(args) -> tuple[list, RunConfig, PreparedCorpus]:
+    """Records, run config and prepared corpus for a command with the common flags."""
+    records, _ = ingest(args.input, strict=True)
+    cfg = _load_run_config(args.config, args)
+    wordlists = default_wordlists()
+    if args.wordlists:
         wordlists = WordLists.load(_require_file(args.wordlists, "word-list file"))
-    ruleset = None
-    if getattr(args, "ruleset", None):
+    ruleset = default_ruleset()
+    if args.ruleset:
         ruleset = MotifRuleset.load(_require_file(args.ruleset, "ruleset file"))
-    surface_cache = None
-    motif_cache = None
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        cache = Path(cache_dir)
-        surface_cache = _load_feature_cache(cache / "features.jsonl", records)
-        motif_cache = _load_motif_cache(cache / "motifs.jsonl", records)
-    return PreparedCorpus(
-        records,
-        wordlists=wordlists,
-        ruleset=ruleset,
-        include_demos=bool(getattr(args, "include_demos", False)),
-        surface_cache=surface_cache,
-        motif_cache=motif_cache,
-    )
+    caches = {}
+    if args.cache_dir:
+        cache = Path(args.cache_dir)
+        caches["surface_cache"] = _load_cache(
+            cache / "features.jsonl",
+            "feature",
+            records,
+            _keyer(wordlists.content_hash, cfg.include_demos),
+            lambda doc: (doc["before"], doc["after"]),
+        )
+        caches["motif_cache"] = _load_cache(
+            cache / "motifs.jsonl",
+            "motif",
+            records,
+            _keyer(ruleset.content_hash, cfg.include_demos),
+            lambda doc: {label: int(label in doc["record_labels"]) for label in MOTIF_LABELS},
+        )
+    prepared = PreparedCorpus(records, wordlists, ruleset, cfg.include_demos, **caches)
+    return records, cfg, prepared
 
 
-def _load_feature_cache(path: Path, records) -> dict | None:
+def _keyer(content_hash: str, include_demos: bool):
+    """record -> cache key over the version, rules, demo diffing and both prompts."""
+
+    def key(record) -> str:
+        states = [record.before.to_json(), record.after.to_json()]
+        doc = [__version__, content_hash, include_demos, states]
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+    return key
+
+
+def _write_stage(path: Path, records, line, key) -> None:
+    """One JSON line per record, plus a sidecar of each record's cache key."""
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(json.dumps(line(record), sort_keys=True))
+            fh.write("\n")
+    report_mod.write_json(path.with_suffix(".keys.json"), {r.pair_id: key(r) for r in records})
+
+
+def _load_cache(path: Path, what: str, records, key, value) -> dict | None:
+    """pair_id -> value(line) from a stage cache, or None to recompute.
+
+    The cache is ignored with a warning unless it covers every record
+    and its sidecar holds key(record), the key this run would write,
+    for each of them.
+    """
     if not path.exists():
         return None
-    cache = {}
     with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            doc = json.loads(line)
-            cache[doc["pair_id"]] = (doc["before"], doc["after"])
-    if any(r.pair_id not in cache for r in records):
-        warnings.warn(f"feature cache {path} does not cover the corpus; recomputing")
+        docs = {doc["pair_id"]: doc for doc in map(json.loads, fh)}
+    if any(r.pair_id not in docs for r in records):
+        warnings.warn(f"{what} cache {path} does not cover the corpus; recomputing")
         return None
-    return cache
+    keys_path = path.with_suffix(".keys.json")
+    keys = json.loads(keys_path.read_text("utf-8")) if keys_path.exists() else {}
+    if any(keys.get(r.pair_id) != key(r) for r in records):
+        warnings.warn(f"{what} cache {path} was built from other inputs or settings; recomputing")
+        return None
+    return {r.pair_id: value(docs[r.pair_id]) for r in records}
 
 
-def _load_motif_cache(path: Path, records) -> dict | None:
-    if not path.exists():
-        return None
-    cache = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            doc = json.loads(line)
-            labels = set(doc["record_labels"])
-            cache[doc["pair_id"]] = {label: int(label in labels) for label in MOTIF_LABELS}
-    if any(r.pair_id not in cache for r in records):
-        warnings.warn(f"motif cache {path} does not cover the corpus; recomputing")
-        return None
-    return cache
+def _out(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _cmd_validate(args) -> int:
@@ -143,122 +146,66 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    records, _ = ingest(args.input, strict=True)
-    prepared = _prepared(records, args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "features.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            before_vec, after_vec = prepared.surface_pair(record)
-            fh.write(
-                json.dumps(
-                    {
-                        "pair_id": record.pair_id,
-                        "before": before_vec,
-                        "after": after_vec,
-                        "delta": surface_delta(before_vec, after_vec),
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    records, cfg, prepared = _analysis(args)
+    out = _out(args)
+
+    def line(record) -> dict:
+        before_vec, after_vec = prepared.surface_pair(record)
+        return {
+            "pair_id": record.pair_id,
+            "before": before_vec,
+            "after": after_vec,
+            "delta": surface_delta(before_vec, after_vec),
+        }
+
+    key = _keyer(prepared.wordlists.content_hash, cfg.include_demos)
+    _write_stage(out / "features.jsonl", records, line, key)
     print(f"wrote {out / 'features.jsonl'} ({len(records)} records)")
     return 0
 
 
 def _cmd_motifs(args) -> int:
-    records, _ = ingest(args.input, strict=True)
-    prepared = _prepared(records, args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    records, cfg, prepared = _analysis(args)
+    out = _out(args)
     results = prepared.motif_results()
-    with (out / "motifs.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(results[record.pair_id].to_json(), sort_keys=True))
-            fh.write("\n")
+    key = _keyer(prepared.ruleset.content_hash, cfg.include_demos)
+    _write_stage(out / "motifs.jsonl", records, lambda r: results[r.pair_id].to_json(), key)
     matrix = cooccurrence_matrix([results[r.pair_id] for r in records])
-    with (out / "motif_cooccurrence.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label_a", "label_b", "count", "rate_all", "rate_labeled"])
-        for pair in sorted(matrix["counts"]):
-            writer.writerow(
-                [
-                    pair[0],
-                    pair[1],
-                    matrix["counts"][pair],
-                    f"{matrix['rate_all'][pair]:.3f}",
-                    f"{matrix['rate_labeled'][pair]:.3f}",
-                ]
-            )
+    rates = ("rate_all", "rate_labeled")
+    lines = (
+        [*pair, count, *(f"{matrix[rate][pair]:.3f}" for rate in rates)]
+        for pair, count in sorted(matrix["counts"].items())
+    )
+    report_mod.write_text(
+        out / "motif_cooccurrence.csv",
+        report_mod.csv_text(["label_a", "label_b", "count", *rates], lines),
+    )
     if args.audit_label:
         sample = audit_sample(
-            records,
-            args.audit_label,
-            k=args.audit_k,
-            seed=args.seed if args.seed is not None else 0,
-            results=results,
+            records, args.audit_label, k=args.audit_k, seed=cfg.seed, results=results
         )
-        with (out / f"audit_{args.audit_label}.csv").open(
-            "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["pair_id", "span_text"])
-            writer.writerows(sample)
+        report_mod.write_text(
+            out / f"audit_{args.audit_label}.csv",
+            report_mod.csv_text(["pair_id", "span_text"], sample),
+        )
     print(f"wrote {out / 'motifs.jsonl'} ({len(records)} records)")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    records, _ = ingest(args.input, strict=True)
-    cfg = _load_run_config(args.config, args)
-    prepared = _prepared(records, args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        families = enumerate_families(
-            records, min_cell=cfg.min_cell, min_arm=cfg.min_arm, prepared=prepared
-        )
-    bundle = estimate_all(families, scope=cfg.scope, workers=cfg.workers)
-    doc = report_mod.estimates_to_json(bundle)
-    report_mod.write_json(out / "estimates.json", doc)
-    report_mod.write_text(out / "estimates.csv", report_mod.estimates_to_csv(doc["estimates"]))
+    doc = Pipeline(*_analysis(args)).write_estimates(_out(args))
     print(f"estimated {len(doc['estimates'])} cells, skipped {len(doc['skipped'])}")
     return 0
 
 
 def _cmd_infer(args) -> int:
-    records, _ = ingest(args.input, strict=True)
-    cfg = _load_run_config(args.config, args)
-    prepared = _prepared(records, args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        families = enumerate_families(
-            records, min_cell=cfg.min_cell, min_arm=cfg.min_arm, prepared=prepared
-        )
-    results, skipped = infer_all(
-        families,
-        master_seed=cfg.seed,
-        resamples=cfg.resamples,
-        alpha=cfg.alpha,
-        refit=cfg.refit,
-        percentile_p=cfg.percentile_p,
-        workers=cfg.workers,
-    )
-    doc = report_mod.inference_to_json(results, skipped, cfg.alpha)
-    report_mod.write_json(out / "inference.json", doc)
-    report_mod.write_text(
-        out / "inference.csv", report_mod.inference_to_csv(doc["results"], cfg.alpha)
-    )
-    print(f"tested {len(results)} cells, skipped {len(skipped)}")
+    doc = Pipeline(*_analysis(args)).write_inference(_out(args))
+    print(f"tested {len(doc['results'])} cells, skipped {len(doc['skipped'])}")
     return 0
 
 
 def _cmd_loo(args) -> int:
-    records, _ = ingest(args.input, strict=True)
-    prepared = _prepared(records, args)
+    records, _, prepared = _analysis(args)
     spec = TreatmentSpec(view=args.view, feature_name=args.feature)
     if args.sign_a is None or args.sign_b is None:
         groups = (args.group_a, args.group_b)
@@ -274,44 +221,24 @@ def _cmd_loo(args) -> int:
         baseline_sign_b=sign_b,
     )
     loo = loo_stability(records, reversal, prepared=prepared)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_mod.write_text(out / "loo.csv", report_mod.loo_to_csv(loo))
+    report_mod.write_text(_out(args) / "loo.csv", report_mod.loo_to_csv(loo))
     print(f"stable {loo.stable_count}/{loo.total}")
     return 0
 
 
 def _cmd_ceiling(args) -> int:
-    records, _ = ingest(args.input, strict=True)
-    result = ceiling(records, seed=args.seed if args.seed is not None else 0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_mod.write_json(out / "ceiling.json", result.to_json())
-    print(json.dumps(result.to_json(), sort_keys=True))
+    records, cfg, _ = _analysis(args)
+    doc = ceiling(records, seed=cfg.seed).to_json()
+    report_mod.write_json(_out(args) / "ceiling.json", doc)
+    print(json.dumps(doc, sort_keys=True))
     return 0
 
 
 def _cmd_receptivity(args) -> int:
-    records, _ = ingest(args.input, strict=True)
-    cfg = _load_run_config(args.config, args)
-    prepared = _prepared(records, args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        families = enumerate_families(
-            records,
-            min_cell=cfg.min_cell,
-            min_arm=cfg.min_arm,
-            views=("annotation",),
-            prepared=prepared,
-        )
-    rows = []
-    if families:
-        bundle = estimate_all(families, scope=cfg.scope, workers=cfg.workers)
-        rows = report_mod.estimates_to_json(bundle)["estimates"]
-    doc = report_mod.receptivity_section(records, rows)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_mod.write_json(out / "receptivity.json", doc)
+    records, cfg, prepared = _analysis(args)
+    estimates = Pipeline(records, cfg, prepared, views=("annotation",)).estimates
+    doc = report_mod.receptivity_section(records, estimates["estimates"])
+    report_mod.write_json(_out(args) / "receptivity.json", doc)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -323,8 +250,7 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         cfg = SynthConfig.from_json({**cfg.to_json(), "seed": args.seed})
     records, truth = generate(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     serialize(records, out / "corpus.jsonl")
     report_mod.write_json(out / "ground_truth.json", truth.to_json())
     print(f"wrote {out / 'corpus.jsonl'} ({len(records)} records)")
@@ -339,28 +265,21 @@ def _cmd_report(args) -> int:
         _require_file(args.estimates, "estimates file")
         if args.inference:
             _require_file(args.inference, "inference file")
-        report_mod.render_from_artifacts(
-            args.estimates,
-            args.inference,
-            out,
-            alpha=args.alpha if args.alpha is not None else 0.05,
-        )
+        cfg = _load_run_config(args.config, args)
+        report_mod.render_from_artifacts(args.estimates, args.inference, out, alpha=cfg.alpha)
         print(f"rendered tables into {out}")
         return 0
     if not args.input:
         raise EditfxError("report needs either --input or --estimates")
-    records, _ = ingest(args.input, strict=True)
-    cfg = _load_run_config(args.config, args)
-    prepared = _prepared(records, args)
+    records, cfg, prepared = _analysis(args)
     report_mod.run_report(records, out, prepared=prepared, **asdict(cfg))
     print(f"wrote report bundle into {out}")
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_out: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="corpus JSONL path")
-    if with_out:
-        parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--config", help="JSON run-config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--alpha", type=float, default=None)

@@ -123,6 +123,23 @@ class MotifRuleset:
                 else:
                     raise ConfigError(f"unknown pattern kind '{kind}'")
 
+    def match(self, span: InsertedSpan) -> frozenset[str]:
+        """All labels with a pattern that matches the span."""
+        joined = " ".join(span.tokens)
+
+        def near(a: str, b: str, window: int) -> bool:
+            pos_a = [k for k, t in enumerate(span.tokens) if t == a]
+            pos_b = [k for k, t in enumerate(span.tokens) if t == b]
+            return any(abs(ka - kb) <= window for ka in pos_a for kb in pos_b)
+
+        return frozenset(
+            label
+            for label in MOTIF_LABELS
+            if any(p.search(joined) for p in self._phrase[label])
+            or any(p.search(span.text) for p in self._regex[label])
+            or any(near(*pair) for pair in self._pairs[label])
+        )
+
     @classmethod
     def load(cls, path: str | Path | None = None) -> "MotifRuleset":
         if path is None:
@@ -248,24 +265,7 @@ def extract_spans(script: list[EditRun], after_text: str) -> list[InsertedSpan]:
 
 def classify(span: InsertedSpan, rules: MotifRuleset | None = None) -> frozenset[str]:
     """All motif labels whose any pattern matches the span, case-insensitively."""
-    if rules is None:
-        rules = default_ruleset()
-    joined = " ".join(span.tokens)
-    labels = set()
-    for label in MOTIF_LABELS:
-        hit = any(p.search(joined) for p in rules._phrase[label])
-        if not hit:
-            hit = any(p.search(span.text) for p in rules._regex[label])
-        if not hit:
-            for a, b, window in rules._pairs[label]:
-                pos_a = [k for k, t in enumerate(span.tokens) if t == a]
-                pos_b = [k for k, t in enumerate(span.tokens) if t == b]
-                if any(abs(ka - kb) <= window for ka in pos_a for kb in pos_b):
-                    hit = True
-                    break
-        if hit:
-            labels.add(label)
-    return frozenset(labels)
+    return (rules or default_ruleset()).match(span)
 
 
 def record_motifs(

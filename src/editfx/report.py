@@ -14,13 +14,22 @@ import hashlib
 import io
 import json
 import warnings
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
-from .design import PreparedCorpus, check_workers, enumerate_families, view_features, TreatmentSpec
+from .design import (
+    VIEWS,
+    PreparedCorpus,
+    TreatmentSpec,
+    check_workers,
+    enumerate_families,
+    view_features,
+)
 from .errors import ConfigError, DegenerateCellError, SchemaError
 from .estimation import EstimateBundle, estimate_all
-from .inference import InferenceResult, infer_all, tier_of, TIER_MARKERS, TIER_NONE
+from .inference import InferenceResult, infer_all, tier_of, TIER_MARKERS
 from .robustness import (
     LooReport,
     SignReversalSpec,
@@ -48,6 +57,33 @@ BUNDLE_FILES = (
 )
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """Analysis settings: defaults, overlaid by a JSON config file, then flags."""
+
+    seed: int = 0
+    alpha: float = 0.05
+    resamples: int = 500
+    min_cell: int = 10
+    min_arm: int = 3
+    scope: str = "cell"
+    refit: bool = True
+    percentile_p: bool = False
+    include_demos: bool = False
+    workers: int = 1
+
+    def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            kind = type(item.default)
+            allowed = (int, float) if kind is float else kind
+            if (isinstance(value, bool) and kind is not bool) or not isinstance(value, allowed):
+                raise ConfigError(
+                    f"config key '{item.name}' must be {kind.__name__}, got {value!r}"
+                )
+        check_workers(self.workers)
+
+
 def write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
@@ -56,8 +92,49 @@ def write_json(path: Path, doc) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
+ESTIMATE_COLUMNS = (
+    "view",
+    "feature",
+    "task_group",
+    "acmgd_sipw",
+    "acmgd_naive",
+    "confounding_magnitude",
+    "n_treated",
+    "n_control",
+    "cap_hits",
+)
+INFERENCE_COLUMNS = (
+    "view",
+    "feature",
+    "task_group",
+    "estimate",
+    "se",
+    "p_value",
+    "q_value",
+    "tier",
+    "valid_resamples",
+)
+# Columns that the display CSVs round to 3 decimals.
+ROUNDED = {
+    "acmgd_sipw", "acmgd_naive", "confounding_magnitude", "estimate", "se", "p_value", "q_value"
+}
+
+
 def _fmt(value: float) -> str:
     return f"{value:.3f}"
+
+
+def csv_text(header, rows) -> str:
+    """A header row then the rows, as CSV text with newline line ends."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _display(row: dict, name: str):
+    return _fmt(row[name]) if name in ROUNDED else row[name]
 
 
 def _ordered_groups(groups) -> list[str]:
@@ -70,18 +147,7 @@ def _ordered_groups(groups) -> list[str]:
 def estimates_to_json(bundle: EstimateBundle) -> dict:
     return {
         "estimates": [
-            {
-                "view": e.view,
-                "feature": e.feature,
-                "task_group": e.task_group,
-                "acmgd_sipw": e.acmgd_sipw,
-                "acmgd_naive": e.acmgd_naive,
-                "confounding_magnitude": e.confounding_magnitude,
-                "n_treated": e.n_treated,
-                "n_control": e.n_control,
-                "cap_hits": e.cap_hits,
-            }
-            for e in bundle.estimates
+            {name: getattr(e, name) for name in ESTIMATE_COLUMNS} for e in bundle.estimates
         ],
         "skipped": [list(item) for item in bundle.skipped],
         "family_confounding": dict(sorted(bundle.family_confounding.items())),
@@ -89,82 +155,38 @@ def estimates_to_json(bundle: EstimateBundle) -> dict:
 
 
 def estimates_to_csv(rows: list[dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "view",
-            "feature",
-            "task_group",
-            "acmgd_sipw",
-            "acmgd_naive",
-            "confounding_magnitude",
-            "n_treated",
-            "n_control",
-            "cap_hits",
-        ]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                row["view"],
-                row["feature"],
-                row["task_group"],
-                _fmt(row["acmgd_sipw"]),
-                _fmt(row["acmgd_naive"]),
-                _fmt(row["confounding_magnitude"]),
-                row["n_treated"],
-                row["n_control"],
-                row["cap_hits"],
-            ]
-        )
-    return out.getvalue()
+    lines = ([_display(row, name) for name in ESTIMATE_COLUMNS] for row in rows)
+    return csv_text(ESTIMATE_COLUMNS, lines)
 
 
 def inference_to_json(results: list[InferenceResult], skipped, alpha: float) -> dict:
     return {
         "alpha": alpha,
-        "results": [
-            {
-                "view": r.view,
-                "feature": r.feature,
-                "task_group": r.task_group,
-                "estimate": r.estimate,
-                "se": r.se,
-                "p_value": r.p_value,
-                "q_value": r.q_value,
-                "tier": r.tier,
-                "valid_resamples": r.valid_resamples,
-            }
-            for r in results
-        ],
+        "results": [{name: getattr(r, name) for name in INFERENCE_COLUMNS} for r in results],
         "skipped": [list(item) for item in skipped],
     }
 
 
 def inference_to_csv(rows: list[dict], alpha: float) -> str:
-    out = io.StringIO()
-    out.write(f"# {LEGEND}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["view", "feature", "task_group", "estimate", "se", "p_value", "q_value", "tier", "valid_resamples"]
-    )
-    for row in rows:
+    """Display rows; the tier column shows the marker for p and q at this alpha."""
+
+    def line(row: dict) -> list:
         marker = TIER_MARKERS[tier_of(row["p_value"], row["q_value"], alpha)]
-        writer.writerow(
-            [
-                row["view"],
-                row["feature"],
-                row["task_group"],
-                _fmt(row["estimate"]),
-                _fmt(row["se"]),
-                _fmt(row["p_value"]),
-                _fmt(row["q_value"]),
-                marker,
-                row["valid_resamples"],
-            ]
-        )
-    return out.getvalue()
+        return [_display(row, name) if name != "tier" else marker for name in INFERENCE_COLUMNS]
+
+    return f"# {LEGEND}\n" + csv_text(INFERENCE_COLUMNS, map(line, rows))
+
+
+def _grid(view: str, estimate_rows: list[dict]):
+    """One view's weighted estimates by (feature, group), with row and column order."""
+    cells = {
+        (row["feature"], row["task_group"]): row["acmgd_sipw"]
+        for row in estimate_rows
+        if row["view"] == view
+    }
+    groups = _ordered_groups(group for _, group in cells)
+    features = [f for f in view_features(view) if any(f == feat for feat, _ in cells)]
+    return cells, groups, features
 
 
 def render_family_table(
@@ -180,22 +202,13 @@ def render_family_table(
     max minus min over each feature's group estimates, computed at full
     precision and displayed at 3 decimals.
     """
-    cells = {
-        (row["feature"], row["task_group"]): row["acmgd_sipw"]
-        for row in estimate_rows
-        if row["view"] == view
-    }
+    cells, groups, features = _grid(view, estimate_rows)
     tests = {
         (row["feature"], row["task_group"]): (row["p_value"], row["q_value"])
         for row in inference_rows
         if row["view"] == view
     }
-    groups = _ordered_groups(group for _, group in cells)
-    features = [f for f in view_features(view) if any(f == feat for feat, _ in cells)]
-    out = io.StringIO()
-    out.write(f"# {LEGEND}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["feature", *groups, "spread"])
+    lines = []
     for feature in features:
         row = [feature]
         values = []
@@ -211,64 +224,64 @@ def render_family_table(
                 marker = TIER_MARKERS[tier_of(p_value, q_value, alpha)]
             row.append(f"{value:+.3f}{marker}")
         row.append(_fmt(max(values) - min(values)) if len(values) >= 2 else "")
-        writer.writerow(row)
-    return out.getvalue()
+        lines.append(row)
+    return f"# {LEGEND}\n" + csv_text(["feature", *groups, "spread"], lines)
 
 
 def render_heatmap(view: str, estimate_rows: list[dict]) -> str:
     """Plain features-by-groups matrix of the weighted estimates."""
-    cells = {
-        (row["feature"], row["task_group"]): row["acmgd_sipw"]
-        for row in estimate_rows
-        if row["view"] == view
-    }
-    groups = _ordered_groups(group for _, group in cells)
-    features = [f for f in view_features(view) if any(f == feat for feat, _ in cells)]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["feature", *groups])
-    for feature in features:
-        row = [feature]
-        for group in groups:
-            value = cells.get((feature, group))
-            row.append("" if value is None else _fmt(value))
-        writer.writerow(row)
-    return out.getvalue()
+    cells, groups, features = _grid(view, estimate_rows)
+    lines = (
+        [feature, *(_fmt(cells[feature, g]) if (feature, g) in cells else "" for g in groups)]
+        for feature in features
+    )
+    return csv_text(["feature", *groups], lines)
+
+
+def _write_tables(
+    out: Path, views, estimate_rows: list[dict], inference_rows: list[dict], alpha: float
+) -> list[str]:
+    """Write table_<view>.csv and heatmap_<view>.csv per view; returns the names."""
+    files = []
+    for view in views:
+        write_text(
+            out / f"table_{view}.csv",
+            render_family_table(view, estimate_rows, inference_rows, alpha),
+        )
+        write_text(out / f"heatmap_{view}.csv", render_heatmap(view, estimate_rows))
+        files += [f"table_{view}.csv", f"heatmap_{view}.csv"]
+    return files
+
+
+LOO_COLUMNS = (
+    "excluded_dataset", "feature", "group_a", "group_b", "estimate_a", "estimate_b", "stable"
+)
 
 
 def loo_to_csv(report: LooReport | None, note: str = "") -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     if report is None:
-        out.write(f"# no sign reversal selected: {note}\n")
-        writer.writerow(
-            ["excluded_dataset", "feature", "group_a", "group_b", "estimate_a", "estimate_b", "stable"]
-        )
-        return out.getvalue()
+        return f"# no sign reversal selected: {note}\n" + csv_text(LOO_COLUMNS, [])
     reversal = report.reversal
-    out.write(
+    header = (
         "# baseline "
         f"{reversal.spec.view}:{reversal.spec.feature_name} "
         f"{reversal.group_a}={_fmt(report.baseline_a)} "
         f"{reversal.group_b}={_fmt(report.baseline_b)}; "
         f"stable {report.stable_count}/{report.total}\n"
     )
-    writer.writerow(
-        ["excluded_dataset", "feature", "group_a", "group_b", "estimate_a", "estimate_b", "stable"]
+    lines = (
+        [
+            split.excluded_dataset,
+            reversal.spec.feature_name,
+            reversal.group_a,
+            reversal.group_b,
+            _fmt(split.estimate_a),
+            _fmt(split.estimate_b),
+            "✓" if split.stable else "✗",
+        ]
+        for split in report.splits
     )
-    for split in report.splits:
-        writer.writerow(
-            [
-                split.excluded_dataset,
-                reversal.spec.feature_name,
-                reversal.group_a,
-                reversal.group_b,
-                _fmt(split.estimate_a),
-                _fmt(split.estimate_b),
-                "✓" if split.stable else "✗",
-            ]
-        )
-    return out.getvalue()
+    return header + csv_text(LOO_COLUMNS, lines)
 
 
 def choose_reversal(estimate_rows: list[dict]) -> SignReversalSpec | None:
@@ -304,89 +317,121 @@ def choose_reversal(estimate_rows: list[dict]) -> SignReversalSpec | None:
 
 
 def per_dataset_to_csv(rows: list[dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["view", "feature", "dataset", "cate", "n_treated", "n_control"])
-    for row in rows:
-        cate = row["cate"]
-        writer.writerow(
-            [
-                row["view"],
-                row["feature"],
-                row["dataset"],
-                "NA" if cate is None else _fmt(cate),
-                row["n_treated"],
-                row["n_control"],
-            ]
-        )
-    return out.getvalue()
+    lines = (
+        [
+            row["view"],
+            row["feature"],
+            row["dataset"],
+            "NA" if row["cate"] is None else _fmt(row["cate"]),
+            row["n_treated"],
+            row["n_control"],
+        ]
+        for row in rows
+    )
+    return csv_text(["view", "feature", "dataset", "cate", "n_treated", "n_control"], lines)
 
 
 def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+class Pipeline:
+    """One analysis run over a corpus, staged and built lazily.
+
+    Families, the estimates document and the inference document are each
+    built at most once, from `cfg` alone; every analysis command is a view
+    over these stages. A passed-in prepared corpus must diff demos exactly
+    when `cfg` says so.
+    """
+
+    def __init__(
+        self,
+        records: list[ComparisonRecord],
+        cfg: RunConfig,
+        prepared: PreparedCorpus | None = None,
+        views: tuple[str, ...] = VIEWS,
+    ):
+        if prepared is None:
+            prepared = PreparedCorpus(records, include_demos=cfg.include_demos)
+        elif prepared.include_demos != cfg.include_demos:
+            raise ConfigError(
+                f"prepared corpus has include_demos={prepared.include_demos}, "
+                f"config has {cfg.include_demos}"
+            )
+        self.records = records
+        self.cfg = cfg
+        self.prepared = prepared
+        self.views = views
+
+    @cached_property
+    def families(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return enumerate_families(
+                self.records,
+                min_cell=self.cfg.min_cell,
+                min_arm=self.cfg.min_arm,
+                views=self.views,
+                prepared=self.prepared,
+            )
+
+    @cached_property
+    def estimates(self) -> dict:
+        cfg = self.cfg
+        return estimates_to_json(estimate_all(self.families, scope=cfg.scope, workers=cfg.workers))
+
+    @cached_property
+    def inference(self) -> dict:
+        cfg = self.cfg
+        results, skipped = infer_all(
+            self.families,
+            master_seed=cfg.seed,
+            resamples=cfg.resamples,
+            alpha=cfg.alpha,
+            refit=cfg.refit,
+            percentile_p=cfg.percentile_p,
+            workers=cfg.workers,
+        )
+        return inference_to_json(results, skipped, cfg.alpha)
+
+    def write_estimates(self, out: Path) -> dict:
+        doc = self.estimates
+        write_json(out / "estimates.json", doc)
+        write_text(out / "estimates.csv", estimates_to_csv(doc["estimates"]))
+        return doc
+
+    def write_inference(self, out: Path) -> dict:
+        doc = self.inference
+        write_json(out / "inference.json", doc)
+        write_text(out / "inference.csv", inference_to_csv(doc["results"], self.cfg.alpha))
+        return doc
+
+
 def run_report(
     records: list[ComparisonRecord],
     out_dir: str | Path,
-    seed: int = 0,
-    alpha: float = 0.05,
-    resamples: int = 500,
-    min_cell: int = 10,
-    min_arm: int = 3,
-    scope: str = "cell",
-    refit: bool = True,
-    percentile_p: bool = False,
-    include_demos: bool = False,
-    workers: int = 1,
     prepared: PreparedCorpus | None = None,
+    **settings,
 ) -> dict:
     """Full pipeline: families, estimates, inference, diagnostics, bundle.
 
-    Returns the provenance document. Output is a deterministic function
-    of (records, config); the worker count changes scheduling only.
+    `settings` are RunConfig fields. Returns the provenance document.
+    Output is a deterministic function of (records, config); the worker
+    count changes scheduling only.
     """
-    check_workers(workers)
+    cfg = RunConfig(**settings)
+    pipeline = Pipeline(records, cfg, prepared)
+    prepared = pipeline.prepared
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if prepared is None:
-        prepared = PreparedCorpus(records, include_demos=include_demos)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        families = enumerate_families(
-            records, min_cell=min_cell, min_arm=min_arm, prepared=prepared
-        )
-    bundle = estimate_all(families, scope=scope, workers=workers)
-    estimates_doc = estimates_to_json(bundle)
+    estimates_doc = pipeline.write_estimates(out)
     estimate_rows = estimates_doc["estimates"]
-    write_json(out / "estimates.json", estimates_doc)
-    write_text(out / "estimates.csv", estimates_to_csv(estimate_rows))
-
-    results, inference_skipped = infer_all(
-        families,
-        master_seed=seed,
-        resamples=resamples,
-        alpha=alpha,
-        refit=refit,
-        percentile_p=percentile_p,
-        workers=workers,
+    inference_doc = pipeline.write_inference(out)
+    families = pipeline.families
+    family_files = _write_tables(
+        out, [f.name for f in families], estimate_rows, inference_doc["results"], cfg.alpha
     )
-    inference_doc = inference_to_json(results, inference_skipped, alpha)
-    inference_rows = inference_doc["results"]
-    write_json(out / "inference.json", inference_doc)
-    write_text(out / "inference.csv", inference_to_csv(inference_rows, alpha))
-
-    family_files = []
-    for family in families:
-        write_text(
-            out / f"table_{family.name}.csv",
-            render_family_table(family.name, estimate_rows, inference_rows, alpha),
-        )
-        write_text(
-            out / f"heatmap_{family.name}.csv", render_heatmap(family.name, estimate_rows)
-        )
-        family_files += [f"table_{family.name}.csv", f"heatmap_{family.name}.csv"]
 
     reversal = choose_reversal(estimate_rows)
     loo_report = None
@@ -418,7 +463,7 @@ def run_report(
     write_text(out / "per_dataset.csv", per_dataset_to_csv(per_dataset_rows))
 
     try:
-        ceiling_doc = ceiling(records, seed=seed).to_json()
+        ceiling_doc = ceiling(records, seed=cfg.seed).to_json()
     except (ConfigError, DegenerateCellError) as exc:
         ceiling_doc = {"note": str(exc)}
     write_json(out / "ceiling.json", ceiling_doc)
@@ -426,21 +471,11 @@ def run_report(
     receptivity_doc = receptivity_section(records, estimate_rows)
     write_json(out / "receptivity.json", receptivity_doc)
 
-    validity_doc = _validity_section(records, seed)
+    validity_doc = _validity_section(records, cfg.seed)
 
     provenance = {
         "artifact": {"name": "editfx", "version": __version__},
-        "config": {
-            "seed": seed,
-            "alpha": alpha,
-            "resamples": resamples,
-            "min_cell": min_cell,
-            "min_arm": min_arm,
-            "scope": scope,
-            "refit": refit,
-            "percentile_p": percentile_p,
-            "include_demos": include_demos,
-        },
+        "config": {k: v for k, v in asdict(cfg).items() if k != "workers"},
         "wordlists": {
             "version": prepared.wordlists.version,
             "sha256": prepared.wordlists.content_hash,
@@ -517,7 +552,7 @@ def receptivity_section(records: list[ComparisonRecord], estimate_rows: list[dic
 def _validity_section(records: list[ComparisonRecord], seed: int) -> dict:
     try:
         results = construct_validity(records, seed=seed)
-    except (ConfigError, DegenerateCellError) as exc:
+    except ConfigError as exc:
         return {"note": str(exc)}
     return {
         "validated": sum(1 for r in results if r.validated),
@@ -530,6 +565,7 @@ def _validity_section(records: list[ComparisonRecord], seed: int) -> dict:
                 "p_value": r.p_value,
                 "n": r.n,
                 "validated": r.validated,
+                "note": r.note,
             }
             for r in results
         ],
@@ -556,13 +592,7 @@ def render_from_artifacts(
         inference_doc = json.loads(Path(inference_path).read_text("utf-8"))
         inference_rows = inference_doc["results"]
     views = sorted({row["view"] for row in estimate_rows})
-    files = []
-    for view in views:
-        table_name = f"table_{view}.csv"
-        heatmap_name = f"heatmap_{view}.csv"
-        write_text(out / table_name, render_family_table(view, estimate_rows, inference_rows, alpha))
-        write_text(out / heatmap_name, render_heatmap(view, estimate_rows))
-        files += [table_name, heatmap_name]
+    files = _write_tables(out, views, estimate_rows, inference_rows, alpha)
     provenance = {
         "artifact": {"name": "editfx", "version": __version__},
         "mode": "render",

@@ -335,15 +335,18 @@ def ceiling(records: list[ComparisonRecord], seed: int = 0) -> CeilingReport:
 
 @dataclass(frozen=True)
 class ValidityResult:
+    """One pair's rank correlation; rho and p_value are None, with a note, when undefined."""
+
     annotation_feature: str
     surface_feature: str
-    rho: float
-    p_value: float
+    rho: float | None
+    p_value: float | None
     n: int
+    note: str | None = None
 
     @property
     def validated(self) -> bool:
-        return abs(self.rho) > VALIDATED_RHO and self.p_value < VALIDATED_P
+        return self.rho is not None and abs(self.rho) > VALIDATED_RHO and self.p_value < VALIDATED_P
 
 
 def default_validity_pairs() -> list[tuple[str, str]]:
@@ -361,7 +364,9 @@ def construct_validity(
 
     Prompt states are pooled across before and after sides and
     deduplicated by exact text hash, since consecutive revision pairs
-    share states and double counting would inflate n.
+    share states and double counting would inflate n. A pair whose ranks
+    are constant on either side gets rho=None with the reason as its note,
+    and the other pairs are still computed.
     """
     if pairs is None:
         pairs = default_validity_pairs()
@@ -396,7 +401,11 @@ def construct_validity(
             raise ConfigError(
                 f"pair ({annotation_feature}, {surface_feature}) has fewer than 3 states"
             )
-        rho, p_value = spearman(xs, ys, seed=seed)
+        rho, p_value, note = None, None, None
+        try:
+            rho, p_value = spearman(xs, ys, seed=seed)
+        except DegenerateCellError as exc:
+            note = str(exc)
         results.append(
             ValidityResult(
                 annotation_feature=annotation_feature,
@@ -404,6 +413,7 @@ def construct_validity(
                 rho=rho,
                 p_value=p_value,
                 n=len(xs),
+                note=note,
             )
         )
     return results

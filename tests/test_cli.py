@@ -5,11 +5,13 @@ and written artifacts can all be asserted cheaply. One subprocess
 smoke test covers the installed console script.
 """
 
+import dataclasses
 import json
 import shutil
 import subprocess
 import sys
 import warnings
+from importlib import resources
 
 import pytest
 
@@ -314,7 +316,9 @@ class TestRunConfig:
         (key,) = doc
         assert f"config key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["estimate", "infer", "report"])
+    @pytest.mark.parametrize(
+        "command", ["estimate", "infer", "report", "receptivity", "features", "ceiling"]
+    )
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_fails(self, corpus_path, tmp_path, capsys, command, workers):
         out = tmp_path / "x"
@@ -365,6 +369,85 @@ class TestStageCache:
             ]
             assert main(argv) == 0
         assert (fresh / "estimates.json").read_bytes() == (partial / "estimates.json").read_bytes()
+
+    def test_cache_from_other_ruleset_recomputes(self, corpus_path, tmp_path):
+        rules = json.loads(resources.files("editfx.data").joinpath("motif_rules.json").read_text())
+        rules["labels"]["meta_instruction"] = [{"kind": "phrase", "text": "zqxv never zqxv"}]
+        ruleset = tmp_path / "rules.json"
+        ruleset.write_text(json.dumps(rules), encoding="utf-8")
+        cache = tmp_path / "cache"
+        assert main(["features", "--input", str(corpus_path), "--out", str(cache)]) == 0
+        assert main(["motifs", "--input", str(corpus_path), "--out", str(cache)]) == 0
+
+        fresh = tmp_path / "fresh"
+        cached = tmp_path / "cached"
+        argv = ["estimate", "--input", str(corpus_path), "--ruleset", str(ruleset), "--out"]
+        assert main([*argv, str(fresh)]) == 0
+        with pytest.warns(UserWarning, match="motif cache .* built from other inputs"):
+            assert main([*argv, str(cached), "--cache-dir", str(cache)]) == 0
+        doc = json.loads((fresh / "estimates.json").read_text("utf-8"))
+        assert not [row for row in doc["estimates"] if row["feature"] == "meta_instruction"]
+        assert (fresh / "estimates.json").read_bytes() == (cached / "estimates.json").read_bytes()
+
+    def test_cache_without_keys_recomputes(self, corpus_path, tmp_path):
+        cache = tmp_path / "cache"
+        assert main(["motifs", "--input", str(corpus_path), "--out", str(cache)]) == 0
+        (cache / "motifs.keys.json").unlink()
+        with pytest.warns(UserWarning, match="built from other inputs"):
+            argv = ["estimate", "--input", str(corpus_path), "--out", str(tmp_path / "x")]
+            assert main([*argv, "--cache-dir", str(cache)]) == 0
+
+
+def demo_corpus(path):
+    """The n=120 corpus with a motif span inserted into every other after-prompt's demos."""
+    records, _ = generate(SynthConfig(n=120, seed=11))
+    span = {"answer": "make sure to verify the final answer carefully"}
+    records = [
+        dataclasses.replace(r, after=dataclasses.replace(r.after, demos=(*r.after.demos, span)))
+        if k % 2 == 0
+        else r
+        for k, r in enumerate(records)
+    ]
+    serialize(records, path)
+    return path
+
+
+class TestPipelineViews:
+    def test_config_include_demos_matches_flag(self, tmp_path):
+        corpus = str(demo_corpus(tmp_path / "corpus.jsonl"))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"include_demos": True}), encoding="utf-8")
+        runs = {
+            "plain": [],
+            "flag": ["--include-demos"],
+            "config": ["--config", str(cfg_path)],
+        }
+        docs = {}
+        for name, extra in runs.items():
+            argv = ["estimate", "--input", corpus, "--out", str(tmp_path / name), *extra]
+            assert main(argv) == 0
+            docs[name] = (tmp_path / name / "estimates.json").read_bytes()
+        assert docs["config"] == docs["flag"]
+        assert docs["flag"] != docs["plain"]
+
+    def test_stage_outputs_match_report(self, tmp_path):
+        records, _ = generate(SynthConfig(n=120, seed=11, annotate=True))
+        corpus = tmp_path / "corpus.jsonl"
+        serialize(records, corpus)
+        flags = ["--input", str(corpus), "--seed", "3", "--resamples", "20"]
+        assert main(["report", *flags, "--out", str(tmp_path / "report")]) == 0
+        stages = {
+            "estimate": ["estimates.json", "estimates.csv"],
+            "infer": ["inference.json", "inference.csv"],
+            "receptivity": ["receptivity.json"],
+        }
+        for command, names in stages.items():
+            assert main([command, *flags, "--out", str(tmp_path / command)]) == 0
+            for name in names:
+                expected = (tmp_path / "report" / name).read_bytes()
+                assert (tmp_path / command / name).read_bytes() == expected, name
+        receptivity = json.loads((tmp_path / "receptivity" / "receptivity.json").read_text())
+        assert receptivity.get("scores")
 
 
 class TestExitCodes:

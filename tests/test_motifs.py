@@ -191,6 +191,11 @@ class TestClassify:
         labels = classify(mkspan("Make sure to verify the final answer carefully."))
         assert labels == frozenset({"meta_instruction"})
 
+    def test_classify_delegates_to_ruleset(self):
+        span = mkspan("Make sure to verify the final answer carefully.")
+        rules = MotifRuleset.load()
+        assert rules.match(span) == classify(span, rules) == frozenset({"meta_instruction"})
+
     def test_phrase_needs_word_boundary(self):
         assert classify(mkspan("that ensures the correct result")) == frozenset()
 

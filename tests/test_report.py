@@ -10,12 +10,15 @@ import json
 
 import pytest
 
-from editfx.design import TreatmentSpec
-from editfx.errors import SchemaError
+from editfx import report as report_mod
+from editfx.design import PreparedCorpus, TreatmentSpec
+from editfx.errors import ConfigError, SchemaError
 from editfx.estimation import CellEstimate, EstimateBundle
 from editfx.report import (
     BUNDLE_FILES,
     LEGEND,
+    Pipeline,
+    RunConfig,
     choose_reversal,
     estimates_to_csv,
     estimates_to_json,
@@ -491,3 +494,34 @@ class TestRunReport:
         run_report(small_corpus, out_parallel, seed=5, resamples=16, workers=3)
         for name in provenance["outputs"]:
             assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes(), name
+
+
+class TestPipeline:
+    def test_stages_are_built_once(self, small_corpus, monkeypatch):
+        calls = {"enumerate_families": 0, "estimate_all": 0, "infer_all": 0}
+        for name in calls:
+            original = getattr(report_mod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(report_mod, name, counted)
+        pipeline = Pipeline(small_corpus, RunConfig(resamples=4))
+        for _ in range(2):
+            assert pipeline.estimates["estimates"]
+            assert pipeline.inference["results"]
+        assert calls == {"enumerate_families": 1, "estimate_all": 1, "infer_all": 1}
+
+    def test_prepared_corpus_must_match_config(self, small_corpus, tmp_path):
+        prepared = PreparedCorpus(small_corpus, include_demos=True)
+        with pytest.raises(ConfigError, match="include_demos"):
+            Pipeline(small_corpus, RunConfig(), prepared)
+        with pytest.raises(ConfigError, match="include_demos"):
+            run_report(small_corpus, tmp_path / "bundle", prepared=prepared)
+
+    @pytest.mark.parametrize("settings", [{"workers": 0}, {"resamples": "50"}, {"bogus": 1}])
+    def test_run_report_rejects_bad_settings(self, small_corpus, tmp_path, settings):
+        with pytest.raises((ConfigError, TypeError)):
+            run_report(small_corpus, tmp_path / "bundle", **settings)
+        assert not (tmp_path / "bundle").exists()

@@ -1,5 +1,6 @@
 """Stability, ceiling, validity, spread, and receptivity diagnostics."""
 
+import dataclasses
 import math
 from itertools import permutations
 
@@ -362,6 +363,25 @@ class TestConstructValidity:
         # the clone's states collide with r0's; first-seen annotations win
         assert results[0].n == 8
         assert results[0].rho == pytest.approx(1.0)
+
+    def test_constant_pair_listed_beside_monotone_pair(self):
+        records = [
+            dataclasses.replace(
+                r,
+                annotations_before={**r.annotations_before, "Clarity": 5.0},
+                annotations_after={**r.annotations_after, "Clarity": 5.0},
+            )
+            for r in self.graded_records()
+        ]
+        pairs = [("Clarity", "metacog_word_density"), ("Metacognition", "metacog_word_density")]
+        constant, monotone = construct_validity(records, pairs=pairs)
+        assert constant.rho is None and constant.p_value is None
+        assert constant.note == "constant input; rank correlation undefined"
+        assert constant.n == 8
+        assert not constant.validated
+        assert monotone.rho == pytest.approx(1.0)
+        assert monotone.note is None
+        assert monotone.validated
 
     def test_unknown_surface_feature_rejected(self):
         with pytest.raises(ConfigError):
