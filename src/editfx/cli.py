@@ -24,7 +24,7 @@ from .design import PreparedCorpus, TreatmentSpec
 from .errors import EditfxError
 from .motifs import MOTIF_LABELS, MotifRuleset, audit_sample, cooccurrence_matrix, default_ruleset
 from .report import Pipeline, RunConfig
-from .robustness import SignReversalSpec, baseline_cells, ceiling, loo_stability, sign_of
+from .robustness import SignReversalSpec, ceiling, loo_stability
 from .store import ingest, serialize
 from .surface import WordLists, default_wordlists, delta as surface_delta
 from .synth import SynthConfig, generate
@@ -206,19 +206,15 @@ def _cmd_infer(args) -> int:
 
 def _cmd_loo(args) -> int:
     records, _, prepared = _analysis(args)
-    spec = TreatmentSpec(view=args.view, feature_name=args.feature)
-    if args.sign_a is None or args.sign_b is None:
-        groups = (args.group_a, args.group_b)
-        _, baselines = baseline_cells(records, spec, groups, prepared)
-        sign_a, sign_b = (sign_of(value) for value in baselines)
-    else:
-        sign_a, sign_b = args.sign_a, args.sign_b
+    signs = (args.sign_a, args.sign_b)
+    if None in signs:  # one sign alone is not enough: take both from the baseline
+        signs = (None, None)
     reversal = SignReversalSpec(
-        spec=spec,
+        spec=TreatmentSpec(view=args.view, feature_name=args.feature),
         group_a=args.group_a,
         group_b=args.group_b,
-        baseline_sign_a=sign_a,
-        baseline_sign_b=sign_b,
+        baseline_sign_a=signs[0],
+        baseline_sign_b=signs[1],
     )
     loo = loo_stability(records, reversal, prepared=prepared)
     report_mod.write_text(_out(args) / "loo.csv", report_mod.loo_to_csv(loo))

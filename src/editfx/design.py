@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Callable
@@ -124,28 +123,15 @@ class TestFamily:
         return len(self.cells)
 
 
-def map_cells(fn: Callable, cells: list[TestCell], workers: int, skip: tuple) -> list:
-    """fn(cell) for each cell in order, on `workers` threads.
-
-    A cell whose call raises one of `skip` yields (cell_id, message)
-    instead, so the output does not depend on scheduling.
-    """
-
-    def guarded(cell: TestCell):
+def map_cells(fn: Callable, cells: list[TestCell], skip: tuple) -> list:
+    """fn(cell) for each cell in order; a cell raising one of `skip` yields (cell_id, message)."""
+    out = []
+    for cell in cells:
         try:
-            return fn(cell)
+            out.append(fn(cell))
         except skip as exc:
-            return (cell.cell_id, str(exc))
-
-    if workers == 1:
-        return [guarded(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, cells))
-
-
-def check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+            out.append((cell.cell_id, str(exc)))
+    return out
 
 
 class PreparedCorpus:

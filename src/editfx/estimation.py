@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .design import AnalysisUnit, CellData, TestCell, TestFamily, check_workers, map_cells
+from .design import AnalysisUnit, CellData, TestCell, TestFamily, map_cells
 from .errors import ConfigError, DegenerateCellError, PositivityError, SchemaError
 
 RIDGE_LAMBDA = 1e-4
@@ -279,7 +279,6 @@ def estimate_all(
     families: list[TestFamily],
     ridge: float = RIDGE_LAMBDA,
     scope: str = "cell",
-    workers: int = 1,
 ) -> EstimateBundle:
     """Estimates for every cell of every family, in sorted cell order.
 
@@ -287,12 +286,10 @@ def estimate_all(
     model per feature on all of its groups pooled, and gives each cell
     that model's probabilities on its own rows of the pooled design,
     with the pooled marginal rate. Cells that fail positivity or
-    degenerate are recorded as skipped, not raised. Output is identical
-    for any worker count.
+    degenerate are recorded as skipped, not raised.
     """
     if scope not in ("cell", "pooled"):
         raise ConfigError("scope must be 'cell' or 'pooled'")
-    check_workers(workers)
     bundle = EstimateBundle(estimates=[])
     for family in families:
         if not family.cells:
@@ -313,7 +310,7 @@ def estimate_all(
             return estimate_cell(cell, ridge=ridge, probabilities=probabilities, rate=rate)
 
         gaps = []
-        for item in map_cells(one, cells, workers, (PositivityError, DegenerateCellError)):
+        for item in map_cells(one, cells, (PositivityError, DegenerateCellError)):
             if isinstance(item, CellEstimate):
                 bundle.estimates.append(item)
                 gaps.append(item.confounding_magnitude)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import TestCell, TestFamily, check_workers, map_cells
+from .design import TestCell, TestFamily, map_cells
 from .errors import ConfigError, DegenerateCellError, PositivityError, UnstableCellError
 from .estimation import sipw, weighted_difference
 
@@ -203,15 +203,13 @@ def infer_family(
     alpha: float = 0.05,
     refit: bool = True,
     percentile_p: bool = False,
-    workers: int = 1,
 ) -> tuple[list[InferenceResult], list[tuple[str, str]]]:
     """Bootstrap every cell of one family, then BH-correct within it.
 
     Cells whose bootstrap is unstable are skipped and do not count
     toward the family's m. Per-cell seeds derive from the master seed
-    and the cell identity, so any worker count gives identical output.
+    and the cell identity alone.
     """
-    check_workers(workers)
     cells = sorted(family.cells, key=lambda c: (c.spec.feature_name, c.task_group))
 
     def one(cell: TestCell) -> BootstrapResult:
@@ -225,7 +223,7 @@ def infer_family(
         )
         return block_bootstrap(cell, cfg)
 
-    outcomes = map_cells(one, cells, workers, (ConfigError, UnstableCellError, PositivityError))
+    outcomes = map_cells(one, cells, (ConfigError, UnstableCellError, PositivityError))
     tested = [
         (cell, res) for cell, res in zip(cells, outcomes) if isinstance(res, BootstrapResult)
     ]
@@ -257,7 +255,6 @@ def infer_all(
     alpha: float = 0.05,
     refit: bool = True,
     percentile_p: bool = False,
-    workers: int = 1,
 ) -> tuple[list[InferenceResult], list[tuple[str, str]]]:
     """infer_family over every family; BH is never pooled across them."""
     results: list[InferenceResult] = []
@@ -270,7 +267,6 @@ def infer_all(
             alpha=alpha,
             refit=refit,
             percentile_p=percentile_p,
-            workers=workers,
         )
         results.extend(family_results)
         skipped.extend(family_skipped)

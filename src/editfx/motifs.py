@@ -15,6 +15,8 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -211,13 +213,10 @@ def _lcs_table(before: list[str], after: list[str]) -> np.ndarray:
 
 
 def _coalesce(ops: list[tuple[str, str]]) -> list[EditRun]:
-    runs: list[EditRun] = []
-    for op, token in ops:
-        if runs and runs[-1].op == op:
-            runs[-1] = EditRun(op, runs[-1].tokens + (token,))
-        else:
-            runs.append(EditRun(op, (token,)))
-    return runs
+    return [
+        EditRun(op, tuple(token for _, token in group))
+        for op, group in groupby(ops, key=itemgetter(0))
+    ]
 
 
 def apply_script(script: list[EditRun], before_tokens: list[str]) -> list[str]:

@@ -23,7 +23,6 @@ from .design import (
     VIEWS,
     PreparedCorpus,
     TreatmentSpec,
-    check_workers,
     enumerate_families,
     view_features,
 )
@@ -70,6 +69,8 @@ class RunConfig:
     refit: bool = True
     percentile_p: bool = False
     include_demos: bool = False
+    # Validated, then unused: cells run in order on one thread, so every
+    # worker count gives the same bundle.
     workers: int = 1
 
     def __post_init__(self):
@@ -81,7 +82,8 @@ class RunConfig:
                 raise ConfigError(
                     f"config key '{item.name}' must be {kind.__name__}, got {value!r}"
                 )
-        check_workers(self.workers)
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 def write_text(path: Path, text: str) -> None:
@@ -377,8 +379,7 @@ class Pipeline:
 
     @cached_property
     def estimates(self) -> dict:
-        cfg = self.cfg
-        return estimates_to_json(estimate_all(self.families, scope=cfg.scope, workers=cfg.workers))
+        return estimates_to_json(estimate_all(self.families, scope=self.cfg.scope))
 
     @cached_property
     def inference(self) -> dict:
@@ -390,7 +391,6 @@ class Pipeline:
             alpha=cfg.alpha,
             refit=cfg.refit,
             percentile_p=cfg.percentile_p,
-            workers=cfg.workers,
         )
         return inference_to_json(results, skipped, cfg.alpha)
 
@@ -417,7 +417,7 @@ def run_report(
 
     `settings` are RunConfig fields. Returns the provenance document.
     Output is a deterministic function of (records, config); the worker
-    count changes scheduling only.
+    count does not enter it.
     """
     cfg = RunConfig(**settings)
     pipeline = Pipeline(records, cfg, prepared)
@@ -471,7 +471,7 @@ def run_report(
     receptivity_doc = receptivity_section(records, estimate_rows)
     write_json(out / "receptivity.json", receptivity_doc)
 
-    validity_doc = _validity_section(records, cfg.seed)
+    validity_doc = _validity_section(records, prepared, cfg.seed)
 
     provenance = {
         "artifact": {"name": "editfx", "version": __version__},
@@ -549,9 +549,11 @@ def receptivity_section(records: list[ComparisonRecord], estimate_rows: list[dic
     return doc
 
 
-def _validity_section(records: list[ComparisonRecord], seed: int) -> dict:
+def _validity_section(
+    records: list[ComparisonRecord], prepared: PreparedCorpus, seed: int
+) -> dict:
     try:
-        results = construct_validity(records, seed=seed)
+        results = construct_validity(records, prepared=prepared, seed=seed)
     except ConfigError as exc:
         return {"note": str(exc)}
     return {

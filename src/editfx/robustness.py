@@ -13,14 +13,13 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 from scipy.special import stdtr
-from scipy.stats import rankdata
 
 from . import surface as surface_mod
 from .design import AnalysisUnit, PreparedCorpus, TestCell, TreatmentSpec, build_units
@@ -51,8 +50,8 @@ def spearman(x, y, seed: int = 0) -> tuple[float, float]:
         raise ConfigError("spearman inputs must have equal length")
     if n < 3:
         raise ConfigError("spearman needs at least 3 observations")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         raise DegenerateCellError("constant input; rank correlation undefined")
     rho = _pearson(rx, ry)
@@ -63,6 +62,17 @@ def spearman(x, y, seed: int = 0) -> tuple[float, float]:
     else:
         p_value = _spearman_p_exact(rx, ry, rho)
     return float(rho), float(p_value)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -104,15 +114,17 @@ def _spearman_p_mc(rx: np.ndarray, ry: np.ndarray, rho: float, seed: int) -> flo
 
 @dataclass(frozen=True)
 class SignReversalSpec:
+    """Two groups' expected signs for one feature; both None: the baseline's own."""
+
     spec: TreatmentSpec
     group_a: str
     group_b: str
-    baseline_sign_a: str
-    baseline_sign_b: str
+    baseline_sign_a: str | None
+    baseline_sign_b: str | None
 
     def __post_init__(self):
         signs = {self.baseline_sign_a, self.baseline_sign_b}
-        if signs != {"+", "-"}:
+        if signs != {"+", "-"} and signs != {None}:
             raise ConfigError("baseline signs must be one '+' and one '-'")
 
 
@@ -191,12 +203,16 @@ def loo_stability(
     remaining records would give. A split whose exclusion empties a
     group or an arm is skipped with a note rather than scored. A corpus
     whose reversal groups draw on a single dataset produces total=0 and
-    a warning.
+    a warning. Signs left as None take the baseline estimates' signs.
     """
     if prepared is None:
         prepared = PreparedCorpus(records)
     groups = (reversal.group_a, reversal.group_b)
     cells, (baseline_a, baseline_b) = baseline_cells(records, reversal.spec, groups, prepared)
+    if reversal.baseline_sign_a is None:
+        reversal = replace(
+            reversal, baseline_sign_a=sign_of(baseline_a), baseline_sign_b=sign_of(baseline_b)
+        )
     datasets = sorted({r.dataset for r in records if r.task_group in groups})
     splits: list[LooSplit] = []
     skipped: list[tuple[str, str]] = []
@@ -357,12 +373,13 @@ def default_validity_pairs() -> list[tuple[str, str]]:
 def construct_validity(
     records: list[ComparisonRecord],
     pairs: list[tuple[str, str]] | None = None,
-    wordlists: surface_mod.WordLists | None = None,
+    prepared: PreparedCorpus | None = None,
     seed: int = 0,
 ) -> list[ValidityResult]:
     """Rank-correlate annotation scores with their surface proxies.
 
-    Prompt states are pooled across before and after sides and
+    Surface vectors come from the prepared corpus, so they use the run's
+    word lists. Prompt states are pooled across before and after sides and
     deduplicated by exact text hash, since consecutive revision pairs
     share states and double counting would inflate n. A pair whose ranks
     are constant on either side gets rho=None with the reason as its note,
@@ -370,12 +387,13 @@ def construct_validity(
     """
     if pairs is None:
         pairs = default_validity_pairs()
-    wordlists = wordlists or surface_mod.default_wordlists()
+    if prepared is None:
+        prepared = PreparedCorpus(records)
     states: dict[str, tuple[dict, dict[str, float]]] = {}
     for record in records:
-        for state, annotations in (
-            (record.before, record.annotations_before),
-            (record.after, record.annotations_after),
+        for side, state, annotations in (
+            (0, record.before, record.annotations_before),
+            (1, record.after, record.annotations_after),
         ):
             if annotations is None:
                 continue
@@ -383,7 +401,7 @@ def construct_validity(
                 (state.instruction_text + "\x00" + state.demo_text()).encode("utf-8")
             ).hexdigest()
             if key not in states:
-                states[key] = (surface_mod.extract(state, wordlists), dict(annotations))
+                states[key] = (prepared.surface_pair(record)[side], dict(annotations))
             else:
                 existing = states[key][1]
                 for feature, score in annotations.items():

@@ -7,16 +7,23 @@ smoke test covers the installed console script.
 
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import editfx
+from editfx import robustness
 from editfx.cli import main
-from editfx.store import serialize
+from editfx.design import PreparedCorpus
+from editfx.robustness import construct_validity
+from editfx.store import ingest, serialize
+from editfx.surface import WordLists
 from editfx.synth import SynthConfig, generate
 
 from conftest import effect_corpus
@@ -185,6 +192,51 @@ class TestLoo:
         assert main(argv) == 0
         assert (out / "loo.csv").exists()
 
+    def test_auto_signs_build_the_baseline_once(
+        self, reversal_corpus_path, tmp_path, capsys, monkeypatch
+    ):
+        calls = {"baseline_cells": 0, "build_units": 0}
+        for name in calls:
+            original = getattr(robustness, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(robustness, name, counted)
+        argv = [
+            "loo",
+            "--input",
+            str(reversal_corpus_path),
+            "--out",
+            str(tmp_path / "loo"),
+            "--view",
+            "surface",
+            "--feature",
+            "word_count",
+            "--group-a",
+            "math",
+            "--group-b",
+            "logical",
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "stable 4/4"
+        assert calls == {"baseline_cells": 1, "build_units": 1}
+
+    def test_auto_signs_that_agree_fail(self, tmp_path, capsys):
+        layout = [
+            (dataset, group, treated, 0.2 if treated else 0.0, 6)
+            for dataset, group in (("m1", "math"), ("l1", "logical"))
+            for treated in (True, False)
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        serialize(effect_corpus(layout), corpus)
+        argv = ["loo", "--input", str(corpus), "--out", str(tmp_path / "loo")]
+        argv += ["--view", "surface", "--feature", "word_count"]
+        argv += ["--group-a", "math", "--group-b", "logical"]
+        assert main(argv) == 1
+        assert "baseline signs must be one '+' and one '-'" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_config_file_and_seed_override(self, tmp_path):
@@ -207,6 +259,27 @@ class TestSynthCommand:
 
 
 class TestReportCommand:
+    def test_wordlists_override_reaches_construct_validity(self, tmp_path):
+        records, _ = generate(SynthConfig(n=120, seed=11, annotate=True))
+        corpus = tmp_path / "corpus.jsonl"
+        serialize(records, corpus)
+        records, _ = ingest(corpus)
+        lists = json.loads(resources.files("editfx.data").joinpath("wordlists.json").read_text())
+        lists["reasoning_words"] += lists["metacog_words"]
+        lists_path = tmp_path / "wordlists.json"
+        lists_path.write_text(json.dumps(lists), encoding="utf-8")
+        out = tmp_path / "bundle"
+        argv = ["report", "--input", str(corpus), "--out", str(out), "--resamples", "20"]
+        assert main([*argv, "--wordlists", str(lists_path)]) == 0
+        written = json.loads((out / "provenance.json").read_text("utf-8"))["construct_validity"]
+        expected = construct_validity(
+            records, prepared=PreparedCorpus(records, WordLists.load(lists_path))
+        )
+        assert written["pairs"] == [
+            {**dataclasses.asdict(r), "validated": r.validated} for r in expected
+        ]
+        assert expected != construct_validity(records)
+
     def test_full_bundle_then_render_only(self, corpus_path, tmp_path):
         bundle = tmp_path / "bundle"
         argv = [
@@ -468,6 +541,17 @@ class TestExitCodes:
         monkeypatch.setattr("editfx.cli.ingest", boom)
         assert main(["validate", "--input", str(corpus_path)]) == 2
         assert capsys.readouterr().err.startswith("internal error: RuntimeError: boom")
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        code = "import sys, editfx.cli; sys.exit(int('scipy.stats' in sys.modules))"
+        src = str(Path(editfx.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_console_script_smoke(self, corpus_path, tmp_path):
         exe = shutil.which("editfx")

@@ -347,13 +347,6 @@ class TestInferFamilies:
             assert r.tier == tier_of(r.p_value, r.q_value)
             assert r.valid_resamples >= 30
 
-    def test_worker_count_does_not_change_output(self):
-        serial, _ = infer_family(self.make_family(), master_seed=1, resamples=40, workers=1)
-        threaded, _ = infer_family(self.make_family(), master_seed=1, resamples=40, workers=4)
-        assert [(r.cell_id, r.se, r.p_value, r.q_value) for r in serial] == [
-            (r.cell_id, r.se, r.p_value, r.q_value) for r in threaded
-        ]
-
     def test_families_are_never_pooled(self):
         families = [
             TestFamily(name="surface", cells=[make_cell(n=120, seed=32)]),

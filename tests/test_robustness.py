@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata, spearmanr
 
-from editfx.design import TreatmentSpec
+from editfx import surface
+from editfx.design import PreparedCorpus, TreatmentSpec
 from editfx.errors import ConfigError, DegenerateCellError
 from editfx.robustness import (
     FINGERPRINT_THRESHOLD,
     SignReversalSpec,
+    _average_ranks,
     ceiling,
     construct_validity,
     default_validity_pairs,
@@ -95,6 +97,16 @@ class TestSpearman:
         assert p_first == pytest.approx(exact_spearman_p(x, y), abs=0.02)
         _, p_other = spearman(x, y, seed=6)
         assert abs(p_other - p_first) < 0.02
+
+    def test_average_ranks_equal_scipy_rankdata(self):
+        rng = np.random.default_rng(11)
+        for trial in range(400):
+            n = int(rng.integers(1, 60))
+            if trial % 2:
+                values = rng.integers(0, int(rng.integers(1, 6)), size=n) * 0.1
+            else:
+                values = rng.normal(size=n)
+            assert np.array_equal(_average_ranks(values), rankdata(values))
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateCellError):
@@ -393,6 +405,22 @@ class TestConstructValidity:
         records = self.graded_records()[:1]
         with pytest.raises(ConfigError):
             construct_validity(records, pairs=[("Metacognition", "metacog_word_density")])
+
+    def test_reads_vectors_from_the_prepared_corpus(self, monkeypatch):
+        records = self.graded_records()
+        prepared = PreparedCorpus(records)
+        for record in records:
+            prepared.surface_pair(record)
+        calls = []
+        extract = surface.extract
+        monkeypatch.setattr(
+            surface, "extract", lambda *args: calls.append(args) or extract(*args)
+        )
+        results = construct_validity(
+            records, pairs=[("Metacognition", "metacog_word_density")], prepared=prepared
+        )
+        assert calls == []
+        assert results[0].rho == pytest.approx(1.0)
 
     def test_default_pairs_are_wellformed(self):
         pairs = default_validity_pairs()
