@@ -13,9 +13,9 @@ import hashlib
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import itemgetter
 from pathlib import Path
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, SchemaError
 from .store import ComparisonRecord
-from .surface import tokenize_with_offsets
+from .surface import tokenize, tokenize_with_offsets
 
 MOTIF_LABELS = (
     "chain_of_thought",
@@ -60,7 +60,11 @@ class MotifResult:
     spans: tuple[InsertedSpan, ...]
     labels_per_span: tuple[frozenset[str], ...]
     record_labels: frozenset[str]
-    cooccurrence_pairs: dict[tuple[str, str], int] = field(default_factory=dict)
+
+    @property
+    def cooccurrence_pairs(self) -> dict[tuple[str, str], int]:
+        """Each unordered pair of this record's labels, counted once."""
+        return {pair: 1 for pair in combinations(sorted(self.record_labels), 2)}
 
     def to_json(self) -> dict:
         return {
@@ -194,20 +198,23 @@ def word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun
 
 
 def _lcs_table(before: list[str], after: list[str]) -> np.ndarray:
-    """Suffix LCS lengths: table[i, j] = LCS(before[i:], after[j:])."""
+    """Suffix LCS lengths: table[i, j] = LCS(before[i:], after[j:]).
+
+    The dtype is the smallest unsigned type that holds min(n, m), the
+    longest possible LCS: uint16 below 65,536 tokens.
+    """
     n, m = len(before), len(after)
-    table = np.zeros((n + 1, m + 1), dtype=np.int32)
+    table = np.zeros((n + 1, m + 1), dtype=np.min_scalar_type(min(n, m)))
     if n == 0 or m == 0:
         return table
     vocab: dict[str, int] = {}
     b_ids = np.fromiter((vocab.setdefault(t, len(vocab)) for t in before), dtype=np.int64, count=n)
     a_ids = np.fromiter((vocab.setdefault(t, len(vocab)) for t in after), dtype=np.int64, count=m)
-    eq = (b_ids[:, None] == a_ids[None, :]).astype(np.int32)
     for i in range(n - 1, -1, -1):
         nxt = table[i + 1]
-        # row[j] = max over k >= j of max(nxt[k], nxt[k+1] + eq[i,k]):
+        # row[j] = max over k >= j of max(nxt[k], nxt[k+1] + [before[i] == after[k]]):
         # the same-row dependency unrolls into a reverse cumulative max.
-        cand = np.maximum(nxt[:-1], nxt[1:] + eq[i])
+        cand = np.maximum(nxt[:-1], nxt[1:] + (a_ids == b_ids[i]))
         table[i, :-1] = np.maximum.accumulate(cand[::-1])[::-1]
     return table
 
@@ -285,23 +292,12 @@ def record_motifs(
     if include_demos:
         before_text = before_text + "\n\n" + record.before.demo_text()
         after_text = after_text + "\n\n" + record.after.demo_text()
-    before_tokens = [t for t, _, _ in tokenize_with_offsets(before_text)]
-    after_tokens = [t for t, _, _ in tokenize_with_offsets(after_text)]
-    script = word_diff(before_tokens, after_tokens)
+    script = word_diff(tokenize(before_text), tokenize(after_text))
     spans = tuple(extract_spans(script, after_text))
     labels = tuple(classify(s, rules) for s in spans)
     union: frozenset[str] = frozenset().union(*labels) if labels else frozenset()
-    pairs: dict[tuple[str, str], int] = {}
-    names = sorted(union)
-    for a_idx in range(len(names)):
-        for b_idx in range(a_idx + 1, len(names)):
-            pairs[(names[a_idx], names[b_idx])] = 1
     return MotifResult(
-        pair_id=record.pair_id,
-        spans=spans,
-        labels_per_span=labels,
-        record_labels=union,
-        cooccurrence_pairs=pairs,
+        pair_id=record.pair_id, spans=spans, labels_per_span=labels, record_labels=union
     )
 
 

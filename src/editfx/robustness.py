@@ -22,9 +22,9 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import surface as surface_mod
-from .design import AnalysisUnit, PreparedCorpus, TestCell, TreatmentSpec, build_units
+from .design import PreparedCorpus, TestCell, TreatmentSpec, build_units
 from .errors import ConfigError, DegenerateCellError
-from .estimation import estimate_cell
+from .estimation import sipw
 from .store import ComparisonRecord, headroom
 
 EXACT_PERMUTATION_MAX_N = 7
@@ -161,20 +161,13 @@ def sign_of(value: float) -> str:
     return "0"
 
 
-def _sipw_or_none(spec: TreatmentSpec, group: str, units: list[AnalysisUnit]) -> float | None:
-    """SIPW estimate for one (spec, group) cell, or None if an arm is empty."""
-    if {u.treatment for u in units} != {0, 1}:
-        return None
-    return estimate_cell(TestCell(spec=spec, task_group=group, units=units)).acmgd_sipw
-
-
 def baseline_cells(
     records: list[ComparisonRecord],
     spec: TreatmentSpec,
     groups: tuple[str, str],
     prepared: PreparedCorpus | None = None,
-) -> tuple[list[list[AnalysisUnit]], list[float]]:
-    """Each reversal group's units over the whole corpus, and its SIPW estimate.
+) -> tuple[list[TestCell], list[float]]:
+    """Each reversal group's cell over the whole corpus, and its SIPW estimate.
 
     Raises ConfigError for a group with no records and DegenerateCellError
     for a group whose cell has an empty arm.
@@ -183,11 +176,13 @@ def baseline_cells(
         if not any(r.task_group == group for r in records):
             raise ConfigError(f"reversal references task group '{group}' with no records")
     units, _ = build_units(records, spec, prepared)
-    cells = [[u for u in units if u.task_group == group] for group in groups]
-    estimates = [_sipw_or_none(spec, group, cell) for group, cell in zip(groups, cells)]
-    if None in estimates:
+    cells = [
+        TestCell(spec=spec, task_group=group, units=[u for u in units if u.task_group == group])
+        for group in groups
+    ]
+    if any({u.treatment for u in cell.units} != {0, 1} for cell in cells):
         raise DegenerateCellError("baseline cell for the reversal has an empty arm")
-    return cells, estimates
+    return cells, [sipw(cell.data)[0] for cell in cells]
 
 
 def loo_stability(
@@ -197,9 +192,9 @@ def loo_stability(
 ) -> LooReport:
     """Re-estimate a sign reversal with each dataset held out in turn.
 
-    Each split reruns the full per-cell pipeline (propensity refit and
-    all) on the baseline cells' units outside the held-out dataset; a
-    unit depends only on its own record, so these are the units the
+    Each split refits the propensity model on the baseline cells' rows
+    outside the held-out dataset, as their own population; a unit
+    depends only on its own record, so these are the units the
     remaining records would give. A split whose exclusion empties a
     group or an arm is skipped with a note rather than scored. A corpus
     whose reversal groups draw on a single dataset produces total=0 and
@@ -220,13 +215,11 @@ def loo_stability(
         if not {r.task_group for r in records if r.dataset != dataset}.issuperset(groups):
             skipped.append((dataset, "exclusion empties a reversal group"))
             continue
-        estimate_a, estimate_b = (
-            _sipw_or_none(reversal.spec, group, [u for u in cell if u.dataset != dataset])
-            for group, cell in zip(groups, cells)
-        )
-        if estimate_a is None or estimate_b is None:
+        kept = [np.flatnonzero([u.dataset != dataset for u in cell.units]) for cell in cells]
+        if any(np.unique(cell.data.treatment[rows]).size != 2 for cell, rows in zip(cells, kept)):
             skipped.append((dataset, "exclusion empties a treatment arm"))
             continue
+        estimate_a, estimate_b = (sipw(cell.data, rows)[0] for cell, rows in zip(cells, kept))
         stable = (
             sign_of(estimate_a) == reversal.baseline_sign_a
             and sign_of(estimate_b) == reversal.baseline_sign_b

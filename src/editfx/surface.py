@@ -48,6 +48,11 @@ NON_CANON_FEATURES = (
 
 _NUMBERED_LINE = re.compile(r"^\d+[.)]\s")
 _SENTENCE_SPLIT = re.compile(r"[.!?]")
+# A token is a whitespace run with its leading and trailing
+# non-alphanumeric characters stripped; internal punctuation (hyphens,
+# apostrophes) is kept and runs that strip to nothing yield no token.
+# For str patterns \s is str.isspace and [^\W_] is str.isalnum.
+_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
 
 @dataclass(frozen=True)
@@ -99,46 +104,13 @@ def default_wordlists() -> WordLists:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased whitespace runs with leading/trailing punctuation stripped.
-
-    Punctuation here means any non-alphanumeric character; internal
-    punctuation (hyphens, apostrophes) is kept. Tokens that strip to
-    nothing are dropped.
-    """
-    tokens = []
-    for chunk in text.split():
-        start = 0
-        end = len(chunk)
-        while start < end and not chunk[start].isalnum():
-            start += 1
-        while end > start and not chunk[end - 1].isalnum():
-            end -= 1
-        if end > start:
-            tokens.append(chunk[start:end].lower())
-    return tokens
+    """Lowercased whitespace runs, each trimmed to its alphanumeric ends (_TOKEN)."""
+    return [token.lower() for token in _TOKEN.findall(text)]
 
 
 def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
     """tokenize() plus each token's character span in the original text."""
-    out = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        chunk_start = pos
-        while pos < n and not text[pos].isspace():
-            pos += 1
-        start, end = chunk_start, pos
-        while start < end and not text[start].isalnum():
-            start += 1
-        while end > start and not text[end - 1].isalnum():
-            end -= 1
-        if end > start:
-            out.append((text[start:end].lower(), start, end))
-    return out
+    return [(m.group().lower(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
 
 
 def compression_ratio(text: str) -> float:
@@ -157,7 +129,7 @@ def compression_ratio(text: str) -> float:
 
 def sentence_count(text: str) -> int:
     """Segments ended by '.', '!', '?' or end-of-text that contain a token."""
-    return sum(1 for seg in _SENTENCE_SPLIT.split(text) if tokenize(seg))
+    return sum(1 for seg in _SENTENCE_SPLIT.split(text) if _TOKEN.search(seg))
 
 
 def extract(state: PromptState, lists: WordLists | None = None) -> dict[str, float]:

@@ -1,9 +1,11 @@
 """Word-level diff, inserted spans, and motif classification."""
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from editfx.motifs import (
     EditRun,
     InsertedSpan,
     MotifRuleset,
+    _lcs_table,
     apply_script,
     audit_sample,
     classify,
@@ -46,6 +49,24 @@ def lcs_length(a: list[str], b: list[str]) -> int:
             cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[-1]))
         prev = cur
     return prev[-1]
+
+
+def lcs_table_int32(before: list[str], after: list[str]) -> np.ndarray:
+    # The former int32 table built from a full int32 equality matrix, kept
+    # as the reference for _lcs_table.
+    n, m = len(before), len(after)
+    table = np.zeros((n + 1, m + 1), dtype=np.int32)
+    if n == 0 or m == 0:
+        return table
+    vocab: dict[str, int] = {}
+    b_ids = np.fromiter((vocab.setdefault(t, len(vocab)) for t in before), dtype=np.int64, count=n)
+    a_ids = np.fromiter((vocab.setdefault(t, len(vocab)) for t in after), dtype=np.int64, count=m)
+    eq = (b_ids[:, None] == a_ids[None, :]).astype(np.int32)
+    for i in range(n - 1, -1, -1):
+        nxt = table[i + 1]
+        cand = np.maximum(nxt[:-1], nxt[1:] + eq[i])
+        table[i, :-1] = np.maximum.accumulate(cand[::-1])[::-1]
+    return table
 
 
 def mkspan(text: str) -> InsertedSpan:
@@ -109,6 +130,44 @@ class TestWordDiff:
         script = word_diff(before, after)
         for prev, nxt in zip(script, script[1:]):
             assert prev.op != nxt.op
+
+
+class TestLcsTable:
+    @given(before=tokens_st, after=tokens_st)
+    @settings(max_examples=200, deadline=None)
+    def test_small_inputs_match_int32_reference(self, before, after):
+        assert np.array_equal(_lcs_table(before, after), lcs_table_int32(before, after))
+
+    @pytest.mark.parametrize(
+        "n, m, vocab", [(256, 256, 3), (300, 700, 8), (900, 257, 40), (260, 0, 5)]
+    )
+    def test_long_inputs_match_int32_reference(self, n, m, vocab):
+        rng = np.random.default_rng([n, m, vocab])
+        before = [f"w{k}" for k in rng.integers(vocab, size=n)]
+        after = [f"w{k}" for k in rng.integers(vocab, size=m)]
+        table = _lcs_table(before, after)
+        assert table.dtype == np.min_scalar_type(min(n, m))
+        assert np.array_equal(table, lcs_table_int32(before, after))
+
+    def test_lcs_length_fits_the_narrow_dtype(self):
+        tokens = [f"w{k}" for k in range(255)]
+        table = _lcs_table(tokens, tokens)
+        assert table.dtype == np.uint8
+        assert table[0, 0] == 255
+
+    def test_word_diff_peak_memory_on_long_prompts(self):
+        rng = np.random.default_rng(3000)
+        before = [f"w{k}" for k in rng.integers(200, size=3000)]
+        # one substitution every 97 tokens, the first past a 5-token prefix
+        after = [f"sub{k}" if k % 97 == 5 else t for k, t in enumerate(before)]
+        tracemalloc.start()
+        try:
+            script = word_diff(before, after)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert apply_script(script, before) == after
+        assert peak < 24 * 2**20
 
 
 class TestApplyScript:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,43 @@ from editfx.surface import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def char_loop_tokens(text):
+    # The former per-character scanner, kept as the oracle for the token
+    # pattern: whitespace runs with non-alphanumeric edges stripped.
+    out = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos >= n:
+            break
+        chunk_start = pos
+        while pos < n and not text[pos].isspace():
+            pos += 1
+        start, end = chunk_start, pos
+        while start < end and not text[start].isalnum():
+            start += 1
+        while end > start and not text[end - 1].isalnum():
+            end -= 1
+        if end > start:
+            out.append((text[start:end].lower(), start, end))
+    return out
+
+
+# Characters where a whitespace or alphanumeric rule could slip: Unicode
+# spaces and separators, the underscore (a regex word character that is
+# not alphanumeric), combining marks, non-ASCII digits and numerals, and
+# letters whose lowercase changes length or depends on context.
+TRICKY_CHARS = (
+    " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2028\u3000\u200b"
+    "_-'.,!?()\u0301\u00b2\u00bd\u0663\u2167\u0130\u03a3\u00df\uff21"
+)
+token_text_st = st.text(
+    alphabet=st.one_of(st.sampled_from(TRICKY_CHARS), st.characters()), max_size=200
+)
 
 
 def vec(text, demos=0, lists=None):
@@ -58,6 +96,20 @@ class TestTokenize:
     def test_offsets_agree_with_tokenize(self):
         text = "First 1. step\nthen, VERIFY -- the answer?"
         assert [t for t, _, _ in tokenize_with_offsets(text)] == tokenize(text)
+
+    def test_pattern_classes_match_str_predicates_on_every_code_point(self):
+        every = "".join(map(chr, range(0x110000)))
+        spaces = [m.start() for m in re.finditer(r"\s", every)]
+        alnums = [m.start() for m in re.finditer(r"[^\W_]", every)]
+        assert spaces == [k for k, c in enumerate(every) if c.isspace()]
+        assert alnums == [k for k, c in enumerate(every) if c.isalnum()]
+
+    @given(token_text_st)
+    @settings(max_examples=500, deadline=None)
+    def test_pattern_matches_char_loop_oracle(self, text):
+        expected = char_loop_tokens(text)
+        assert tokenize_with_offsets(text) == expected
+        assert tokenize(text) == [token for token, _, _ in expected]
 
     @given(st.text(max_size=200))
     @settings(max_examples=200, deadline=None)
