@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .design import AnalysisUnit, CellData, TestCell, TestFamily, map_cells
+from .design import CellData, TestCell, TestFamily, map_cells
 from .errors import ConfigError, DegenerateCellError, PositivityError, SchemaError
 
 RIDGE_LAMBDA = 1e-4
@@ -42,7 +42,6 @@ class WeightVector:
     weights: np.ndarray
     raw: np.ndarray
     cap_hits: int
-    cap: float = WEIGHT_CAP
 
 
 @dataclass(frozen=True)
@@ -65,18 +64,14 @@ class CellEstimate:
         return f"{self.view}:{self.feature}:{self.task_group}"
 
 
-def _penalized_loglik(
-    design: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float
-) -> float:
+def _penalized_loglik(design: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     eta = design @ beta
     # log sigma(eta) summed over y=1, log(1-sigma) over y=0, stably.
     loglik = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-    return loglik - 0.5 * ridge * float(np.sum(beta[1:] ** 2))
+    return loglik - 0.5 * RIDGE_LAMBDA * float(np.sum(beta[1:] ** 2))
 
 
-def irls_logistic(
-    matrix: np.ndarray, y: np.ndarray, ridge: float = RIDGE_LAMBDA
-) -> tuple[np.ndarray, bool, int]:
+def irls_logistic(matrix: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool, int]:
     """Maximize the ridge-penalized Bernoulli log-likelihood.
 
     The intercept is unpenalized. Newton steps are halved until the
@@ -89,12 +84,12 @@ def irls_logistic(
     n = matrix.shape[0]
     design = np.hstack([np.ones((n, 1)), matrix])
     p = design.shape[1]
-    penalty = np.full(p, ridge)
+    penalty = np.full(p, RIDGE_LAMBDA)
     penalty[0] = 0.0
     rate = float(np.mean(y))
     beta = np.zeros(p)
     beta[0] = np.log(rate / (1.0 - rate)) if 0.0 < rate < 1.0 else 0.0
-    objective = _penalized_loglik(design, y, beta, ridge)
+    objective = _penalized_loglik(design, y, beta)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
@@ -110,39 +105,29 @@ def irls_logistic(
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            new_objective = _penalized_loglik(design, y, candidate, ridge)
+            new_objective = _penalized_loglik(design, y, candidate)
             if new_objective >= objective - 1e-12:
                 break
             scale *= 0.5
         beta = beta + scale * step
-        objective = _penalized_loglik(design, y, beta, ridge)
+        objective = _penalized_loglik(design, y, beta)
         if float(np.max(np.abs(scale * step))) < COEF_TOLERANCE:
             converged = True
             break
     return beta, converged, iterations
 
 
-def penalized_gradient(
-    matrix: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float = RIDGE_LAMBDA
-) -> np.ndarray:
+def penalized_gradient(matrix: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Gradient of the penalized log-likelihood; zero at the optimum."""
     n = matrix.shape[0]
     design = np.hstack([np.ones((n, 1)), matrix])
-    penalty = np.full(design.shape[1], ridge)
+    penalty = np.full(design.shape[1], RIDGE_LAMBDA)
     penalty[0] = 0.0
     mu = expit(design @ beta)
     return design.T @ (y - mu) - penalty * beta
 
 
-def fit_propensity(units: list[AnalysisUnit], ridge: float = RIDGE_LAMBDA) -> PropensityModel:
-    """Fit treatment ~ pre-edit covariates on the given fitting population."""
-    data = CellData(units)
-    return fit_propensity_packed(data, ridge=ridge)
-
-
-def _fit(
-    data: CellData, idx: np.ndarray | None, ridge: float
-) -> tuple[np.ndarray, np.ndarray, bool, int]:
+def _fit(data: CellData, idx: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, bool, int]:
     """Fit the rows idx (all rows when None) as their own population.
 
     Returns (beta, the rows' clipped probabilities, converged, iterations).
@@ -151,14 +136,13 @@ def _fit(
     if t.min() == t.max():
         raise PositivityError("all units share one arm; propensity is unidentified")
     matrix = data.encode(idx)
-    beta, converged, iterations = irls_logistic(matrix, t.astype(np.float64), ridge)
+    beta, converged, iterations = irls_logistic(matrix, t.astype(np.float64))
     return beta, _probabilities(beta, matrix), converged, iterations
 
 
-def fit_propensity_packed(
-    data: CellData, idx: np.ndarray | None = None, ridge: float = RIDGE_LAMBDA
-) -> PropensityModel:
-    beta, _, converged, iterations = _fit(data, idx, ridge)
+def fit_propensity(data: CellData, idx: np.ndarray | None = None) -> PropensityModel:
+    """Fit treatment ~ pre-edit covariates on the rows idx (all rows when None)."""
+    beta, _, converged, iterations = _fit(data, idx)
     names = data.column_names(idx)
     return PropensityModel(
         intercept=float(beta[0]),
@@ -184,7 +168,6 @@ def stabilized_weights(
     treatment: np.ndarray,
     probabilities: np.ndarray,
     marginal_rate: float | None = None,
-    cap: float = WEIGHT_CAP,
 ) -> WeightVector:
     """Stabilized inverse-probability weights, capped.
 
@@ -196,8 +179,8 @@ def stabilized_weights(
     e = np.asarray(probabilities, dtype=np.float64)
     pbar = float(np.mean(t)) if marginal_rate is None else float(marginal_rate)
     raw = t * (pbar / e) + (1.0 - t) * ((1.0 - pbar) / (1.0 - e))
-    weights = np.minimum(raw, cap)
-    return WeightVector(weights=weights, raw=raw, cap_hits=int(np.sum(raw > cap)), cap=cap)
+    weights = np.minimum(raw, WEIGHT_CAP)
+    return WeightVector(weights=weights, raw=raw, cap_hits=int(np.sum(raw > WEIGHT_CAP)))
 
 
 def weighted_difference(
@@ -221,7 +204,6 @@ def sipw(
     idx: np.ndarray | None = None,
     probabilities: np.ndarray | None = None,
     rate: float | None = None,
-    ridge: float = RIDGE_LAMBDA,
 ) -> tuple[float, WeightVector]:
     """Stabilized-IPW treated-minus-control difference over the rows idx.
 
@@ -231,14 +213,13 @@ def sipw(
     t = (data.treatment if idx is None else data.treatment[idx]).astype(np.float64)
     outcome = data.outcome if idx is None else data.outcome[idx]
     if probabilities is None:
-        probabilities = _fit(data, idx, ridge)[1]
+        probabilities = _fit(data, idx)[1]
     wv = stabilized_weights(t, probabilities, marginal_rate=rate)
     return weighted_difference(t, outcome, wv.weights), wv
 
 
 def estimate_cell(
     cell: TestCell,
-    ridge: float = RIDGE_LAMBDA,
     probabilities: np.ndarray | None = None,
     rate: float | None = None,
 ) -> CellEstimate:
@@ -254,7 +235,7 @@ def estimate_cell(
     n_control = int(len(t) - t.sum())
     if n_treated == 0 or n_control == 0:
         raise PositivityError(f"cell {cell.cell_id} has an empty arm")
-    estimate, wv = sipw(data, probabilities=probabilities, rate=rate, ridge=ridge)
+    estimate, wv = sipw(data, probabilities=probabilities, rate=rate)
     naive = weighted_difference(t, data.outcome, np.ones_like(t))
     return CellEstimate(
         view=cell.spec.view,
@@ -277,7 +258,6 @@ class EstimateBundle:
 
 def estimate_all(
     families: list[TestFamily],
-    ridge: float = RIDGE_LAMBDA,
     scope: str = "cell",
 ) -> EstimateBundle:
     """Estimates for every cell of every family, in sorted cell order.
@@ -299,15 +279,22 @@ def estimate_all(
         features = {c.spec.feature_name for c in cells} if scope == "pooled" else set()
         for feature in sorted(features):
             group = [c for c in cells if c.spec.feature_name == feature]
-            data = CellData([u for c in group for u in c.units])
-            probabilities = _fit(data, None, ridge)[1]
-            bounds = np.cumsum([0] + [len(c.units) for c in group])
+            frame = group[0].data.frame
+            if any(c.data.frame is not frame for c in group):
+                raise ConfigError(f"pooled scope needs one unit frame for '{feature}'")
+            data = CellData(
+                frame,
+                np.concatenate([c.data.rows for c in group]),
+                np.concatenate([c.data.treatment for c in group]),
+            )
+            probabilities = _fit(data, None)[1]
+            bounds = np.cumsum([0] + [c.data.n for c in group])
             for c, start, stop in zip(group, bounds, bounds[1:]):
                 pooled[c.cell_id] = (probabilities[start:stop], float(data.treatment.mean()))
 
         def one(cell: TestCell) -> CellEstimate:
             probabilities, rate = pooled.get(cell.cell_id, (None, None))
-            return estimate_cell(cell, ridge=ridge, probabilities=probabilities, rate=rate)
+            return estimate_cell(cell, probabilities=probabilities, rate=rate)
 
         gaps = []
         for item in map_cells(one, cells, (PositivityError, DegenerateCellError)):

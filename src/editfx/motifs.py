@@ -301,26 +301,12 @@ def record_motifs(
     )
 
 
-def motif_treatments(
-    records: list[ComparisonRecord],
-    rules: MotifRuleset | None = None,
-    include_demos: bool = False,
-    results: dict[str, MotifResult] | None = None,
-) -> dict[str, dict[str, int]]:
-    """Per-record motif-insertion indicators: pair_id -> {label: 0/1}.
-
-    Pass precomputed results to avoid re-diffing when several callers
-    need the same corpus.
-    """
-    out = {}
-    for record in records:
-        res = results.get(record.pair_id) if results else None
-        if res is None:
-            res = record_motifs(record, rules, include_demos)
-        out[record.pair_id] = {
-            label: int(label in res.record_labels) for label in MOTIF_LABELS
-        }
-    return out
+def motif_treatments(results: dict[str, MotifResult]) -> dict[str, dict[str, int]]:
+    """Per-record motif-insertion indicators: pair_id -> {label: 0/1}."""
+    return {
+        pair_id: {label: int(label in res.record_labels) for label in MOTIF_LABELS}
+        for pair_id, res in results.items()
+    }
 
 
 def cooccurrence_matrix(results: list[MotifResult]) -> dict:
@@ -356,15 +342,16 @@ def audit_sample(
     label: str,
     k: int,
     seed: int,
-    rules: MotifRuleset | None = None,
-    results: dict[str, MotifResult] | None = None,
+    results: dict[str, MotifResult],
 ) -> list[tuple[str, str]]:
     """Sample k classified-positive spans for manual audit.
 
     Sampling is without replacement, stratified by dataset (round-robin
     over datasets in sorted order, per-dataset order shuffled), and
     deterministic given seed. Returns fewer than k with a warning when
-    the supply is short.
+    the supply is short. `results` maps each record's pair id to its
+    diff (as `PreparedCorpus.motif_results` gives), so the spans follow
+    the run's ruleset and demo setting.
     """
     if label not in MOTIF_LABELS:
         raise ConfigError(f"unknown motif label '{label}'")
@@ -372,9 +359,7 @@ def audit_sample(
         raise ConfigError("k must be >= 1")
     by_dataset: dict[str, list[tuple[str, str]]] = {}
     for record in records:
-        res = results.get(record.pair_id) if results else None
-        if res is None:
-            res = record_motifs(record, rules)
+        res = results[record.pair_id]
         for span, span_labels in zip(res.spans, res.labels_per_span):
             if label in span_labels:
                 by_dataset.setdefault(record.dataset, []).append((record.pair_id, span.text))

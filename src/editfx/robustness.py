@@ -22,7 +22,15 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import surface as surface_mod
-from .design import PreparedCorpus, TestCell, TreatmentSpec, build_units
+from .design import (
+    CATEGORICAL_COVARIATES,
+    CellData,
+    PreparedCorpus,
+    TestCell,
+    TreatmentSpec,
+    build_units,
+    prepared_for,
+)
 from .errors import ConfigError, DegenerateCellError
 from .estimation import sipw
 from .store import ComparisonRecord, headroom
@@ -175,13 +183,16 @@ def baseline_cells(
     for group in groups:
         if not any(r.task_group == group for r in records):
             raise ConfigError(f"reversal references task group '{group}' with no records")
-    units, _ = build_units(records, spec, prepared)
-    cells = [
-        TestCell(spec=spec, task_group=group, units=[u for u in units if u.task_group == group])
-        for group in groups
-    ]
-    if any({u.treatment for u in cell.units} != {0, 1} for cell in cells):
+    prepared = prepared_for(records, prepared)
+    frame = prepared.frame
+    rows, treatment = build_units(prepared, spec)
+    in_group = [frame.group_codes[rows] == frame.groups.index(group) for group in groups]
+    if any(np.unique(treatment[mask]).size != 2 for mask in in_group):
         raise DegenerateCellError("baseline cell for the reversal has an empty arm")
+    cells = [
+        TestCell(spec=spec, task_group=group, data=CellData(frame, rows[mask], treatment[mask]))
+        for group, mask in zip(groups, in_group)
+    ]
     return cells, [sipw(cell.data)[0] for cell in cells]
 
 
@@ -200,8 +211,6 @@ def loo_stability(
     whose reversal groups draw on a single dataset produces total=0 and
     a warning. Signs left as None take the baseline estimates' signs.
     """
-    if prepared is None:
-        prepared = PreparedCorpus(records)
     groups = (reversal.group_a, reversal.group_b)
     cells, (baseline_a, baseline_b) = baseline_cells(records, reversal.spec, groups, prepared)
     if reversal.baseline_sign_a is None:
@@ -209,13 +218,16 @@ def loo_stability(
             reversal, baseline_sign_a=sign_of(baseline_a), baseline_sign_b=sign_of(baseline_b)
         )
     datasets = sorted({r.dataset for r in records if r.task_group in groups})
+    column = CATEGORICAL_COVARIATES.index("dataset")
+    levels = cells[0].data.frame.cat_levels[column]
     splits: list[LooSplit] = []
     skipped: list[tuple[str, str]] = []
     for dataset in datasets:
         if not {r.task_group for r in records if r.dataset != dataset}.issuperset(groups):
             skipped.append((dataset, "exclusion empties a reversal group"))
             continue
-        kept = [np.flatnonzero([u.dataset != dataset for u in cell.units]) for cell in cells]
+        code = levels.index(dataset)
+        kept = [np.flatnonzero(cell.data.cat_codes[:, column] != code) for cell in cells]
         if any(np.unique(cell.data.treatment[rows]).size != 2 for cell, rows in zip(cells, kept)):
             skipped.append((dataset, "exclusion empties a treatment arm"))
             continue
@@ -264,20 +276,23 @@ def per_dataset_cate(
     Datasets where either arm is empty get cate=nan. Diagnostics only;
     never aggregated into headline estimates.
     """
-    units, _ = build_units(records, spec, prepared)
-    by_dataset: dict[str, list] = {}
-    for unit in units:
-        by_dataset.setdefault(unit.dataset, []).append(unit)
+    prepared = prepared_for(records, prepared)
+    frame = prepared.frame
+    rows, treatment = build_units(prepared, spec)
+    column = CATEGORICAL_COVARIATES.index("dataset")
+    datasets = frame.cat_codes[rows, column]
+    gain = frame.gain[rows]
     out: dict[str, DatasetCate] = {}
-    for dataset in sorted(by_dataset):
-        group_units = by_dataset[dataset]
-        treated = [u.outcome for u in group_units if u.treatment == 1]
-        control = [u.outcome for u in group_units if u.treatment == 0]
-        if treated and control:
+    for code in np.unique(datasets):
+        treated = gain[(datasets == code) & (treatment == 1)]
+        control = gain[(datasets == code) & (treatment == 0)]
+        if treated.size and control.size:
             cate = float(np.mean(treated) - np.mean(control))
         else:
             cate = math.nan
-        out[dataset] = DatasetCate(cate=cate, n_treated=len(treated), n_control=len(control))
+        out[frame.cat_levels[column][code]] = DatasetCate(
+            cate=cate, n_treated=treated.size, n_control=control.size
+        )
     return out
 
 

@@ -17,12 +17,11 @@ import pytest
 from scipy.special import logit
 
 from editfx.design import (
-    AnalysisUnit,
     CellData,
-    CovariateVector,
     PreparedCorpus,
     TestCell,
     TreatmentSpec,
+    UnitFrame,
     build_units,
     enumerate_families,
 )
@@ -69,40 +68,31 @@ def criterion(capsys, num: int, name: str):
     assert ok, f"{name}: {details}"
 
 
-def units_from_synth(records) -> list[AnalysisUnit]:
-    """Analysis units straight from generator records.
+def data_from_synth(records) -> CellData:
+    """Every generator record as one cell's rows, packed straight from the records.
 
     The treated arm is identifiable from the appended span, so the
     expensive feature-extraction stage can be skipped when a test only
     exercises estimation or inference machinery.
     """
-    units = []
-    for r in records:
-        cov = CovariateVector(
-            numeric={
-                "p1_word_count": float(len(r.before.instruction_text.split())),
-                "p1_n_demos": 0.0,
-                "headroom": 1.0 - r.accuracy_before,
-                "step_index": float(r.step_index),
-            },
-            categorical={
-                "framework": r.framework,
-                "backbone": r.backbone,
-                "dataset": r.dataset,
-            },
-        )
-        units.append(
-            AnalysisUnit(
-                pair_id=r.pair_id,
-                treatment=int(r.after.instruction_text.endswith(TREATED_SPAN)),
-                outcome=r.gain,
-                covariates=cov,
-                block_id=r.block_id,
-                dataset=r.dataset,
-                task_group=r.task_group,
-            )
-        )
-    return units
+    frame = UnitFrame(
+        pair_ids=[r.pair_id for r in records],
+        gain=[r.gain for r in records],
+        numeric={
+            "p1_word_count": [float(len(r.before.instruction_text.split())) for r in records],
+            "p1_n_demos": [0.0 for r in records],
+            "headroom": [1.0 - r.accuracy_before for r in records],
+            "step_index": [float(r.step_index) for r in records],
+        },
+        categorical={
+            "framework": [r.framework for r in records],
+            "backbone": [r.backbone for r in records],
+            "dataset": [r.dataset for r in records],
+        },
+        task_group=[r.task_group for r in records],
+    )
+    treatment = [int(r.after.instruction_text.endswith(TREATED_SPAN)) for r in records]
+    return CellData(frame, np.arange(len(records)), treatment)
 
 
 def test_criterion_01_synthetic_debiasing(capsys):
@@ -120,8 +110,9 @@ def test_criterion_01_synthetic_debiasing(capsys):
             )
         )
         prepared = PreparedCorpus(records)
-        units, _ = build_units(records, WORD_COUNT_SPEC, prepared)
-        cell = TestCell(spec=WORD_COUNT_SPEC, task_group="math", units=units)
+        rows, treatment = build_units(prepared, WORD_COUNT_SPEC)
+        data = CellData(prepared.frame, rows, treatment)
+        cell = TestCell(spec=WORD_COUNT_SPEC, task_group="math", data=data)
         est = estimate_cell(cell)
         elapsed = time.monotonic() - t0
         naive_biased = abs(est.acmgd_naive - 0.05) > 0.03
@@ -147,7 +138,7 @@ def test_criterion_02_null_calibration(capsys):
             )
             records, _ = generate(cfg)
             cell = TestCell(
-                spec=WORD_COUNT_SPEC, task_group="math", units=units_from_synth(records)
+                spec=WORD_COUNT_SPEC, task_group="math", data=data_from_synth(records)
             )
             result = block_bootstrap(cell, BootstrapConfig(resamples=resamples, seed=2000 + rep))
             rejections += result.p_value < 0.05
@@ -171,8 +162,8 @@ def test_criterion_03_weight_contracts(capsys):
         checked = 0
         for family in families:
             for cell in family.cells:
-                data = CellData(cell.units)
-                model = fit_propensity(cell.units)
+                data = cell.data
+                model = fit_propensity(data)
                 probs = predict_probabilities(model, data.encode())
                 wv = stabilized_weights(data.treatment, probs)
                 checked += 1
@@ -181,10 +172,12 @@ def test_criterion_03_weight_contracts(capsys):
 
         big, _ = generate(SynthConfig(n=6000, groups=("math",), seed=1))
         prepared = PreparedCorpus(big)
-        units, _ = build_units(big, WORD_COUNT_SPEC, prepared)
-        cell = TestCell(spec=WORD_COUNT_SPEC, task_group="math", units=units)
-        data = CellData(cell.units)
-        model = fit_propensity(cell.units)
+        rows, treatment = build_units(prepared, WORD_COUNT_SPEC)
+        cell = TestCell(
+            spec=WORD_COUNT_SPEC, task_group="math", data=CellData(prepared.frame, rows, treatment)
+        )
+        data = cell.data
+        model = fit_propensity(data)
         wv = stabilized_weights(data.treatment, predict_probabilities(model, data.encode()))
         treated = data.treatment.astype(bool)
         mean_t = float(wv.raw[treated].mean())
@@ -248,33 +241,31 @@ def clustered_cell(seed: int, n_blocks: int = 20, per_block: int = 20, sigma: fl
     the treated-minus-control contrast.
     """
     rng = np.random.default_rng(seed)
-    units = []
+    pair_ids, treatment, gains, datasets = [], [], [], []
     for b in range(n_blocks):
         dataset = f"ds_{b:02d}"
         block_shock = rng.normal(0.0, sigma)
         for j in range(per_block):
             gain = float(np.clip(block_shock + rng.normal(0.0, sigma), -1.0, 1.0))
-            cov = CovariateVector(
-                numeric={
-                    "p1_word_count": 20.0,
-                    "p1_n_demos": 0.0,
-                    "headroom": 0.5,
-                    "step_index": 1.0,
-                },
-                categorical={"framework": "synthopt", "backbone": "bb", "dataset": dataset},
-            )
-            units.append(
-                AnalysisUnit(
-                    pair_id=f"u{b:02d}_{j:02d}",
-                    treatment=b % 2,
-                    outcome=gain,
-                    covariates=cov,
-                    block_id=(dataset, "bb"),
-                    dataset=dataset,
-                    task_group="math",
-                )
-            )
-    return TestCell(spec=WORD_COUNT_SPEC, task_group="math", units=units)
+            pair_ids.append(f"u{b:02d}_{j:02d}")
+            treatment.append(b % 2)
+            gains.append(gain)
+            datasets.append(dataset)
+    n = len(pair_ids)
+    frame = UnitFrame(
+        pair_ids=pair_ids,
+        gain=gains,
+        numeric={
+            "p1_word_count": [20.0] * n,
+            "p1_n_demos": [0.0] * n,
+            "headroom": [0.5] * n,
+            "step_index": [1.0] * n,
+        },
+        categorical={"framework": ["synthopt"] * n, "backbone": ["bb"] * n, "dataset": datasets},
+        task_group=["math"] * n,
+    )
+    data = CellData(frame, np.arange(n), treatment)
+    return TestCell(spec=WORD_COUNT_SPEC, task_group="math", data=data)
 
 
 def test_criterion_05_block_resampling_validity(capsys):

@@ -9,13 +9,12 @@ from editfx.design import (
     CATEGORICAL_COVARIATES,
     NUMERIC_COVARIATES,
     VIEWS,
-    AnalysisUnit,
     CellData,
-    CovariateVector,
     PreparedCorpus,
     TestCell,
     TestFamily,
     TreatmentSpec,
+    UnitFrame,
     build_units,
     enumerate_families,
     units_to_csv,
@@ -37,20 +36,48 @@ def make_covariates(**overrides):
     categorical = {"framework": "synthopt", "backbone": "bb_alpha", "dataset": "synth_arith"}
     numeric.update({k: v for k, v in overrides.items() if k in numeric})
     categorical.update({k: v for k, v in overrides.items() if k in categorical})
-    return CovariateVector(numeric=numeric, categorical=categorical)
+    return numeric, categorical
 
 
-def make_unit(pair_id="u1", treatment=0, outcome=0.0, **cov):
-    vec = make_covariates(**cov)
-    return AnalysisUnit(
-        pair_id=pair_id,
-        treatment=treatment,
-        outcome=outcome,
-        covariates=vec,
-        block_id=(vec.categorical["dataset"], vec.categorical["backbone"]),
-        dataset=vec.categorical["dataset"],
-        task_group="math",
+def make_unit(pair_id="u1", treatment=0, outcome=0.0, task_group="math", **cov):
+    """One hand-built unit as a plain dict; make_frame packs a list of them."""
+    numeric, categorical = make_covariates(**cov)
+    return {
+        "pair_id": pair_id,
+        "treatment": treatment,
+        "outcome": outcome,
+        "numeric": numeric,
+        "categorical": categorical,
+        "task_group": task_group,
+    }
+
+
+def make_frame(units) -> UnitFrame:
+    return UnitFrame(
+        pair_ids=[u["pair_id"] for u in units],
+        gain=[u["outcome"] for u in units],
+        numeric={name: [u["numeric"][name] for u in units] for name in NUMERIC_COVARIATES},
+        categorical={
+            name: [u["categorical"][name] for u in units] for name in CATEGORICAL_COVARIATES
+        },
+        task_group=[u["task_group"] for u in units],
     )
+
+
+def make_data(units) -> CellData:
+    """Every unit given, in order, as one cell's rows of their own frame."""
+    return CellData(make_frame(units), np.arange(len(units)), [u["treatment"] for u in units])
+
+
+def make_cells(units, spec=TreatmentSpec(view="surface", feature_name="word_count")):
+    """One cell per task group, in name order, all over one frame of these units."""
+    frame, treatment = make_frame(units), np.array([u["treatment"] for u in units])
+    groups = np.array([u["task_group"] for u in units])
+    return [
+        TestCell(spec=spec, task_group=group, data=CellData(frame, rows, treatment[rows]))
+        for group in sorted(set(groups))
+        for rows in [np.flatnonzero(groups == group)]
+    ]
 
 
 class TestSpecsAndValidation:
@@ -77,39 +104,45 @@ class TestSpecsAndValidation:
 
     def test_covariate_vector_requires_exact_keys(self):
         with pytest.raises(SchemaError):
-            CovariateVector(
-                numeric={"p1_word_count": 1.0},
-                categorical={name: "x" for name in CATEGORICAL_COVARIATES},
+            UnitFrame(
+                pair_ids=["u1"],
+                gain=[0.0],
+                numeric={"p1_word_count": [1.0]},
+                categorical={name: ["x"] for name in CATEGORICAL_COVARIATES},
+                task_group=["math"],
             )
         with pytest.raises(SchemaError):
-            CovariateVector(
-                numeric={name: 0.5 for name in NUMERIC_COVARIATES},
-                categorical={"framework": "x", "backbone": "y"},
+            UnitFrame(
+                pair_ids=["u1"],
+                gain=[0.0],
+                numeric={name: [0.5] for name in NUMERIC_COVARIATES},
+                categorical={"framework": ["x"], "backbone": ["y"]},
+                task_group=["math"],
             )
 
     def test_covariate_vector_rejects_nonfinite_and_bad_headroom(self):
         with pytest.raises(SchemaError):
-            make_covariates(p1_word_count=float("nan"))
+            make_frame([make_unit(p1_word_count=float("nan"))])
         with pytest.raises(SchemaError):
-            make_covariates(headroom=1.5)
+            make_frame([make_unit(headroom=1.5)])
 
     def test_analysis_unit_validation(self):
         with pytest.raises(SchemaError):
-            make_unit(treatment=2)
+            make_data([make_unit(treatment=2)])
         with pytest.raises(SchemaError):
-            make_unit(outcome=1.5)
+            make_data([make_unit(outcome=1.5)])
 
     def test_cell_rejects_mixed_groups(self):
         unit = make_unit()
         spec = TreatmentSpec(view="surface", feature_name="word_count")
         with pytest.raises(SchemaError):
-            TestCell(spec=spec, task_group="logical", units=[unit])
-        cell = TestCell(spec=spec, task_group="math", units=[unit])
+            TestCell(spec=spec, task_group="logical", data=make_data([unit]))
+        cell = TestCell(spec=spec, task_group="math", data=make_data([unit]))
         assert cell.cell_id == "surface:word_count:math"
 
     def test_family_m_counts_cells(self):
         spec = TreatmentSpec(view="surface", feature_name="word_count")
-        cell = TestCell(spec=spec, task_group="math", units=[make_unit()])
+        cell = TestCell(spec=spec, task_group="math", data=make_data([make_unit()]))
         family = TestFamily(name="surface", cells=[cell, cell])
         assert family.m == 2
 
@@ -123,9 +156,10 @@ class TestBuildUnits:
             make_record("shrink", before_text=base, after_text="table value"),
         ]
         spec = TreatmentSpec(view="surface", feature_name="word_count")
-        units, dropped = build_units(records, spec)
+        rows, treatment = build_units(PreparedCorpus(records), spec)
+        dropped = len(records) - rows.size
         assert dropped == 0
-        assert [u.treatment for u in units] == [1, 0, 0]
+        assert treatment.tolist() == [1, 0, 0]
 
     def test_motif_treatment_uses_record_labels(self):
         base = "table value record input"
@@ -134,9 +168,10 @@ class TestBuildUnits:
             make_record("c1", before_text=base, after_text=base + GROW),
         ]
         spec = TreatmentSpec(view="motif", feature_name="meta_instruction")
-        units, dropped = build_units(records, spec)
+        rows, treatment = build_units(PreparedCorpus(records), spec)
+        dropped = len(records) - rows.size
         assert dropped == 0
-        assert [u.treatment for u in units] == [1, 0]
+        assert treatment.tolist() == [1, 0]
 
     def test_annotation_treatment_and_drop_counting(self):
         records = [
@@ -157,9 +192,11 @@ class TestBuildUnits:
             ),
         ]
         spec = TreatmentSpec(view="annotation", feature_name="Clarity")
-        units, dropped = build_units(records, spec)
+        rows, treatment = build_units(PreparedCorpus(records), spec)
+        dropped = len(records) - rows.size
         assert dropped == 2
-        assert [(u.pair_id, u.treatment) for u in units] == [("up", 1), ("flat", 0), ("down", 0)]
+        units = [(records[row].pair_id, t) for row, t in zip(rows, treatment.tolist())]
+        assert units == [("up", 1), ("flat", 0), ("down", 0)]
 
     def test_covariates_come_from_before_state(self):
         record = make_record(
@@ -171,23 +208,31 @@ class TestBuildUnits:
             step_index=5,
             demos_before=[{"q": "a"}, {"q": "b"}],
         )
-        units, _ = build_units([record], TreatmentSpec(view="surface", feature_name="word_count"))
-        unit = units[0]
-        assert unit.covariates.numeric["p1_word_count"] == 4.0
-        assert unit.covariates.numeric["p1_n_demos"] == 2.0
-        assert unit.covariates.numeric["headroom"] == pytest.approx(0.03)
-        assert unit.covariates.numeric["step_index"] == 5.0
-        assert unit.covariates.categorical["dataset"] == "synth_arith"
-        assert unit.block_id == ("synth_arith", "bb_alpha")
-        assert unit.outcome == pytest.approx(0.02)
+        prepared = PreparedCorpus([record])
+        rows, _ = build_units(prepared, TreatmentSpec(view="surface", feature_name="word_count"))
+        frame, row = prepared.frame, rows[0]
+        numeric = dict(zip(NUMERIC_COVARIATES, frame.numeric[row]))
+        categorical = {
+            name: frame.cat_levels[col][frame.cat_codes[row, col]]
+            for col, name in enumerate(CATEGORICAL_COVARIATES)
+        }
+        assert numeric["p1_word_count"] == 4.0
+        assert numeric["p1_n_demos"] == 2.0
+        assert numeric["headroom"] == pytest.approx(0.03)
+        assert numeric["step_index"] == 5.0
+        assert categorical["dataset"] == "synth_arith"
+        assert frame.blocks[frame.block_codes[row]] == ("synth_arith", "bb_alpha")
+        assert frame.gain[row] == pytest.approx(0.02)
 
     def test_prepared_corpus_caches_are_shared(self):
         base = "table value record input"
         records = [make_record("r1", before_text=base, after_text=base + GROW)]
         prepared = PreparedCorpus(records)
-        first, _ = build_units(records, TreatmentSpec(view="surface", feature_name="word_count"), prepared)
-        second, _ = build_units(records, TreatmentSpec(view="surface", feature_name="char_count"), prepared)
-        assert first[0].covariates is second[0].covariates
+        first, _ = build_units(prepared, TreatmentSpec(view="surface", feature_name="word_count"))
+        frame = prepared.frame
+        second, _ = build_units(prepared, TreatmentSpec(view="surface", feature_name="char_count"))
+        assert first.tolist() == second.tolist()
+        assert prepared.frame is frame
 
 
 class TestEnumerateFamilies:
@@ -221,14 +266,19 @@ class TestEnumerateFamilies:
         cell_ids = [c.cell_id for c in family.cells]
         assert "surface:word_count:math" in cell_ids
         word_cell = next(c for c in family.cells if c.cell_id == "surface:word_count:math")
-        assert len(word_cell.units) == 20
-        assert sum(u.treatment for u in word_cell.units) == 10
+        assert word_cell.data.n == 20
+        assert word_cell.data.treatment.sum() == 10
         assert ("surface:word_count", "sequential", "n=5 below minimum 10") in family.excluded
         assert (
             "surface:question_count",
             "math",
             "arms treated=0 control=20 below minimum 3",
         ) in family.excluded
+
+    def test_prepared_corpus_must_hold_the_given_records(self):
+        records = self.make_corpus()
+        with pytest.raises(ConfigError, match="other records"):
+            enumerate_families(records[:10], prepared=PreparedCorpus(records))
 
     def test_empty_families_warn_and_drop(self):
         records = self.make_corpus()
@@ -320,7 +370,7 @@ class TestCellData:
 
     def test_packing_and_blocks(self):
         units = self.make_units()
-        data = CellData(units)
+        data = make_data(units)
         assert data.n == 6
         assert data.treatment.tolist() == [0, 1, 0, 1, 0, 1]
         np.testing.assert_allclose(data.outcome, [0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
@@ -333,7 +383,7 @@ class TestCellData:
         assert members == [[0, 3], [1, 4], [2, 5]]
 
     def test_encode_zscores_and_constant_columns(self):
-        data = CellData(self.make_units())
+        data = make_data(self.make_units())
         matrix, names = data.encode_with_names()
         assert names[: len(NUMERIC_COVARIATES)] == list(NUMERIC_COVARIATES)
         word_col = matrix[:, names.index("p1_word_count")]
@@ -343,7 +393,7 @@ class TestCellData:
         np.testing.assert_array_equal(step_col, np.zeros(6))
 
     def test_encode_one_hot_drops_first_level(self):
-        data = CellData(self.make_units())
+        data = make_data(self.make_units())
         matrix, names = data.encode_with_names()
         assert "dataset=ds_b" in names
         assert "dataset=ds_c" in names
@@ -353,7 +403,7 @@ class TestCellData:
         np.testing.assert_array_equal(b_col, [0, 1, 0, 0, 1, 0])
 
     def test_encode_subset_uses_subset_levels(self):
-        data = CellData(self.make_units())
+        data = make_data(self.make_units())
         idx = np.array([0, 1, 3, 4])  # only ds_a and ds_b rows
         matrix, names = data.encode_with_names(idx)
         assert matrix.shape[0] == 4
@@ -364,7 +414,7 @@ class TestCellData:
 
     def test_empty_units_rejected(self):
         with pytest.raises(ConfigError):
-            CellData([])
+            make_data([])
 
 
 class TestUnitsCsv:
@@ -374,7 +424,7 @@ class TestUnitsCsv:
             make_unit(pair_id="u2", treatment=0, outcome=-0.5, dataset="ds_b"),
         ]
         buf = io.StringIO()
-        units_to_csv(units, buf)
+        units_to_csv(make_data(units), buf)
         lines = buf.getvalue().splitlines()
         assert len(lines) == 3
         header = lines[0].split(",")
@@ -386,3 +436,6 @@ class TestUnitsCsv:
         assert first[1] == "1"
         assert float(first[2]) == 0.25
         assert lines[1].endswith("ds_a|bb_alpha")
+        for line in lines[1:]:
+            for value in line.split(",")[2:-1]:
+                float(value)  # plain float reprs, not numpy scalar reprs

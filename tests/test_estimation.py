@@ -1,7 +1,5 @@
 """Propensity fitting, stabilized weights, and cell estimates."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -16,7 +14,6 @@ from editfx.estimation import (
     estimate_all,
     estimate_cell,
     fit_propensity,
-    fit_propensity_packed,
     irls_logistic,
     penalized_gradient,
     predict_probabilities,
@@ -24,25 +21,19 @@ from editfx.estimation import (
     weighted_difference,
 )
 
-from editfx.design import AnalysisUnit, PreparedCorpus, TestFamily, build_units
+from editfx.design import PreparedCorpus, TestFamily, build_units
 from editfx.synth import SynthConfig, generate
 
-from test_design import make_covariates, make_unit
+from test_design import make_cells, make_data, make_unit
 
 TestFamily.__test__ = False
 
 
-def moved(unit: AnalysisUnit, dataset: str, word_shift: float) -> AnalysisUnit:
+def moved(unit: dict, dataset: str, word_shift: float) -> dict:
     """The unit relabelled to another dataset, with a longer before prompt."""
-    numeric = dict(unit.covariates.numeric)
+    numeric = dict(unit["numeric"])
     numeric["p1_word_count"] += word_shift
-    covariates = replace(
-        unit.covariates,
-        numeric=numeric,
-        categorical={**unit.covariates.categorical, "dataset": dataset},
-    )
-    block_id = (dataset, unit.block_id[1])
-    return replace(unit, covariates=covariates, dataset=dataset, block_id=block_id)
+    return {**unit, "numeric": numeric, "categorical": {**unit["categorical"], "dataset": dataset}}
 
 
 def neg_penalized_loglik(beta, design, y, ridge):
@@ -51,7 +42,7 @@ def neg_penalized_loglik(beta, design, y, ridge):
     return -(loglik - 0.5 * ridge * np.sum(beta[1:] ** 2))
 
 
-def make_cell(n=200, seed=0, tau=0.05, beta_x=0.1, gamma=1.0, task_group="math"):
+def make_units(n=200, seed=0, tau=0.05, beta_x=0.1, gamma=1.0, task_group="math"):
     """Units where word count confounds a binary treatment when gamma != 0."""
     rng = np.random.default_rng(seed)
     units = []
@@ -60,20 +51,22 @@ def make_cell(n=200, seed=0, tau=0.05, beta_x=0.1, gamma=1.0, task_group="math")
         x = float(rng.normal())
         t = int(rng.random() < expit(gamma * x))
         y = tau * t + beta_x * x + 0.05 * float(rng.normal())
-        vec = make_covariates(p1_word_count=20.0 + 4.0 * x, dataset=datasets[k % 2])
         units.append(
-            AnalysisUnit(
+            make_unit(
                 pair_id=f"u{k}",
                 treatment=t,
                 outcome=float(np.clip(y, -1.0, 1.0)),
-                covariates=vec,
-                block_id=(vec.categorical["dataset"], vec.categorical["backbone"]),
-                dataset=vec.categorical["dataset"],
                 task_group=task_group,
+                p1_word_count=20.0 + 4.0 * x,
+                dataset=datasets[k % 2],
             )
         )
-    spec = TreatmentSpec(view="surface", feature_name="word_count")
-    return TestCell(spec=spec, task_group=task_group, units=units)
+    return units
+
+
+def make_cell(n=200, seed=0, tau=0.05, beta_x=0.1, gamma=1.0, task_group="math"):
+    """One make_units cell over its own frame."""
+    return make_cells(make_units(n, seed, tau, beta_x, gamma, task_group))[0]
 
 
 class TestIrls:
@@ -140,18 +133,18 @@ class TestIrls:
 class TestPropensityModel:
     def test_fit_and_predict_on_units(self):
         cell = make_cell(n=400, seed=2)
-        model = fit_propensity(cell.units)
+        model = fit_propensity(cell.data)
         assert model.converged
         assert "p1_word_count" in model.coefficients
         assert model.coefficients["p1_word_count"] > 0.3
-        data = CellData(cell.units)
+        data = cell.data
         probs = predict_probabilities(model, data.encode())
         assert np.all((probs > 0.0) & (probs < 1.0))
 
     def test_single_arm_raises_positivity(self):
         units = [make_unit(pair_id=f"u{k}", treatment=1) for k in range(5)]
         with pytest.raises(PositivityError):
-            fit_propensity(units)
+            fit_propensity(make_data(units))
 
     def test_probabilities_are_clipped(self):
         model = PropensityModel(
@@ -176,11 +169,11 @@ class TestPropensityModel:
 
     def test_packed_subset_fit(self):
         cell = make_cell(n=100, seed=3)
-        data = CellData(cell.units)
+        data = cell.data
         idx = np.arange(50)
         if data.treatment[idx].min() == data.treatment[idx].max():
             pytest.skip("subset degenerate for this seed")
-        model = fit_propensity_packed(data, idx=idx)
+        model = fit_propensity(data, idx=idx)
         assert set(model.schema) == set(model.coefficients)
 
 
@@ -269,7 +262,7 @@ class TestEstimateCell:
 
     def test_constant_propensity_reduces_to_naive(self):
         cell = make_cell(n=300, seed=6)
-        data = CellData(cell.units)
+        data = cell.data
         pbar = float(data.treatment.mean())
         _, names = data.encode_with_names()
         constant = PropensityModel(
@@ -287,17 +280,17 @@ class TestEstimateCell:
     def test_empty_arm_raises(self):
         spec = TreatmentSpec(view="surface", feature_name="word_count")
         units = [make_unit(pair_id=f"u{k}", treatment=0) for k in range(5)]
-        cell = TestCell(spec=spec, task_group="math", units=units)
+        cell = TestCell(spec=spec, task_group="math", data=make_data(units))
         with pytest.raises(PositivityError):
             estimate_cell(cell)
 
 
 class TestEstimateAll:
     def make_family(self):
-        cells = [
-            make_cell(n=120, seed=10, task_group="math"),
-            make_cell(n=120, seed=11, task_group="logical"),
-        ]
+        cells = make_cells(
+            make_units(n=120, seed=10, task_group="math")
+            + make_units(n=120, seed=11, task_group="logical")
+        )
         return TestFamily(name="surface", cells=cells)
 
     def test_sorted_output_and_family_confounding(self):
@@ -315,7 +308,7 @@ class TestEstimateAll:
         bad = TestCell(
             spec=spec,
             task_group="math",
-            units=[make_unit(pair_id=f"u{k}", treatment=1) for k in range(5)],
+            data=make_data([make_unit(pair_id=f"u{k}", treatment=1) for k in range(5)]),
         )
         family = TestFamily(name="surface", cells=[make_cell(n=80, seed=12), bad])
         bundle = estimate_all([family])
@@ -334,24 +327,25 @@ class TestEstimateAll:
         )
 
     def test_pooled_scope_slices_the_pooled_fit(self):
-        math = make_cell(n=120, seed=10, task_group="math")
-        logical = make_cell(n=150, seed=11, task_group="logical")
+        math = make_units(n=120, seed=10, task_group="math")
+        logical = make_units(n=150, seed=11, task_group="logical")
         relabel = {"ds_a": "ds_c", "ds_b": "ds_d"}
-        logical = TestCell(
-            spec=logical.spec,
-            task_group="logical",
-            units=[moved(u, relabel[u.dataset], 3.0) for u in logical.units],
-        )
+        logical = [moved(u, relabel[u["categorical"]["dataset"]], 3.0) for u in logical]
+        logical, math = make_cells(math + logical)
         family = TestFamily(name="surface", cells=[math, logical])
         bundle = estimate_all([family], scope="pooled")
         # Sorted cell order puts logical first, so its rows lead the pooled design.
-        pooled = CellData(logical.units + math.units)
-        probabilities = predict_probabilities(fit_propensity_packed(pooled), pooled.encode())
+        pooled = CellData(
+            math.data.frame,
+            np.concatenate([logical.data.rows, math.data.rows]),
+            np.concatenate([logical.data.treatment, math.data.treatment]),
+        )
+        probabilities = predict_probabilities(fit_propensity(pooled), pooled.encode())
         rate = float(pooled.treatment.mean())
         rows = {"logical": slice(0, 150), "math": slice(150, 270)}
         assert [e.task_group for e in bundle.estimates] == ["logical", "math"]
         for cell, est in zip((logical, math), bundle.estimates):
-            data = CellData(cell.units)
+            data = cell.data
             t = data.treatment.astype(np.float64)
             wv = stabilized_weights(t, probabilities[rows[cell.task_group]], marginal_rate=rate)
             expected = weighted_difference(t, data.outcome, wv.weights)
@@ -370,9 +364,15 @@ class TestEstimateAll:
             )
         )
         spec = TreatmentSpec(view="surface", feature_name="word_count")
-        units, _ = build_units(records, spec, PreparedCorpus(records))
+        prepared = PreparedCorpus(records)
+        rows, treatment = build_units(prepared, spec)
+        groups = np.array([records[row].task_group for row in rows])
         cells = [
-            TestCell(spec=spec, task_group=g, units=[u for u in units if u.task_group == g])
+            TestCell(
+                spec=spec,
+                task_group=g,
+                data=CellData(prepared.frame, rows[groups == g], treatment[groups == g]),
+            )
             for g in ("math", "logical")
         ]
         bundle = estimate_all([TestFamily(name="surface", cells=cells)], scope="pooled")
@@ -380,6 +380,14 @@ class TestEstimateAll:
         for est in bundle.estimates:
             assert abs(est.acmgd_naive - 0.05) > 0.03
             assert abs(est.acmgd_sipw - 0.05) < 0.015
+
+    def test_pooled_scope_rejects_cells_on_different_frames(self):
+        cells = [
+            make_cell(n=120, seed=10, task_group="math"),
+            make_cell(n=120, seed=11, task_group="logical"),
+        ]
+        with pytest.raises(ConfigError, match="one unit frame"):
+            estimate_all([TestFamily(name="surface", cells=cells)], scope="pooled")
 
     def test_invalid_scope_and_empty_family(self):
         family = self.make_family()

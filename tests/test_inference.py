@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from editfx.design import CellData, TestCell, TestFamily, TreatmentSpec
+from editfx.design import TestCell, TestFamily, TreatmentSpec
 from editfx.errors import ConfigError, UnstableCellError
 from editfx.estimation import (
-    fit_propensity_packed,
+    fit_propensity,
     predict_probabilities,
     stabilized_weights,
     weighted_difference,
@@ -28,6 +28,7 @@ from editfx.inference import (
     tier_of,
 )
 
+from test_design import make_data
 from test_estimation import make_cell, make_unit
 
 TestFamily.__test__ = False
@@ -65,7 +66,7 @@ def aligned_block_cell():
         make_unit(pair_id=f"c{k}", treatment=0, outcome=0.01 * k, dataset="ds_b")
         for k in range(6)
     ]
-    return TestCell(spec=spec, task_group="math", units=units)
+    return TestCell(spec=spec, task_group="math", data=make_data(units))
 
 
 class TestBhFdr:
@@ -203,8 +204,8 @@ class TestBlockBootstrap:
     def test_naive_recipe_bootstraps_unweighted_difference(self):
         cell = make_cell(n=160, seed=22)
         res = block_bootstrap(cell, BootstrapConfig(resamples=40, seed=4), recipe="naive")
-        t = np.array([u.treatment for u in cell.units], dtype=float)
-        y = np.array([u.outcome for u in cell.units])
+        t = cell.data.treatment.astype(float)
+        y = cell.data.outcome
         expected = y[t == 1].mean() - y[t == 0].mean()
         assert res.estimate == pytest.approx(expected)
 
@@ -220,8 +221,8 @@ class TestBlockBootstrap:
         cell = make_cell(n=160, seed=25)
         cfg = BootstrapConfig(resamples=40, seed=9, refit=refit)
         result = block_bootstrap(cell, cfg)
-        data = CellData(cell.units)
-        full = predict_probabilities(fit_propensity_packed(data), data.encode())
+        data = cell.data
+        full = predict_probabilities(fit_propensity(data), data.encode())
         point_weights = stabilized_weights(data.treatment, full).weights
         n_blocks = len(data.blocks)
         expected = []
@@ -232,7 +233,7 @@ class TestBlockBootstrap:
             if t.min() == t.max():
                 continue
             if refit:
-                model = fit_propensity_packed(data, idx)
+                model = fit_propensity(data, idx)
                 probabilities = predict_probabilities(model, data.encode(idx))
                 weights = stabilized_weights(t, probabilities).weights
             else:
@@ -251,7 +252,7 @@ class TestBlockBootstrap:
         units = [
             make_unit(pair_id=f"u{k}", treatment=k % 2, outcome=0.01 * k) for k in range(10)
         ]
-        cell = TestCell(spec=spec, task_group="math", units=units)
+        cell = TestCell(spec=spec, task_group="math", data=make_data(units))
         with pytest.raises(ConfigError):
             block_bootstrap(cell, BootstrapConfig(resamples=10, seed=0))
         res = block_bootstrap(cell, BootstrapConfig(resamples=10, seed=0), mode="iid")
@@ -289,10 +290,12 @@ class TestBlockBootstrap:
         flat = TestCell(
             spec=spec,
             task_group="math",
-            units=[
-                make_unit(pair_id=f"u{k}", treatment=k % 2, outcome=0.0, dataset=d)
-                for k, d in enumerate(["ds_a", "ds_b"] * 6)
-            ],
+            data=make_data(
+                [
+                    make_unit(pair_id=f"u{k}", treatment=k % 2, outcome=0.0, dataset=d)
+                    for k, d in enumerate(["ds_a", "ds_b"] * 6)
+                ]
+            ),
         )
         res = block_bootstrap(flat, BootstrapConfig(resamples=12, seed=0), recipe="naive")
         assert res.se == 0.0
@@ -300,10 +303,12 @@ class TestBlockBootstrap:
         exact = TestCell(
             spec=spec,
             task_group="math",
-            units=[
-                make_unit(pair_id=f"u{k}", treatment=k % 2, outcome=float(k % 2), dataset=d)
-                for k, d in enumerate(["ds_a", "ds_b"] * 6)
-            ],
+            data=make_data(
+                [
+                    make_unit(pair_id=f"u{k}", treatment=k % 2, outcome=float(k % 2), dataset=d)
+                    for k, d in enumerate(["ds_a", "ds_b"] * 6)
+                ]
+            ),
         )
         res = block_bootstrap(exact, BootstrapConfig(resamples=12, seed=0), recipe="naive")
         assert res.se == 0.0

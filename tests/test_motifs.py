@@ -34,6 +34,11 @@ from conftest import make_record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+def results_of(records):
+    """Each record's diff by pair id, the shape PreparedCorpus.motif_results gives."""
+    return {r.pair_id: record_motifs(r) for r in records}
+
+
 AUDIT_SENTENCE = (
     "Make sure to articulate the reasoning process clearly, "
     "even if it doesn't require detailed breakdowns."
@@ -342,7 +347,7 @@ class TestTreatmentsAndCooccurrence:
 
     def test_motif_treatments_indicators(self):
         records = self.make_corpus()
-        treat = motif_treatments(records)
+        treat = motif_treatments(results_of(records))
         assert set(treat) == {"t1", "c1"}
         assert treat["t1"] == {
             "chain_of_thought": 1,
@@ -351,11 +356,6 @@ class TestTreatmentsAndCooccurrence:
             "clarity_constraint": 0,
         }
         assert treat["c1"] == {label: 0 for label in MOTIF_LABELS}
-
-    def test_motif_treatments_reuses_precomputed_results(self):
-        records = self.make_corpus()
-        results = {r.pair_id: record_motifs(r) for r in records}
-        assert motif_treatments(records, results=results) == motif_treatments(records)
 
     def test_cooccurrence_counts_and_rates(self):
         records = self.make_corpus()
@@ -403,42 +403,41 @@ class TestAuditSample:
     def test_round_robin_over_datasets(self):
         records = self.make_corpus()
         dataset_of = {r.pair_id: r.dataset for r in records}
-        picked = audit_sample(records, "meta_instruction", k=4, seed=7)
+        results = results_of(records)
+        picked = audit_sample(records, "meta_instruction", k=4, seed=7, results=results)
         assert len(picked) == 4
         assert [dataset_of[pid] for pid, _ in picked] == ["ds_a", "ds_b", "ds_a", "ds_b"]
         assert len({pid for pid, _ in picked}) == 4
 
     def test_deterministic_given_seed(self):
         records = self.make_corpus()
-        first = audit_sample(records, "meta_instruction", k=5, seed=3)
-        second = audit_sample(records, "meta_instruction", k=5, seed=3)
+        results = results_of(records)
+        first = audit_sample(records, "meta_instruction", k=5, seed=3, results=results)
+        second = audit_sample(records, "meta_instruction", k=5, seed=3, results=results)
         assert first == second
 
     def test_short_supply_warns(self):
         records = self.make_corpus()
         with pytest.warns(UserWarning, match="only 5 positive spans"):
-            picked = audit_sample(records, "meta_instruction", k=10, seed=0)
+            picked = audit_sample(
+                records, "meta_instruction", k=10, seed=0, results=results_of(records)
+            )
         assert len(picked) == 5
 
     def test_no_positive_spans_for_label(self):
         records = self.make_corpus()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert audit_sample(records, "clarity_constraint", k=2, seed=0) == []
+            results = results_of(records)
+            assert audit_sample(records, "clarity_constraint", k=2, seed=0, results=results) == []
 
     def test_invalid_arguments(self):
         records = self.make_corpus()
+        results = results_of(records)
         with pytest.raises(ConfigError):
-            audit_sample(records, "bogus_label", k=2, seed=0)
+            audit_sample(records, "bogus_label", k=2, seed=0, results=results)
         with pytest.raises(ConfigError):
-            audit_sample(records, "meta_instruction", k=0, seed=0)
-
-    def test_precomputed_results_match(self):
-        records = self.make_corpus()
-        results = {r.pair_id: record_motifs(r) for r in records}
-        direct = audit_sample(records, "meta_instruction", k=4, seed=7)
-        cached = audit_sample(records, "meta_instruction", k=4, seed=7, results=results)
-        assert direct == cached
+            audit_sample(records, "meta_instruction", k=0, seed=0, results=results)
 
 
 class TestRuleset:
