@@ -90,6 +90,7 @@ def irls_logistic(matrix: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool, 
     beta = np.zeros(p)
     beta[0] = np.log(rate / (1.0 - rate)) if 0.0 < rate < 1.0 else 0.0
     objective = _penalized_loglik(design, y, beta)
+    diagonal = np.diag_indices(p)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
@@ -97,7 +98,7 @@ def irls_logistic(matrix: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool, 
         grad = design.T @ (y - mu) - penalty * beta
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         hessian = (design * w[:, None]).T @ design
-        hessian[np.diag_indices_from(hessian)] += penalty
+        hessian[diagonal] += penalty
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:
@@ -109,8 +110,11 @@ def irls_logistic(matrix: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool, 
             if new_objective >= objective - 1e-12:
                 break
             scale *= 0.5
-        beta = beta + scale * step
-        objective = _penalized_loglik(design, y, beta)
+        else:
+            # Every halving failed: take one more, as a tiny step.
+            candidate = beta + scale * step
+            new_objective = _penalized_loglik(design, y, candidate)
+        beta, objective = candidate, new_objective
         if float(np.max(np.abs(scale * step))) < COEF_TOLERANCE:
             converged = True
             break

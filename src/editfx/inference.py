@@ -87,7 +87,8 @@ def block_bootstrap(
     cfg.refit is false); "naive" bootstraps the unweighted difference.
     mode "block" resamples whole blocks with replacement, keeping the
     original block count; mode "iid" resamples units, for comparison
-    only. Resamples that empty an arm are discarded and counted.
+    only. Resamples that empty an arm are discarded and counted. Block
+    resamples that repeat an earlier drawn sequence reuse its outcome.
     """
     if recipe not in ("sipw", "naive"):
         raise ConfigError("recipe must be 'sipw' or 'naive'")
@@ -113,6 +114,19 @@ def block_bootstrap(
     if recipe == "naive":
         point = estimator(np.arange(data.n))
 
+    def outcome(idx: np.ndarray) -> float | None:
+        """The resample's estimate, or None when it is discarded."""
+        t = data.treatment[idx]
+        if t.min() == t.max():
+            return None
+        try:
+            return estimator(idx)
+        except (PositivityError, DegenerateCellError):
+            return None
+
+    # The same drawn block sequence gives the same rows and so the same
+    # outcome; each distinct sequence is estimated once per call.
+    memo: dict[bytes, float | None] = {}
     estimates = np.empty(cfg.resamples)
     valid = 0
     discarded = 0
@@ -120,19 +134,17 @@ def block_bootstrap(
         rng = np.random.default_rng([cfg.seed, r])
         if mode == "block":
             drawn = rng.integers(0, n_blocks, size=n_blocks)
-            idx = np.concatenate([data.block_members[b] for b in drawn])
+            key = drawn.tobytes()
+            if key not in memo:
+                memo[key] = outcome(np.concatenate([data.block_members[b] for b in drawn]))
+            value = memo[key]
         else:
-            idx = rng.integers(0, data.n, size=data.n)
-        t = data.treatment[idx]
-        if t.min() == t.max():
+            value = outcome(rng.integers(0, data.n, size=data.n))
+        if value is None:
             discarded += 1
-            continue
-        try:
-            estimates[valid] = estimator(idx)
-        except (PositivityError, DegenerateCellError):
-            discarded += 1
-            continue
-        valid += 1
+        else:
+            estimates[valid] = value
+            valid += 1
     if valid < cfg.resamples / 2:
         raise UnstableCellError(
             f"only {valid} of {cfg.resamples} resamples were valid"

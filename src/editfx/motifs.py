@@ -251,8 +251,11 @@ def extract_spans(script: list[EditRun], after_text: str) -> list[InsertedSpan]:
     """Materialize inserted runs of >= 4 tokens, with original-case text.
 
     The script must come from the token stream of after_text so that
-    token offsets line up.
+    token offsets line up. The text is tokenized only when the script has
+    a run long enough to become a span.
     """
+    if not any(run.op == "insert" and len(run.tokens) >= MIN_SPAN_TOKENS for run in script):
+        return []
     offsets = tokenize_with_offsets(after_text)
     spans: list[InsertedSpan] = []
     pos = 0

@@ -53,6 +53,10 @@ _SENTENCE_SPLIT = re.compile(r"[.!?]")
 # apostrophes) is kept and runs that strip to nothing yield no token.
 # For str patterns \s is str.isspace and [^\W_] is str.isalnum.
 _TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
+# ASCII bytes that are not letters, and not uppercase letters, by the
+# str predicates; deleting them from an ASCII text leaves what is counted.
+_NOT_ALPHA = bytes(b for b in range(128) if not chr(b).isalpha())
+_NOT_UPPER = bytes(b for b in range(128) if not (chr(b).isalpha() and chr(b).isupper()))
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,14 @@ def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
     return [(m.group().lower(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
 
 
+def letter_counts(text: str) -> tuple[int, int]:
+    """(letters, uppercase letters) of text, by str.isalpha and str.isupper."""
+    if text.isascii():
+        data = text.encode("ascii")
+        return len(data.translate(None, _NOT_ALPHA)), len(data.translate(None, _NOT_UPPER))
+    return sum(map(str.isalpha, text)), sum(map(str.isupper, filter(str.isalpha, text)))
+
+
 def compression_ratio(text: str) -> float:
     """Raw DEFLATE (level 6) size over UTF-8 size; 0.0 for empty text.
 
@@ -149,7 +161,7 @@ def extract(state: PromptState, lists: WordLists | None = None) -> dict[str, flo
             return 0.0
         return sum(1 for t in tokens if t in words) / n_words
 
-    letters = [c for c in text if c.isalpha()]
+    letters, upper = letter_counts(text)
     numbered = any(_NUMBERED_LINE.match(line) for line in text.splitlines())
 
     return {
@@ -166,9 +178,7 @@ def extract(state: PromptState, lists: WordLists | None = None) -> dict[str, flo
         "avg_word_length": (sum(len(t) for t in tokens) / n_words) if n_words else 0.0,
         "question_count": float(text.count("?")),
         "imperative_density": density(lists.imperative_verbs),
-        "uppercase_ratio": (
-            sum(1 for c in letters if c.isupper()) / len(letters) if letters else 0.0
-        ),
+        "uppercase_ratio": upper / letters if letters else 0.0,
     }
 
 

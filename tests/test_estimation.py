@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
+import editfx.estimation as estimation
 from editfx.design import CellData, TestCell, TreatmentSpec
 from editfx.errors import ConfigError, DegenerateCellError, PositivityError, SchemaError
 from editfx.estimation import (
@@ -40,6 +42,64 @@ def neg_penalized_loglik(beta, design, y, ridge):
     eta = design @ beta
     loglik = np.sum(y * eta - np.logaddexp(0.0, eta))
     return -(loglik - 0.5 * ridge * np.sum(beta[1:] ** 2))
+
+
+def reference_irls(matrix, y):
+    # The former irls_logistic, kept as the oracle for the trimmed one: it
+    # rebuilds the accepted point and its objective after the line search.
+    # It reads the module's objective and iteration cap at call time, as
+    # irls_logistic does, so both see the same patches.
+    n = matrix.shape[0]
+    design = np.hstack([np.ones((n, 1)), matrix])
+    p = design.shape[1]
+    penalty = np.full(p, RIDGE_LAMBDA)
+    penalty[0] = 0.0
+    rate = float(np.mean(y))
+    beta = np.zeros(p)
+    beta[0] = np.log(rate / (1.0 - rate)) if 0.0 < rate < 1.0 else 0.0
+    objective = estimation._penalized_loglik(design, y, beta)
+    converged = False
+    iterations = 0
+    for iterations in range(1, estimation.MAX_ITERATIONS + 1):
+        mu = expit(design @ beta)
+        grad = design.T @ (y - mu) - penalty * beta
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        hessian = (design * w[:, None]).T @ design
+        hessian[np.diag_indices_from(hessian)] += penalty
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        scale = 1.0
+        for _ in range(30):
+            candidate = beta + scale * step
+            new_objective = estimation._penalized_loglik(design, y, candidate)
+            if new_objective >= objective - 1e-12:
+                break
+            scale *= 0.5
+        beta = beta + scale * step
+        objective = estimation._penalized_loglik(design, y, beta)
+        if float(np.max(np.abs(scale * step))) < estimation.COEF_TOLERANCE:
+            converged = True
+            break
+    return beta, converged, iterations
+
+
+def irls_design(kind, n, p, seed):
+    """A (matrix, y) pair of one awkward shape for the IRLS oracle check."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n, p))
+    if kind == "separable":
+        y = (matrix[:, 0] > 0).astype(float)
+    elif kind == "near_constant":
+        matrix = 3.0 + 1e-9 * matrix
+        y = (rng.random(n) < 0.3).astype(float)
+    elif kind == "rank_deficient":
+        matrix[:, -1] = matrix[:, 0] if p > 1 else 0.0
+        y = (rng.random(n) < expit(matrix[:, 0])).astype(float)
+    else:
+        y = (rng.random(n) < expit(matrix @ rng.normal(size=p))).astype(float)
+    return matrix, y
 
 
 def make_units(n=200, seed=0, tau=0.05, beta_x=0.1, gamma=1.0, task_group="math"):
@@ -123,6 +183,48 @@ class TestIrls:
         assert iterations == 1
         assert beta[0] == pytest.approx(logit(0.3))
         assert beta[1] == pytest.approx(0.0)
+
+    @given(
+        st.sampled_from(["separable", "near_constant", "rank_deficient", "random"]),
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_reference(self, kind, n, p, seed):
+        matrix, y = irls_design(kind, n, p, seed)
+        beta, converged, iterations = irls_logistic(matrix, y)
+        ref_beta, ref_converged, ref_iterations = reference_irls(matrix, y)
+        assert np.array_equal(beta, ref_beta)
+        assert converged == ref_converged
+        assert iterations == ref_iterations
+
+    @pytest.mark.parametrize("max_iterations", [1, 100])
+    def test_exhausted_line_search_takes_one_more_halving(self, monkeypatch, max_iterations):
+        # Every candidate of the first line search is rejected, so the
+        # first step is scaled by 0.5**30, one halving past the last tried.
+        matrix, y = irls_design("random", 50, 3, seed=5)
+        real = estimation._penalized_loglik
+        calls = []
+
+        def rejecting(design, y, beta):
+            calls.append(beta.copy())
+            return -np.inf if 2 <= len(calls) <= 31 else real(design, y, beta)
+
+        monkeypatch.setattr(estimation, "_penalized_loglik", rejecting)
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", max_iterations)
+        beta, converged, iterations = irls_logistic(matrix, y)
+        first_point = calls[31]
+        calls.clear()
+        ref_beta, ref_converged, ref_iterations = reference_irls(matrix, y)
+        assert np.array_equal(first_point, calls[31])
+        step = calls[1] - calls[0]
+        np.testing.assert_allclose(calls[30] - calls[0], 0.5**29 * step, rtol=1e-4)
+        np.testing.assert_allclose(calls[31] - calls[0], 0.5**30 * step, rtol=1e-4)
+        assert np.array_equal(beta, ref_beta)
+        assert (converged, iterations) == (ref_converged, ref_iterations)
+        if max_iterations == 1:
+            assert np.array_equal(beta, first_point)
 
     def test_nonfinite_matrix_rejected(self):
         matrix = np.array([[1.0], [np.nan]])

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import editfx.estimation as estimation
 from editfx.design import TestCell, TestFamily, TreatmentSpec
-from editfx.errors import ConfigError, UnstableCellError
+from editfx.errors import ConfigError, DegenerateCellError, PositivityError, UnstableCellError
 from editfx.estimation import (
     fit_propensity,
     predict_probabilities,
+    sipw,
     stabilized_weights,
     weighted_difference,
 )
@@ -67,6 +69,61 @@ def aligned_block_cell():
         for k in range(6)
     ]
     return TestCell(spec=spec, task_group="math", data=make_data(units))
+
+
+def three_block_cell(arms=("mixed", "mixed", "mixed"), per_block=30, seed=0):
+    """A cell with one block per dataset ds_a, ds_b, ds_c; each block's arm
+    is "treated", "control" or "mixed" (treatment tied to word count)."""
+    rng = np.random.default_rng(seed)
+    spec = TreatmentSpec(view="surface", feature_name="word_count")
+    units = []
+    for dataset, arm in zip(("ds_a", "ds_b", "ds_c"), arms):
+        for k in range(per_block):
+            x = float(rng.normal())
+            t = {"treated": 1, "control": 0}.get(arm, int(rng.random() < 1.0 / (1.0 + np.exp(-x))))
+            units.append(
+                make_unit(
+                    pair_id=f"{dataset}-{k}",
+                    treatment=t,
+                    outcome=float(0.05 * t + 0.1 * x + 0.02 * rng.normal()),
+                    p1_word_count=20.0 + 4.0 * x,
+                    dataset=dataset,
+                )
+            )
+    return TestCell(spec=spec, task_group="math", data=make_data(units))
+
+
+def drawn_sequences(cell, cfg):
+    """Each resample's drawn block sequence, as block_bootstrap draws it."""
+    n_blocks = len(cell.data.blocks)
+    return [
+        np.random.default_rng([cfg.seed, r]).integers(0, n_blocks, size=n_blocks)
+        for r in range(cfg.resamples)
+    ]
+
+
+def memo_free_bootstrap(cell, cfg, recipe):
+    """(estimates, valid, discarded) with every resample estimated afresh."""
+    data = cell.data
+    point_weights = sipw(data)[1].weights
+    estimates = []
+    discarded = 0
+    for drawn in drawn_sequences(cell, cfg):
+        idx = np.concatenate([data.block_members[b] for b in drawn])
+        t = data.treatment[idx].astype(np.float64)
+        if t.min() == t.max():
+            discarded += 1
+            continue
+        try:
+            if recipe == "naive":
+                estimates.append(weighted_difference(t, data.outcome[idx], np.ones(len(idx))))
+            elif cfg.refit:
+                estimates.append(sipw(data, idx)[0])
+            else:
+                estimates.append(weighted_difference(t, data.outcome[idx], point_weights[idx]))
+        except (PositivityError, DegenerateCellError):
+            discarded += 1
+    return np.array(estimates), len(estimates), discarded
 
 
 class TestBhFdr:
@@ -241,6 +298,38 @@ class TestBlockBootstrap:
             expected.append(weighted_difference(t, data.outcome[idx], weights))
         assert result.valid_resamples == len(expected) > 0
         np.testing.assert_array_equal(result.resample_estimates, expected)
+
+    def test_each_distinct_draw_is_fitted_once(self, monkeypatch):
+        cell = three_block_cell()
+        cfg = BootstrapConfig(resamples=200, seed=11)
+        fits = []
+        real = estimation.irls_logistic
+        monkeypatch.setattr(
+            estimation, "irls_logistic", lambda matrix, y: fits.append(1) or real(matrix, y)
+        )
+        res = block_bootstrap(cell, cfg)
+        distinct = {drawn.tobytes() for drawn in drawn_sequences(cell, cfg)}
+        assert res.valid_resamples == 200
+        assert len(fits) == len(distinct) + 1
+        assert len(distinct) <= 27
+
+    @pytest.mark.parametrize(
+        "recipe, refit", [("sipw", True), ("sipw", False), ("naive", True)]
+    )
+    def test_memo_matches_memo_free_replay(self, recipe, refit):
+        cell = three_block_cell(arms=("treated", "control", "mixed"), seed=3)
+        cfg = BootstrapConfig(resamples=200, seed=12, refit=refit)
+        res = block_bootstrap(cell, cfg, recipe=recipe)
+        estimates, valid, discarded = memo_free_bootstrap(cell, cfg, recipe)
+        one_armed = [
+            drawn.tobytes()
+            for drawn in drawn_sequences(cell, cfg)
+            if set(drawn.tolist()) <= {0} or set(drawn.tolist()) <= {1}
+        ]
+        assert len(one_armed) > len(set(one_armed)) > 0  # repeated discards
+        assert res.discarded == discarded >= len(one_armed)
+        assert res.valid_resamples == valid == 200 - discarded
+        assert np.array_equal(res.resample_estimates, estimates)
 
     def test_iid_mode_runs(self):
         cell = make_cell(n=160, seed=24)

@@ -237,6 +237,23 @@ class TestExtractSpans:
         with pytest.raises(SchemaError):
             extract_spans(script, "a b")
 
+    def test_text_is_tokenized_only_for_a_long_insert(self, monkeypatch):
+        import editfx.motifs as motifs
+
+        calls = []
+        real = motifs.tokenize_with_offsets
+        monkeypatch.setattr(
+            motifs, "tokenize_with_offsets", lambda text: calls.append(text) or real(text)
+        )
+        before = "alpha beta gamma"
+        short = "alpha one two three gamma"
+        assert extract_spans(word_diff(tokenize(before), tokenize(short)), short) == []
+        assert calls == []
+        long = "alpha one two three four gamma"
+        spans = extract_spans(word_diff(tokenize(before), tokenize(long)), long)
+        assert [s.text for s in spans] == ["one two three four"]
+        assert calls == [long]
+
     def test_span_validates_min_tokens(self):
         with pytest.raises(ValueError):
             InsertedSpan(tokens=("a", "b", "c"), start_index=0, text="a b c")

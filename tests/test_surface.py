@@ -18,6 +18,7 @@ from editfx.surface import (
     default_wordlists,
     delta,
     extract,
+    letter_counts,
     sentence_count,
     tokenize,
     tokenize_with_offsets,
@@ -61,6 +62,17 @@ TRICKY_CHARS = (
 token_text_st = st.text(
     alphabet=st.one_of(st.sampled_from(TRICKY_CHARS), st.characters()), max_size=200
 )
+
+
+def uppercase_ratio_oracle(text):
+    # The former list-building count, kept as the oracle for letter_counts.
+    letters = [c for c in text if c.isalpha()]
+    return sum(1 for c in letters if c.isupper()) / len(letters) if letters else 0.0
+
+
+# Ⓐ is uppercase but not a letter; ǅ, ᾈ and ῼ are titlecase letters,
+# neither upper nor lower; ª is a letter with no case.
+CASE_TRICKY_CHARS = "AZaz@[`{\u24b6\u24d0\u01c5\u1f88\u1ffc\u00aa\u00c0\u00df\u0130\u2167\uff21 1_"
 
 
 def vec(text, demos=0, lists=None):
@@ -172,6 +184,34 @@ class TestFeatures:
     def test_uppercase_ratio_letters_only(self):
         assert vec("AB cd 123 !!")["uppercase_ratio"] == pytest.approx(0.5)
         assert vec("123 456")["uppercase_ratio"] == 0.0
+
+    def test_letter_counts_match_str_predicates_on_every_code_point(self):
+        for code in range(0x110000):
+            c = chr(code)
+            expected = (1, int(c.isupper())) if c.isalpha() else (0, 0)
+            assert letter_counts(c) == expected, hex(code)
+        every = "".join(map(chr, range(0x110000)))
+        letters, upper = letter_counts(every)
+        assert upper / letters == uppercase_ratio_oracle(every)
+
+    def test_uppercase_ratio_tricky_letters(self):
+        assert vec("\u24b6\u24b6a")["uppercase_ratio"] == 0.0
+        assert vec("\u01c5A")["uppercase_ratio"] == 0.5
+        assert vec("\u01c5\u1f88\u1ffc")["uppercase_ratio"] == 0.0
+        assert vec("A\u00aa\u00df")["uppercase_ratio"] == pytest.approx(1 / 3)
+
+    @given(
+        st.text(
+            alphabet=st.one_of(st.sampled_from(CASE_TRICKY_CHARS), st.characters()),
+            max_size=300,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_uppercase_ratio_matches_list_oracle(self, text):
+        assert vec(text)["uppercase_ratio"] == uppercase_ratio_oracle(text)
+        assert vec(text.encode("ascii", "ignore").decode())["uppercase_ratio"] == (
+            uppercase_ratio_oracle(text.encode("ascii", "ignore").decode())
+        )
 
     def test_avg_word_length(self):
         assert vec("ab cdef")["avg_word_length"] == pytest.approx(3.0)
