@@ -189,6 +189,13 @@ class TestCell:
     def cell_id(self) -> str:
         return f"{self.spec.view}:{self.spec.feature_name}:{self.task_group}"
 
+    @cached_property
+    def point_fit(self):
+        """The cell-scope SIPW (estimate, WeightVector), fitted once for estimate and bootstrap."""
+        from .estimation import sipw  # estimation imports this module
+
+        return sipw(self.data)
+
     @property
     def units(self) -> np.recarray:
         """Frame rows with a `block_id` field, for the benchmark tracer until ROADMAP item 5."""
@@ -198,9 +205,14 @@ class TestCell:
 
 @dataclass
 class TestFamily:
+    """Cells tested together under one BH correction, sorted by (feature, task group)."""
+
     name: str
     cells: list[TestCell]
     excluded: list[tuple[str, str, str]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.cells = sorted(self.cells, key=lambda c: (c.spec.feature_name, c.task_group))
 
     @property
     def m(self) -> int:
@@ -340,7 +352,7 @@ def enumerate_families(
     frame = prepared.frame
     families = []
     for view in views:
-        family = TestFamily(name=view, cells=[])
+        cells, excluded = [], []
         for feature in view_features(view):
             spec = TreatmentSpec(view=view, feature_name=feature)
             rows, treatment = build_units(prepared, spec)
@@ -359,11 +371,11 @@ def enumerate_families(
                     )
                 else:
                     data = CellData(frame, rows[in_group], treatment[in_group])
-                    family.cells.append(TestCell(spec=spec, task_group=group, data=data))
+                    cells.append(TestCell(spec=spec, task_group=group, data=data))
                     continue
-                family.excluded.append((spec.cell_id, group, reason))
-        if family.cells:
-            families.append(family)
+                excluded.append((spec.cell_id, group, reason))
+        if cells:
+            families.append(TestFamily(name=view, cells=cells, excluded=excluded))
         else:
             warnings.warn(f"family '{view}' has no testable cells; dropped", stacklevel=2)
     return families

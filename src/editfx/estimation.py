@@ -239,7 +239,10 @@ def estimate_cell(
     n_control = int(len(t) - t.sum())
     if n_treated == 0 or n_control == 0:
         raise PositivityError(f"cell {cell.cell_id} has an empty arm")
-    estimate, wv = sipw(data, probabilities=probabilities, rate=rate)
+    if probabilities is None and rate is None:
+        estimate, wv = cell.point_fit
+    else:
+        estimate, wv = sipw(data, probabilities=probabilities, rate=rate)
     naive = weighted_difference(t, data.outcome, np.ones_like(t))
     return CellEstimate(
         view=cell.spec.view,
@@ -264,7 +267,7 @@ def estimate_all(
     families: list[TestFamily],
     scope: str = "cell",
 ) -> EstimateBundle:
-    """Estimates for every cell of every family, in sorted cell order.
+    """Estimates for every cell of every family, in family cell order.
 
     scope="cell" fits the propensity per cell; scope="pooled" fits one
     model per feature on all of its groups pooled, and gives each cell
@@ -278,11 +281,10 @@ def estimate_all(
     for family in families:
         if not family.cells:
             raise ConfigError(f"family '{family.name}' has no cells")
-        cells = sorted(family.cells, key=lambda c: (c.spec.feature_name, c.task_group))
         pooled: dict[str, tuple[np.ndarray, float]] = {}
-        features = {c.spec.feature_name for c in cells} if scope == "pooled" else set()
+        features = {c.spec.feature_name for c in family.cells} if scope == "pooled" else set()
         for feature in sorted(features):
-            group = [c for c in cells if c.spec.feature_name == feature]
+            group = [c for c in family.cells if c.spec.feature_name == feature]
             frame = group[0].data.frame
             if any(c.data.frame is not frame for c in group):
                 raise ConfigError(f"pooled scope needs one unit frame for '{feature}'")
@@ -301,7 +303,7 @@ def estimate_all(
             return estimate_cell(cell, probabilities=probabilities, rate=rate)
 
         gaps = []
-        for item in map_cells(one, cells, (PositivityError, DegenerateCellError)):
+        for item in map_cells(one, family.cells, (PositivityError, DegenerateCellError)):
             if isinstance(item, CellEstimate):
                 bundle.estimates.append(item)
                 gaps.append(item.confounding_magnitude)

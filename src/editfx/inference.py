@@ -26,18 +26,6 @@ TIER_MARKERS = {TIER_BH: "★", TIER_UNCORRECTED: "*", TIER_NONE: ""}
 
 
 @dataclass(frozen=True)
-class BootstrapConfig:
-    resamples: int = 500
-    seed: int = 0
-    refit: bool = True
-    percentile_p: bool = False
-
-    def __post_init__(self):
-        if self.resamples < 2:
-            raise ConfigError("resamples must be >= 2")
-
-
-@dataclass(frozen=True)
 class BootstrapResult:
     estimate: float
     se: float
@@ -76,15 +64,20 @@ def derive_cell_seed(master_seed: int, view: str, feature: str, group: str) -> i
 
 def block_bootstrap(
     cell: TestCell,
-    cfg: BootstrapConfig,
+    *,
+    resamples: int = 500,
+    seed: int = 0,
+    refit: bool = True,
+    percentile_p: bool = False,
     recipe: str = "sipw",
     mode: str = "block",
 ) -> BootstrapResult:
-    """Bootstrap one cell's estimate.
+    """Bootstrap one cell's estimate over `resamples` draws (at least 2, as RunConfig checks).
 
     recipe "sipw" reruns propensity fit, weighting, and the weighted
     difference per resample (or reuses the point-estimate weights when
-    cfg.refit is false); "naive" bootstraps the unweighted difference.
+    refit is false), around the cell's own fit `cell.point_fit`; "naive"
+    bootstraps the unweighted difference.
     mode "block" resamples whole blocks with replacement, keeping the
     original block count; mode "iid" resamples units, for comparison
     only. Resamples that empty an arm are discarded and counted. Block
@@ -101,8 +94,8 @@ def block_bootstrap(
 
     weights = np.ones(data.n)
     if recipe == "sipw":
-        point, point_weights = sipw(data)
-        weights = None if cfg.refit else point_weights.weights
+        point, point_weights = cell.point_fit
+        weights = None if refit else point_weights.weights
 
     def estimator(idx: np.ndarray) -> float:
         """The recipe's estimate on rows idx; refits when weights is None."""
@@ -127,11 +120,11 @@ def block_bootstrap(
     # The same drawn block sequence gives the same rows and so the same
     # outcome; each distinct sequence is estimated once per call.
     memo: dict[bytes, float | None] = {}
-    estimates = np.empty(cfg.resamples)
+    estimates = np.empty(resamples)
     valid = 0
     discarded = 0
-    for r in range(cfg.resamples):
-        rng = np.random.default_rng([cfg.seed, r])
+    for r in range(resamples):
+        rng = np.random.default_rng([seed, r])
         if mode == "block":
             drawn = rng.integers(0, n_blocks, size=n_blocks)
             key = drawn.tobytes()
@@ -145,13 +138,11 @@ def block_bootstrap(
         else:
             estimates[valid] = value
             valid += 1
-    if valid < cfg.resamples / 2:
-        raise UnstableCellError(
-            f"only {valid} of {cfg.resamples} resamples were valid"
-        )
+    if valid < resamples / 2:
+        raise UnstableCellError(f"only {valid} of {resamples} resamples were valid")
     kept = estimates[:valid]
     se = float(np.std(kept, ddof=1))
-    if cfg.percentile_p:
+    if percentile_p:
         frac_low = float(np.mean(kept <= 0.0))
         frac_high = float(np.mean(kept >= 0.0))
         p_value = min(1.0, 2.0 * min(frac_low, frac_high))
@@ -208,40 +199,36 @@ def tier_of(p_value: float, q_value: float, alpha: float = 0.05) -> str:
     return TIER_NONE
 
 
-def infer_family(
-    family: TestFamily,
+def infer_all(
+    families: list[TestFamily],
     master_seed: int = 0,
     resamples: int = 500,
     alpha: float = 0.05,
     refit: bool = True,
     percentile_p: bool = False,
 ) -> tuple[list[InferenceResult], list[tuple[str, str]]]:
-    """Bootstrap every cell of one family, then BH-correct within it.
+    """Bootstrap every cell, then BH-correct within each family, never across.
 
-    Cells whose bootstrap is unstable are skipped and do not count
-    toward the family's m. Per-cell seeds derive from the master seed
-    and the cell identity alone.
+    Cells run in family order. A cell whose bootstrap is unstable is
+    skipped and does not count toward its family's m. Per-cell seeds
+    derive from the master seed and the cell identity alone.
     """
-    cells = sorted(family.cells, key=lambda c: (c.spec.feature_name, c.task_group))
 
     def one(cell: TestCell) -> BootstrapResult:
-        cfg = BootstrapConfig(
-            resamples=resamples,
-            seed=derive_cell_seed(
-                master_seed, cell.spec.view, cell.spec.feature_name, cell.task_group
-            ),
-            refit=refit,
-            percentile_p=percentile_p,
+        spec = cell.spec
+        seed = derive_cell_seed(master_seed, spec.view, spec.feature_name, cell.task_group)
+        return block_bootstrap(
+            cell, resamples=resamples, seed=seed, refit=refit, percentile_p=percentile_p
         )
-        return block_bootstrap(cell, cfg)
 
-    outcomes = map_cells(one, cells, (ConfigError, UnstableCellError, PositivityError))
-    tested = [
-        (cell, res) for cell, res in zip(cells, outcomes) if isinstance(res, BootstrapResult)
-    ]
-    skipped = [res for res in outcomes if not isinstance(res, BootstrapResult)]
     results: list[InferenceResult] = []
-    if tested:
+    skipped: list[tuple[str, str]] = []
+    for family in families:
+        outcomes = map_cells(one, family.cells, (ConfigError, UnstableCellError, PositivityError))
+        tested = [(c, r) for c, r in zip(family.cells, outcomes) if isinstance(r, BootstrapResult)]
+        skipped += [r for r in outcomes if not isinstance(r, BootstrapResult)]
+        if not tested:
+            continue
         q_values, _ = bh_fdr([res.p_value for _, res in tested], alpha=alpha)
         for (cell, res), q in zip(tested, q_values):
             results.append(
@@ -257,29 +244,4 @@ def infer_family(
                     valid_resamples=res.valid_resamples,
                 )
             )
-    return results, skipped
-
-
-def infer_all(
-    families: list[TestFamily],
-    master_seed: int = 0,
-    resamples: int = 500,
-    alpha: float = 0.05,
-    refit: bool = True,
-    percentile_p: bool = False,
-) -> tuple[list[InferenceResult], list[tuple[str, str]]]:
-    """infer_family over every family; BH is never pooled across them."""
-    results: list[InferenceResult] = []
-    skipped: list[tuple[str, str]] = []
-    for family in families:
-        family_results, family_skipped = infer_family(
-            family,
-            master_seed=master_seed,
-            resamples=resamples,
-            alpha=alpha,
-            refit=refit,
-            percentile_p=percentile_p,
-        )
-        results.extend(family_results)
-        skipped.extend(family_skipped)
     return results, skipped

@@ -38,6 +38,7 @@ from .robustness import (
     loo_stability,
     per_dataset_cate,
     receptivity,
+    spread,
 )
 from .store import ComparisonRecord, TASK_GROUPS, compute_stats
 
@@ -58,7 +59,7 @@ BUNDLE_FILES = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Analysis settings: defaults, overlaid by a JSON config file, then flags."""
+    """Analysis settings (defaults < JSON config file < flags), all checked before any stage."""
 
     seed: int = 0
     alpha: float = 0.05
@@ -84,6 +85,12 @@ class RunConfig:
                 )
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.scope not in ("cell", "pooled"):
+            raise ConfigError(f"scope must be 'cell' or 'pooled', got {self.scope!r}")
+        if self.resamples < 2:
+            raise ConfigError(f"resamples must be >= 2, got {self.resamples}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
 def write_text(path: Path, text: str) -> None:
@@ -202,7 +209,7 @@ def render_family_table(
     estimate_rows need view/feature/task_group/acmgd_sipw; inference_rows
     contribute p_value and q_value per cell and may be empty. Spread is
     max minus min over each feature's group estimates, computed at full
-    precision and displayed at 3 decimals.
+    precision by robustness.spread and displayed at 3 decimals.
     """
     cells, groups, features = _grid(view, estimate_rows)
     tests = {
@@ -213,19 +220,19 @@ def render_family_table(
     lines = []
     for feature in features:
         row = [feature]
-        values = []
+        values = {}
         for group in groups:
             value = cells.get((feature, group))
             if value is None:
                 row.append("")
                 continue
-            values.append(value)
+            values[group] = value
             marker = ""
             if (feature, group) in tests:
                 p_value, q_value = tests[(feature, group)]
                 marker = TIER_MARKERS[tier_of(p_value, q_value, alpha)]
             row.append(f"{value:+.3f}{marker}")
-        row.append(_fmt(max(values) - min(values)) if len(values) >= 2 else "")
+        row.append(_fmt(spread(values)) if len(values) >= 2 else "")
         lines.append(row)
     return f"# {LEGEND}\n" + csv_text(["feature", *groups, "spread"], lines)
 

@@ -193,7 +193,7 @@ def baseline_cells(
         TestCell(spec=spec, task_group=group, data=CellData(frame, rows[mask], treatment[mask]))
         for group, mask in zip(groups, in_group)
     ]
-    return cells, [sipw(cell.data)[0] for cell in cells]
+    return cells, [cell.point_fit[0] for cell in cells]
 
 
 def loo_stability(

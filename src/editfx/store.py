@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -320,6 +321,26 @@ def compute_stats(
     )
 
 
+# Only a \uD800-\uDFFF escape can decode to a lone surrogate.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _load_line(raw: bytes) -> dict[str, Any] | None:
+    """One UTF-8 JSONL line as a JSON object whose text is all UTF-8; None if blank."""
+    line = raw.decode("utf-8").strip()
+    if not line:
+        return None
+    doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise IngestError("line is not a JSON object")
+    if _SURROGATE_ESCAPE.search(line):
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise IngestError(f"lone surrogate {exc.object[exc.start]!r} is not text") from exc
+    return doc
+
+
 def ingest(
     path: str | Path, strict: bool = True
 ) -> tuple[list[ComparisonRecord], StoreStats]:
@@ -327,8 +348,8 @@ def ingest(
 
     In strict mode the first invalid line aborts the whole ingest; in lenient
     mode invalid lines are skipped and counted in StoreStats.skipped_count.
-    Duplicate pair_ids are invalid in both modes (the duplicate line is the
-    offending one).
+    Duplicate pair_ids (on the later line), bytes that are not UTF-8 and
+    lone surrogate escapes are invalid in both modes.
     """
     path = Path(path)
     if not path.is_file():
@@ -337,25 +358,19 @@ def ingest(
     records: list[ComparisonRecord] = []
     seen_ids: set[str] = set()
     skipped = 0
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
             try:
-                doc = json.loads(line)
-                if not isinstance(doc, dict):
-                    raise IngestError("line is not a JSON object")
+                doc = _load_line(raw)
+                if doc is None:
+                    continue
                 record = parse_record(doc)
                 if record.pair_id in seen_ids:
                     raise IngestError(f"duplicate pair_id '{record.pair_id}'")
             except (IngestError, ValueError, TypeError) as exc:
                 if strict:
-                    if isinstance(exc, IngestError) and exc.line_number is None:
-                        raise IngestError(str(exc), line_number) from exc
-                    if not isinstance(exc, IngestError):
-                        raise IngestError(f"invalid JSON: {exc}", line_number) from exc
-                    raise
+                    message = str(exc) if isinstance(exc, IngestError) else f"invalid JSON: {exc}"
+                    raise IngestError(message, line_number) from exc
                 skipped += 1
                 log.warning("skipping invalid line %d: %s", line_number, exc)
                 continue

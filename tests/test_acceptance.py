@@ -32,7 +32,7 @@ from editfx.estimation import (
     predict_probabilities,
     stabilized_weights,
 )
-from editfx.inference import BootstrapConfig, bh_fdr, block_bootstrap
+from editfx.inference import bh_fdr, block_bootstrap
 from editfx.motifs import MIN_SPAN_TOKENS, apply_script, classify, extract_spans, word_diff
 from editfx.report import render_from_artifacts, run_report, write_json
 from editfx.robustness import SignReversalSpec, ceiling, loo_stability, partial_r2
@@ -140,7 +140,7 @@ def test_criterion_02_null_calibration(capsys):
             cell = TestCell(
                 spec=WORD_COUNT_SPEC, task_group="math", data=data_from_synth(records)
             )
-            result = block_bootstrap(cell, BootstrapConfig(resamples=resamples, seed=2000 + rep))
+            result = block_bootstrap(cell, resamples=resamples, seed=2000 + rep)
             rejections += result.p_value < 0.05
         elapsed = time.monotonic() - t0
         rate = rejections / reps
@@ -272,12 +272,12 @@ def test_criterion_05_block_resampling_validity(capsys):
     """Clustered outcomes: block resampling widens the SE; seeds are exact."""
     with criterion(capsys, 5, "block resampling validity") as c:
         cell = clustered_cell(seed=0)
-        cfg = BootstrapConfig(resamples=400, seed=0)
-        block = block_bootstrap(cell, cfg, recipe="naive", mode="block")
-        iid = block_bootstrap(cell, cfg, recipe="naive", mode="iid")
+        cfg = dict(resamples=400, seed=0)
+        block = block_bootstrap(cell, **cfg, recipe="naive", mode="block")
+        iid = block_bootstrap(cell, **cfg, recipe="naive", mode="iid")
         ratio = block.se / iid.se
 
-        repeat = block_bootstrap(cell, cfg, recipe="naive", mode="block")
+        repeat = block_bootstrap(cell, **cfg, recipe="naive", mode="block")
         identical = (
             repeat.se == block.se
             and repeat.p_value == block.p_value

@@ -390,6 +390,24 @@ class TestRunConfig:
         assert f"config key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("infer", ["--resamples", "1"], "resamples must be >= 2"),
+            ("report", ["--alpha", "1.5"], "alpha must lie in (0, 1)"),
+        ],
+        ids=["infer-resamples", "report-alpha"],
+    )
+    def test_bad_setting_fails_before_any_output(
+        self, corpus_path, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "x"
+        out.mkdir()
+        argv = [command, "--input", str(corpus_path), "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "command", ["estimate", "infer", "report", "receptivity", "features", "ceiling"]
     )
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -140,6 +140,23 @@ class TestSpecsAndValidation:
         cell = TestCell(spec=spec, task_group="math", data=make_data([unit]))
         assert cell.cell_id == "surface:word_count:math"
 
+    def test_family_sorts_cells_by_feature_then_group(self):
+        pairs = [("word_count", "math"), ("char_count", "math"), ("word_count", "logical")]
+        cells = [
+            TestCell(
+                spec=TreatmentSpec(view="surface", feature_name=feature),
+                task_group=group,
+                data=make_data([make_unit(task_group=group)]),
+            )
+            for feature, group in pairs
+        ]
+        family = TestFamily(name="surface", cells=cells)
+        assert [c.cell_id for c in family.cells] == [
+            "surface:char_count:math",
+            "surface:word_count:logical",
+            "surface:word_count:math",
+        ]
+
     def test_family_m_counts_cells(self):
         spec = TreatmentSpec(view="surface", feature_name="word_count")
         cell = TestCell(spec=spec, task_group="math", data=make_data([make_unit()]))

@@ -20,15 +20,14 @@ from editfx.inference import (
     TIER_BH,
     TIER_NONE,
     TIER_UNCORRECTED,
-    BootstrapConfig,
     InferenceResult,
     bh_fdr,
     block_bootstrap,
     derive_cell_seed,
     infer_all,
-    infer_family,
     tier_of,
 )
+from editfx.report import RunConfig
 
 from test_design import make_data
 from test_estimation import make_cell, make_unit
@@ -97,8 +96,8 @@ def drawn_sequences(cell, cfg):
     """Each resample's drawn block sequence, as block_bootstrap draws it."""
     n_blocks = len(cell.data.blocks)
     return [
-        np.random.default_rng([cfg.seed, r]).integers(0, n_blocks, size=n_blocks)
-        for r in range(cfg.resamples)
+        np.random.default_rng([cfg["seed"], r]).integers(0, n_blocks, size=n_blocks)
+        for r in range(cfg["resamples"])
     ]
 
 
@@ -117,7 +116,7 @@ def memo_free_bootstrap(cell, cfg, recipe):
         try:
             if recipe == "naive":
                 estimates.append(weighted_difference(t, data.outcome[idx], np.ones(len(idx))))
-            elif cfg.refit:
+            elif cfg["refit"]:
                 estimates.append(sipw(data, idx)[0])
             else:
                 estimates.append(weighted_difference(t, data.outcome[idx], point_weights[idx]))
@@ -239,28 +238,28 @@ class TestCellSeed:
 class TestBlockBootstrap:
     def test_identical_seed_is_bit_identical(self):
         cell = make_cell(n=160, seed=20)
-        cfg = BootstrapConfig(resamples=60, seed=42)
-        first = block_bootstrap(cell, cfg)
-        second = block_bootstrap(cell, cfg)
+        cfg = dict(resamples=60, seed=42)
+        first = block_bootstrap(cell, **cfg)
+        second = block_bootstrap(cell, **cfg)
         assert first.se == second.se
         assert first.p_value == second.p_value
         np.testing.assert_array_equal(first.resample_estimates, second.resample_estimates)
 
     def test_seed_changes_resamples(self):
         cell = make_cell(n=160, seed=20)
-        a = block_bootstrap(cell, BootstrapConfig(resamples=60, seed=1))
-        b = block_bootstrap(cell, BootstrapConfig(resamples=60, seed=2))
+        a = block_bootstrap(cell, resamples=60, seed=1)
+        b = block_bootstrap(cell, resamples=60, seed=2)
         assert not np.array_equal(a.resample_estimates, b.resample_estimates)
 
     def test_normal_p_matches_reference_formula(self):
         cell = make_cell(n=160, seed=21)
-        res = block_bootstrap(cell, BootstrapConfig(resamples=60, seed=3))
+        res = block_bootstrap(cell, resamples=60, seed=3)
         expected = 2.0 * float(norm.sf(abs(res.estimate / res.se)))
         assert res.p_value == pytest.approx(expected, rel=1e-12)
 
     def test_naive_recipe_bootstraps_unweighted_difference(self):
         cell = make_cell(n=160, seed=22)
-        res = block_bootstrap(cell, BootstrapConfig(resamples=40, seed=4), recipe="naive")
+        res = block_bootstrap(cell, resamples=40, seed=4, recipe="naive")
         t = cell.data.treatment.astype(float)
         y = cell.data.outcome
         expected = y[t == 1].mean() - y[t == 0].mean()
@@ -268,23 +267,23 @@ class TestBlockBootstrap:
 
     def test_reuse_weights_flag(self):
         cell = make_cell(n=160, seed=23)
-        refit = block_bootstrap(cell, BootstrapConfig(resamples=40, seed=5, refit=True))
-        reuse = block_bootstrap(cell, BootstrapConfig(resamples=40, seed=5, refit=False))
+        refit = block_bootstrap(cell, resamples=40, seed=5, refit=True)
+        reuse = block_bootstrap(cell, resamples=40, seed=5, refit=False)
         assert refit.estimate == pytest.approx(reuse.estimate)
         assert not np.array_equal(refit.resample_estimates, reuse.resample_estimates)
 
     @pytest.mark.parametrize("refit", [True, False])
     def test_resamples_match_public_reference_path(self, refit):
         cell = make_cell(n=160, seed=25)
-        cfg = BootstrapConfig(resamples=40, seed=9, refit=refit)
-        result = block_bootstrap(cell, cfg)
+        cfg = dict(resamples=40, seed=9, refit=refit)
+        result = block_bootstrap(cell, **cfg)
         data = cell.data
         full = predict_probabilities(fit_propensity(data), data.encode())
         point_weights = stabilized_weights(data.treatment, full).weights
         n_blocks = len(data.blocks)
         expected = []
-        for r in range(cfg.resamples):
-            drawn = np.random.default_rng([cfg.seed, r]).integers(0, n_blocks, size=n_blocks)
+        for r in range(cfg["resamples"]):
+            drawn = np.random.default_rng([cfg["seed"], r]).integers(0, n_blocks, size=n_blocks)
             idx = np.concatenate([data.block_members[b] for b in drawn])
             t = data.treatment[idx].astype(np.float64)
             if t.min() == t.max():
@@ -301,13 +300,13 @@ class TestBlockBootstrap:
 
     def test_each_distinct_draw_is_fitted_once(self, monkeypatch):
         cell = three_block_cell()
-        cfg = BootstrapConfig(resamples=200, seed=11)
+        cfg = dict(resamples=200, seed=11)
         fits = []
         real = estimation.irls_logistic
         monkeypatch.setattr(
             estimation, "irls_logistic", lambda matrix, y: fits.append(1) or real(matrix, y)
         )
-        res = block_bootstrap(cell, cfg)
+        res = block_bootstrap(cell, **cfg)
         distinct = {drawn.tobytes() for drawn in drawn_sequences(cell, cfg)}
         assert res.valid_resamples == 200
         assert len(fits) == len(distinct) + 1
@@ -318,8 +317,8 @@ class TestBlockBootstrap:
     )
     def test_memo_matches_memo_free_replay(self, recipe, refit):
         cell = three_block_cell(arms=("treated", "control", "mixed"), seed=3)
-        cfg = BootstrapConfig(resamples=200, seed=12, refit=refit)
-        res = block_bootstrap(cell, cfg, recipe=recipe)
+        cfg = dict(resamples=200, seed=12, refit=refit)
+        res = block_bootstrap(cell, **cfg, recipe=recipe)
         estimates, valid, discarded = memo_free_bootstrap(cell, cfg, recipe)
         one_armed = [
             drawn.tobytes()
@@ -333,7 +332,7 @@ class TestBlockBootstrap:
 
     def test_iid_mode_runs(self):
         cell = make_cell(n=160, seed=24)
-        res = block_bootstrap(cell, BootstrapConfig(resamples=40, seed=6), mode="iid")
+        res = block_bootstrap(cell, resamples=40, seed=6, mode="iid")
         assert res.valid_resamples == 40
 
     def test_single_block_rejected_in_block_mode(self):
@@ -343,8 +342,8 @@ class TestBlockBootstrap:
         ]
         cell = TestCell(spec=spec, task_group="math", data=make_data(units))
         with pytest.raises(ConfigError):
-            block_bootstrap(cell, BootstrapConfig(resamples=10, seed=0))
-        res = block_bootstrap(cell, BootstrapConfig(resamples=10, seed=0), mode="iid")
+            block_bootstrap(cell, resamples=10, seed=0)
+        res = block_bootstrap(cell, resamples=10, seed=0, mode="iid")
         assert res.valid_resamples + res.discarded == 10
 
     def test_degenerate_resamples_are_discarded(self):
@@ -352,7 +351,7 @@ class TestBlockBootstrap:
         hit = None
         for seed in range(50):
             try:
-                res = block_bootstrap(cell, BootstrapConfig(resamples=16, seed=seed))
+                res = block_bootstrap(cell, resamples=16, seed=seed)
             except UnstableCellError:
                 continue
             hit = res
@@ -367,7 +366,7 @@ class TestBlockBootstrap:
         raised = False
         for seed in range(50):
             try:
-                block_bootstrap(cell, BootstrapConfig(resamples=16, seed=seed))
+                block_bootstrap(cell, resamples=16, seed=seed)
             except UnstableCellError as exc:
                 raised = True
                 assert "resamples were valid" in str(exc)
@@ -386,7 +385,7 @@ class TestBlockBootstrap:
                 ]
             ),
         )
-        res = block_bootstrap(flat, BootstrapConfig(resamples=12, seed=0), recipe="naive")
+        res = block_bootstrap(flat, resamples=12, seed=0, recipe="naive")
         assert res.se == 0.0
         assert res.p_value == 1.0
         exact = TestCell(
@@ -399,26 +398,25 @@ class TestBlockBootstrap:
                 ]
             ),
         )
-        res = block_bootstrap(exact, BootstrapConfig(resamples=12, seed=0), recipe="naive")
+        res = block_bootstrap(exact, resamples=12, seed=0, recipe="naive")
         assert res.se == 0.0
         assert res.estimate == 1.0
         assert res.p_value == 0.0
 
     def test_percentile_p_flag(self):
         cell = make_cell(n=200, seed=25, tau=0.5, beta_x=0.0, gamma=0.0)
-        res = block_bootstrap(
-            cell, BootstrapConfig(resamples=40, seed=7, percentile_p=True), recipe="naive"
-        )
+        res = block_bootstrap(cell, resamples=40, seed=7, percentile_p=True, recipe="naive")
         assert res.p_value == 0.0
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            BootstrapConfig(resamples=1)
+        for settings in ({"resamples": 1}, {"resamples": 0}, {"alpha": 1.5}, {"alpha": 0.0}):
+            with pytest.raises(ConfigError):
+                RunConfig(**settings)
         cell = make_cell(n=60, seed=26)
         with pytest.raises(ConfigError):
-            block_bootstrap(cell, BootstrapConfig(resamples=10), recipe="ols")
+            block_bootstrap(cell, resamples=10, recipe="ols")
         with pytest.raises(ConfigError):
-            block_bootstrap(cell, BootstrapConfig(resamples=10), mode="jackknife")
+            block_bootstrap(cell, resamples=10, mode="jackknife")
 
 
 class TestInferFamilies:
@@ -432,7 +430,7 @@ class TestInferFamilies:
         )
 
     def test_family_results_sorted_and_corrected(self):
-        results, skipped = infer_family(self.make_family(), master_seed=0, resamples=60)
+        results, skipped = infer_all([self.make_family()], master_seed=0, resamples=60)
         assert skipped == []
         assert [r.task_group for r in results] == ["logical", "math"]
         q_ref, _ = bh_fdr([r.p_value for r in results])
@@ -457,7 +455,7 @@ class TestInferFamilies:
         family = TestFamily(name="surface", cells=[good, bad])
         found = False
         for master_seed in range(30):
-            results, skipped = infer_family(family, master_seed=master_seed, resamples=16)
+            results, skipped = infer_all([family], master_seed=master_seed, resamples=16)
             if skipped:
                 found = True
                 assert skipped[0][0] == "surface:word_count:math"

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from editfx import estimation
 from editfx import report as report_mod
 from editfx.design import PreparedCorpus, TreatmentSpec
 from editfx.errors import ConfigError, SchemaError
@@ -513,6 +514,22 @@ class TestPipeline:
             assert pipeline.inference["results"]
         assert calls == {"enumerate_families": 1, "estimate_all": 1, "infer_all": 1}
 
+    def test_each_cell_point_estimate_is_fitted_once(self, small_corpus, monkeypatch):
+        whole_cell_fits = []
+        real = estimation._fit
+
+        def counted(data, idx):
+            if idx is None:
+                whole_cell_fits.append(data)
+            return real(data, idx)
+
+        monkeypatch.setattr(estimation, "_fit", counted)
+        pipeline = Pipeline(small_corpus, RunConfig())
+        estimates = pipeline.estimates["estimates"]
+        results = pipeline.inference["results"]
+        assert pipeline.inference["skipped"] == []
+        assert len(whole_cell_fits) == len(results) == len(estimates) > 0
+
     def test_prepared_corpus_must_match_config(self, small_corpus, tmp_path):
         prepared = PreparedCorpus(small_corpus, include_demos=True)
         with pytest.raises(ConfigError, match="include_demos"):
@@ -520,7 +537,18 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="include_demos"):
             run_report(small_corpus, tmp_path / "bundle", prepared=prepared)
 
-    @pytest.mark.parametrize("settings", [{"workers": 0}, {"resamples": "50"}, {"bogus": 1}])
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"workers": 0},
+            {"resamples": "50"},
+            {"bogus": 1},
+            {"resamples": 1},
+            {"resamples": 0},
+            {"alpha": 1.5},
+            {"scope": "bogus"},
+        ],
+    )
     def test_run_report_rejects_bad_settings(self, small_corpus, tmp_path, settings):
         with pytest.raises((ConfigError, TypeError)):
             run_report(small_corpus, tmp_path / "bundle", **settings)

@@ -141,11 +141,26 @@ class TestIngest:
         assert err.value.line_number == 2
 
     @pytest.mark.parametrize(
-        "bad", [{"gain": float("nan")}, {"step_index": 3.7}, {"step_index": True}]
+        "bad",
+        [
+            {"gain": float("nan")},
+            {"step_index": 3.7},
+            {"step_index": True},
+            # JSON escapes of lone surrogates in a text, an id and a key
+            {"before": {"instruction_text": "Solve \ud800 it.", "demos": []}},
+            {"pair_id": "x2\udc80"},
+            {"note\udfff": 1},
+            # a raw byte that is not UTF-8, put into the instruction text
+            pytest.param(b"\xff", id="bad6"),
+        ],
     )
     def test_invalid_numbers_name_the_line_or_are_skipped(self, tmp_path, bad):
-        lines = [json.dumps(base_doc()), json.dumps(base_doc(pair_id="x2", **bad))]
-        path = self.write(tmp_path, lines)
+        if isinstance(bad, bytes):
+            second = json.dumps(base_doc(pair_id="x2")).encode().replace(b"Solve", bad, 1)
+        else:
+            second = json.dumps(base_doc(**{"pair_id": "x2", **bad})).encode()
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(json.dumps(base_doc()).encode() + b"\n" + second + b"\n")
         with pytest.raises(IngestError) as err:
             ingest(path, strict=True)
         assert err.value.line_number == 2
@@ -153,6 +168,13 @@ class TestIngest:
         records, stats = ingest(path, strict=False)
         assert [r.pair_id for r in records] == ["x1"]
         assert stats.skipped_count == 1
+
+    def test_paired_surrogate_escape_is_text(self, tmp_path):
+        doc = base_doc(before={"instruction_text": "Solve \U0001f600 it.", "demos": []})
+        line = json.dumps(doc)
+        assert "\\ud83d\\ude00" in line
+        records, _ = ingest(self.write(tmp_path, [line]), strict=True)
+        assert records[0].before.instruction_text == "Solve \U0001f600 it."
 
     def test_lenient_skips_and_counts(self, tmp_path):
         lines = [
