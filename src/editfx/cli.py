@@ -11,23 +11,37 @@ failure, 2 internal error.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import sys
-import warnings
-from dataclasses import asdict, fields
-from pathlib import Path
+import os
 
-from . import __version__, report as report_mod
-from .design import PreparedCorpus, TreatmentSpec
-from .errors import EditfxError
-from .motifs import MOTIF_LABELS, MotifRuleset, audit_sample, cooccurrence_matrix, default_ruleset
-from .report import Pipeline, RunConfig
-from .robustness import SignReversalSpec, ceiling, loo_stability
-from .store import ingest, serialize
-from .surface import WordLists, default_wordlists, delta as surface_delta
-from .synth import SynthConfig, generate
+# One BLAS thread: a threaded BLAS sums in an order that depends on the
+# thread count, so bundle bytes would depend on the host's cores. This
+# must run before anything imports numpy.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import warnings  # noqa: E402
+from dataclasses import asdict, fields  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from . import __version__, report as report_mod  # noqa: E402
+from .design import PreparedCorpus, TreatmentSpec  # noqa: E402
+from .errors import EditfxError  # noqa: E402
+from .motifs import (  # noqa: E402
+    MOTIF_LABELS,
+    MotifRuleset,
+    audit_sample,
+    cooccurrence_matrix,
+    default_ruleset,
+)
+from .report import Pipeline, RunConfig  # noqa: E402
+from .robustness import SignReversalSpec, ceiling, loo_stability  # noqa: E402
+from .store import ingest, serialize  # noqa: E402
+from .surface import WordLists, default_wordlists, delta as surface_delta  # noqa: E402
+from .synth import SynthConfig, generate  # noqa: E402
 
 
 def _require_file(path: str, what: str) -> str:

@@ -110,9 +110,10 @@ class CellData:
     """One cell's rows of a unit frame, with their 0/1 treatments.
 
     The arrays are the frame's columns at `rows`; `blocks` are the
-    (dataset, backbone) pairs present, in name order. Bootstrap resamples
-    index into these arrays; z-scoring and one-hot levels are always
-    derived from the fitting population actually passed to encode, so a
+    (dataset, backbone) pairs present, in name order. A fitting
+    population is these rows with frequency weights (a bootstrap
+    resample counts each row as often as its block was drawn); z-scoring
+    and one-hot levels are always derived from that population, so a
     resample is self-contained.
     """
 
@@ -131,9 +132,6 @@ class CellData:
         self.cat_codes = frame.cat_codes[rows]
         present, self.block_codes = np.unique(frame.block_codes[rows], return_inverse=True)
         self.blocks = [frame.blocks[k] for k in present]
-        self.block_members = [
-            np.flatnonzero(self.block_codes == k) for k in range(len(self.blocks))
-        ]
 
     @property
     def n(self) -> int:
@@ -159,8 +157,53 @@ class CellData:
                 columns.append((codes[:, col] == level).astype(np.float64)[:, None])
         return np.hstack(columns)
 
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows sorted by block then categorical codes, each sorted row's run, each run's codes.
+
+        A run is a maximal stretch of sorted rows sharing the block and all
+        categorical codes, so every one-hot column is constant on a run.
+        Framework can vary within a block, so a block can hold several runs.
+        """
+        keys = np.column_stack([self.block_codes, self.cat_codes])
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        starts = np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]
+        return order, np.cumsum(starts) - 1, self.cat_codes[order[starts]]
+
+    def fitting_design(
+        self, weights: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray]]:
+        """The design of the rows with positive weight, in run form.
+
+        Each row counts `weights[row]` times (every row once when None),
+        which is the design encode gives the rows repeated that often.
+        Returns (rows, matrix, row_weights, (starts, levels)): the cell
+        rows in run order; their numeric columns z-scored with the
+        weighted mean and population std (a std of 0 becomes 1); their
+        weights (None when unweighted); the position where each run
+        starts among them; and per run its one-hot columns, over the
+        categorical levels present, first level dropped.
+        """
+        rows, run_of, run_codes = self._runs
+        row_weights = None
+        if weights is not None:
+            sorted_weights = np.asarray(weights, dtype=np.float64)[rows]
+            kept = sorted_weights > 0
+            rows, run_of, row_weights = rows[kept], run_of[kept], sorted_weights[kept]
+        starts = np.flatnonzero(np.r_[True, run_of[1:] != run_of[:-1]])
+        codes = run_codes[run_of[starts]]
+        numeric = self.numeric[rows]
+        mean = np.average(numeric, axis=0, weights=row_weights)
+        std = np.sqrt(np.average((numeric - mean) ** 2, axis=0, weights=row_weights))
+        std = np.where(std == 0.0, 1.0, std)
+        levels = np.hstack(
+            [codes[:, [col]] == np.unique(codes[:, col])[1:] for col in range(codes.shape[1])]
+        )
+        return rows, (numeric - mean) / std, row_weights, (starts, levels.astype(np.float64))
+
     def column_names(self, idx: np.ndarray | None = None) -> list[str]:
-        """Names of the columns encode(idx) returns, in order."""
+        """Names of the columns encode(idx) returns, in order (fitting_design's order too)."""
         codes = self.cat_codes if idx is None else self.cat_codes[idx]
         names = list(NUMERIC_COVARIATES)
         for col, var in enumerate(CATEGORICAL_COVARIATES):

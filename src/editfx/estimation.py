@@ -4,7 +4,9 @@ The pipeline per cell: fit an L2-penalized logistic model of treatment
 on pre-edit covariates by iteratively reweighted least squares, form
 stabilized inverse-probability weights capped at 10, then take the
 weighted treated-minus-control mean gain. The unweighted difference and
-its gap to the weighted one are reported alongside.
+its gap to the weighted one are reported alongside. A fitting population
+is a cell's rows with frequency weights, so a bootstrap resample or a
+leave-one-out split is fitted without copying rows.
 """
 
 from __future__ import annotations
@@ -64,40 +66,92 @@ class CellEstimate:
         return f"{self.view}:{self.feature}:{self.task_group}"
 
 
-def _penalized_loglik(design: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
+class _RunDesign:
+    """The design [1 | matrix | run columns] with frequency weights, kept in run form.
+
+    Rows come in runs that start at `starts`; every row of run r has
+    `levels[r]` as its run columns, so each product with those columns is
+    a sum over runs (np.add.reduceat) instead of over rows.
+    """
+
+    def __init__(self, matrix: np.ndarray, weights: np.ndarray | None = None, runs=None):
+        n = matrix.shape[0]
+        starts, levels = runs if runs is not None else (np.zeros(1, np.intp), np.zeros((1, 0)))
+        self.dense = np.hstack([np.ones((n, 1)), matrix])
+        self.weights = weights
+        self.starts = starts
+        self.levels = levels
+        self.run = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, n]))
+        self.n_dense = self.dense.shape[1]
+        self.p = self.n_dense + levels.shape[1]
+
+    def __matmul__(self, beta: np.ndarray) -> np.ndarray:
+        eta = self.dense @ beta[: self.n_dense]
+        if self.p > self.n_dense:
+            eta += (self.levels @ beta[self.n_dense :])[self.run]
+        return eta
+
+    def transpose_dot(self, residual: np.ndarray) -> np.ndarray:
+        """X^T diag(weights) residual."""
+        g = residual if self.weights is None else self.weights * residual
+        head = self.dense.T @ g
+        if self.p == self.n_dense:
+            return head
+        return np.concatenate([head, self.levels.T @ np.add.reduceat(g, self.starts)])
+
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """X^T diag(weights * w) X."""
+        w = w if self.weights is None else self.weights * w
+        scaled = self.dense * w[:, None]
+        top = scaled.T @ self.dense
+        if self.p == self.n_dense:
+            return top
+        cross = np.add.reduceat(scaled, self.starts, axis=0).T @ self.levels
+        corner = self.levels.T @ (self.levels * np.add.reduceat(w, self.starts)[:, None])
+        return np.block([[top, cross], [cross.T, corner]])
+
+
+def _penalized_loglik(design, y: np.ndarray, beta: np.ndarray, weights=None) -> float:
+    """The objective irls_logistic maximizes; design is a dense matrix or a _RunDesign."""
     eta = design @ beta
     # log sigma(eta) summed over y=1, log(1-sigma) over y=0, stably.
-    loglik = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    terms = y * eta - np.logaddexp(0.0, eta)
+    loglik = float(np.sum(terms if weights is None else weights * terms))
     return loglik - 0.5 * RIDGE_LAMBDA * float(np.sum(beta[1:] ** 2))
 
 
-def irls_logistic(matrix: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool, int]:
+def irls_logistic(
+    matrix: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None, runs=None
+) -> tuple[np.ndarray, bool, int]:
     """Maximize the ridge-penalized Bernoulli log-likelihood.
 
-    The intercept is unpenalized. Newton steps are halved until the
-    objective does not decrease, so the ascent is monotone; with ridge
-    on the slopes the optimum is finite even for separable data.
-    Returns (beta with intercept first, converged flag, iterations).
+    The design is an intercept, `matrix`, then the run columns: `runs`
+    is (starts, levels), rows starts[r] up to the next start forming run
+    r, whose rows all take levels[r] as those columns. Row i counts
+    weights[i] times (once when weights is None). The intercept is
+    unpenalized. Newton steps are halved until the objective does not
+    decrease beyond round-off relative to its size, so the ascent is
+    monotone; with ridge on the slopes the optimum is finite even for
+    separable data. Returns (beta with intercept first, converged flag,
+    iterations).
     """
     if not np.all(np.isfinite(matrix)):
         raise SchemaError("design matrix contains non-finite values")
-    n = matrix.shape[0]
-    design = np.hstack([np.ones((n, 1)), matrix])
-    p = design.shape[1]
+    design = _RunDesign(matrix, weights, runs)
+    p = design.p
     penalty = np.full(p, RIDGE_LAMBDA)
     penalty[0] = 0.0
-    rate = float(np.mean(y))
+    rate = float(np.average(y, weights=weights))
     beta = np.zeros(p)
     beta[0] = np.log(rate / (1.0 - rate)) if 0.0 < rate < 1.0 else 0.0
-    objective = _penalized_loglik(design, y, beta)
+    objective = _penalized_loglik(design, y, beta, weights)
     diagonal = np.diag_indices(p)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         mu = expit(design @ beta)
-        grad = design.T @ (y - mu) - penalty * beta
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        hessian = (design * w[:, None]).T @ design
+        grad = design.transpose_dot(y - mu) - penalty * beta
+        hessian = design.gram(np.clip(mu * (1.0 - mu), 1e-10, None))
         hessian[diagonal] += penalty
         try:
             step = np.linalg.solve(hessian, grad)
@@ -106,14 +160,14 @@ def irls_logistic(matrix: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool, 
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            new_objective = _penalized_loglik(design, y, candidate)
-            if new_objective >= objective - 1e-12:
+            new_objective = _penalized_loglik(design, y, candidate, weights)
+            if new_objective >= objective - 1e-12 * max(1.0, abs(objective)):
                 break
             scale *= 0.5
         else:
             # Every halving failed: take one more, as a tiny step.
             candidate = beta + scale * step
-            new_objective = _penalized_loglik(design, y, candidate)
+            new_objective = _penalized_loglik(design, y, candidate, weights)
         beta, objective = candidate, new_objective
         if float(np.max(np.abs(scale * step))) < COEF_TOLERANCE:
             converged = True
@@ -131,22 +185,32 @@ def penalized_gradient(matrix: np.ndarray, y: np.ndarray, beta: np.ndarray) -> n
     return design.T @ (y - mu) - penalty * beta
 
 
-def _fit(data: CellData, idx: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, bool, int]:
-    """Fit the rows idx (all rows when None) as their own population.
+def _fit(
+    data: CellData, weights: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    """Fit the rows of positive weight, each counted weights[row] times, as their own population.
 
-    Returns (beta, the rows' clipped probabilities, converged, iterations).
+    weights=None fits every row once. Returns (beta, each cell row's
+    clipped probability, NaN for rows outside the population, converged,
+    iterations).
     """
-    t = data.treatment if idx is None else data.treatment[idx]
+    rows, matrix, row_weights, runs = data.fitting_design(weights)
+    t = data.treatment[rows]
     if t.min() == t.max():
         raise PositivityError("all units share one arm; propensity is unidentified")
-    matrix = data.encode(idx)
-    beta, converged, iterations = irls_logistic(matrix, t.astype(np.float64))
-    return beta, _probabilities(beta, matrix), converged, iterations
+    beta, converged, iterations = irls_logistic(matrix, t.astype(np.float64), row_weights, runs)
+    probabilities = np.full(data.n, np.nan)
+    probabilities[rows] = _probabilities(beta, matrix, runs)
+    return beta, probabilities, converged, iterations
 
 
 def fit_propensity(data: CellData, idx: np.ndarray | None = None) -> PropensityModel:
-    """Fit treatment ~ pre-edit covariates on the rows idx (all rows when None)."""
-    beta, _, converged, iterations = _fit(data, idx)
+    """Fit treatment ~ pre-edit covariates on the rows idx (all rows when None).
+
+    A row repeated in idx counts once per repeat.
+    """
+    weights = None if idx is None else np.bincount(idx, minlength=data.n)
+    beta, _, converged, iterations = _fit(data, weights)
     names = data.column_names(idx)
     return PropensityModel(
         intercept=float(beta[0]),
@@ -157,8 +221,8 @@ def fit_propensity(data: CellData, idx: np.ndarray | None = None) -> PropensityM
     )
 
 
-def _probabilities(beta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    eta = beta[0] + matrix @ beta[1:]
+def _probabilities(beta: np.ndarray, matrix: np.ndarray, runs=None) -> np.ndarray:
+    eta = _RunDesign(matrix, runs=runs) @ beta
     return np.clip(expit(eta), PROB_CLIP, 1.0 - PROB_CLIP)
 
 
@@ -205,21 +269,29 @@ def weighted_difference(
 
 def sipw(
     data: CellData,
-    idx: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
     probabilities: np.ndarray | None = None,
     rate: float | None = None,
 ) -> tuple[float, WeightVector]:
-    """Stabilized-IPW treated-minus-control difference over the rows idx.
+    """Stabilized-IPW treated-minus-control difference over a weighted population.
 
-    Without given probabilities the propensity model is fitted on those
-    rows themselves; rate defaults to their treated fraction.
+    The population is the rows of positive weight, each counted
+    weights[row] times (every row once when weights is None). Without
+    given probabilities (one per cell row) the propensity model is
+    fitted on that population itself; rate defaults to its treated
+    fraction. The WeightVector holds each population row once, in row
+    order.
     """
-    t = (data.treatment if idx is None else data.treatment[idx]).astype(np.float64)
-    outcome = data.outcome if idx is None else data.outcome[idx]
+    idx = slice(None) if weights is None else np.flatnonzero(weights)
+    t = data.treatment[idx].astype(np.float64)
     if probabilities is None:
-        probabilities = _fit(data, idx)[1]
-    wv = stabilized_weights(t, probabilities, marginal_rate=rate)
-    return weighted_difference(t, outcome, wv.weights), wv
+        probabilities = _fit(data, weights)[1]
+    counts = None if weights is None else np.asarray(weights, dtype=np.float64)[idx]
+    if rate is None and counts is not None:
+        rate = float(np.average(t, weights=counts))
+    wv = stabilized_weights(t, probabilities[idx], marginal_rate=rate)
+    mass = wv.weights if counts is None else counts * wv.weights
+    return weighted_difference(t, data.outcome[idx], mass), wv
 
 
 def estimate_cell(

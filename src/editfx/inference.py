@@ -33,6 +33,8 @@ class BootstrapResult:
     resample_estimates: np.ndarray
     valid_resamples: int
     discarded: int
+    n_blocks: int
+    distinct_resamples: int
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,9 @@ class InferenceResult:
     q_value: float
     tier: str
     valid_resamples: int
+    n_blocks: int
+    distinct_resamples: int
+    discarded: int
 
     @property
     def marker(self) -> str:
@@ -80,8 +85,11 @@ def block_bootstrap(
     bootstraps the unweighted difference.
     mode "block" resamples whole blocks with replacement, keeping the
     original block count; mode "iid" resamples units, for comparison
-    only. Resamples that empty an arm are discarded and counted. Block
-    resamples that repeat an earlier drawn sequence reuse its outcome.
+    only. A resample is a frequency weight per row: how often its block
+    (or the row itself) was drawn. Resamples that empty an arm are
+    discarded and counted. Block resamples that draw the same multiset
+    of blocks as an earlier one reuse its outcome; `distinct_resamples`
+    counts the multisets estimated (every draw in iid mode).
     """
     if recipe not in ("sipw", "naive"):
         raise ConfigError("recipe must be 'sipw' or 'naive'")
@@ -92,33 +100,33 @@ def block_bootstrap(
     if mode == "block" and n_blocks < 2:
         raise ConfigError("block bootstrap needs at least 2 blocks")
 
+    t = data.treatment.astype(np.float64)
     weights = np.ones(data.n)
     if recipe == "sipw":
         point, point_weights = cell.point_fit
         weights = None if refit else point_weights.weights
 
-    def estimator(idx: np.ndarray) -> float:
-        """The recipe's estimate on rows idx; refits when weights is None."""
+    def estimator(counts: np.ndarray) -> float:
+        """The recipe's estimate, row i counted counts[i] times; refits when weights is None."""
         if weights is None:
-            return sipw(data, idx)[0]
-        t = data.treatment[idx].astype(np.float64)
-        return weighted_difference(t, data.outcome[idx], weights[idx])
+            return sipw(data, counts)[0]
+        return weighted_difference(t, data.outcome, counts * weights)
 
     if recipe == "naive":
-        point = estimator(np.arange(data.n))
+        point = estimator(np.ones(data.n))
 
-    def outcome(idx: np.ndarray) -> float | None:
+    def outcome(counts: np.ndarray) -> float | None:
         """The resample's estimate, or None when it is discarded."""
-        t = data.treatment[idx]
-        if t.min() == t.max():
+        arms = data.treatment[counts > 0]
+        if arms.min() == arms.max():
             return None
         try:
-            return estimator(idx)
+            return estimator(counts)
         except (PositivityError, DegenerateCellError):
             return None
 
-    # The same drawn block sequence gives the same rows and so the same
-    # outcome; each distinct sequence is estimated once per call.
+    # The rows' weights, and so the outcome, depend only on how often each
+    # block was drawn; each distinct multiset is estimated once per call.
     memo: dict[bytes, float | None] = {}
     estimates = np.empty(resamples)
     valid = 0
@@ -126,13 +134,13 @@ def block_bootstrap(
     for r in range(resamples):
         rng = np.random.default_rng([seed, r])
         if mode == "block":
-            drawn = rng.integers(0, n_blocks, size=n_blocks)
-            key = drawn.tobytes()
+            counts = np.bincount(rng.integers(0, n_blocks, size=n_blocks), minlength=n_blocks)
+            key = counts.tobytes()
             if key not in memo:
-                memo[key] = outcome(np.concatenate([data.block_members[b] for b in drawn]))
+                memo[key] = outcome(counts[data.block_codes])
             value = memo[key]
         else:
-            value = outcome(rng.integers(0, data.n, size=data.n))
+            value = outcome(np.bincount(rng.integers(0, data.n, size=data.n), minlength=data.n))
         if value is None:
             discarded += 1
         else:
@@ -157,6 +165,8 @@ def block_bootstrap(
         resample_estimates=kept,
         valid_resamples=valid,
         discarded=discarded,
+        n_blocks=n_blocks,
+        distinct_resamples=len(memo) if mode == "block" else resamples,
     )
 
 
@@ -242,6 +252,9 @@ def infer_all(
                     q_value=float(q),
                     tier=tier_of(res.p_value, float(q), alpha),
                     valid_resamples=res.valid_resamples,
+                    n_blocks=res.n_blocks,
+                    distinct_resamples=res.distinct_resamples,
+                    discarded=res.discarded,
                 )
             )
     return results, skipped

@@ -123,6 +123,8 @@ INFERENCE_COLUMNS = (
     "tier",
     "valid_resamples",
 )
+# Bootstrap health per cell, in inference.json only.
+HEALTH_COLUMNS = ("n_blocks", "distinct_resamples", "discarded")
 # Columns that the display CSVs round to 3 decimals.
 ROUNDED = {
     "acmgd_sipw", "acmgd_naive", "confounding_magnitude", "estimate", "se", "p_value", "q_value"
@@ -171,7 +173,10 @@ def estimates_to_csv(rows: list[dict]) -> str:
 def inference_to_json(results: list[InferenceResult], skipped, alpha: float) -> dict:
     return {
         "alpha": alpha,
-        "results": [{name: getattr(r, name) for name in INFERENCE_COLUMNS} for r in results],
+        "results": [
+            {name: getattr(r, name) for name in INFERENCE_COLUMNS + HEALTH_COLUMNS}
+            for r in results
+        ],
         "skipped": [list(item) for item in skipped],
     }
 

@@ -227,11 +227,13 @@ def loo_stability(
             skipped.append((dataset, "exclusion empties a reversal group"))
             continue
         code = levels.index(dataset)
-        kept = [np.flatnonzero(cell.data.cat_codes[:, column] != code) for cell in cells]
-        if any(np.unique(cell.data.treatment[rows]).size != 2 for cell, rows in zip(cells, kept)):
+        kept = [cell.data.cat_codes[:, column] != code for cell in cells]
+        if any(np.unique(cell.data.treatment[mask]).size != 2 for cell, mask in zip(cells, kept)):
             skipped.append((dataset, "exclusion empties a treatment arm"))
             continue
-        estimate_a, estimate_b = (sipw(cell.data, rows)[0] for cell, rows in zip(cells, kept))
+        estimate_a, estimate_b = (
+            sipw(cell.data, mask.astype(np.float64))[0] for cell, mask in zip(cells, kept)
+        )
         stable = (
             sign_of(estimate_a) == reversal.baseline_sign_a
             and sign_of(estimate_b) == reversal.baseline_sign_b

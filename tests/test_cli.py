@@ -571,6 +571,28 @@ class TestExitCodes:
         )
         assert result.returncode == 0, result.stderr
 
+    def test_bundle_does_not_depend_on_blas_threads(self, tmp_path):
+        # One task group, so each cell has all 5,000 rows: large enough
+        # products for a threaded BLAS to split them.
+        datasets = tuple(f"ds_{i:02d}" for i in range(25))
+        records, _ = generate(SynthConfig(n=5000, datasets=datasets, groups=("math",), seed=7))
+        corpus = tmp_path / "corpus.jsonl"
+        serialize(records, corpus)
+        src = str(Path(editfx.__file__).parents[1])
+        bundles = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            args = ["report", "--input", str(corpus), "--seed", "7", "--resamples", "2"]
+            result = subprocess.run(
+                [sys.executable, "-m", "editfx.cli", *args, "--out", str(out)],
+                capture_output=True,
+                timeout=300,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert result.returncode == 0, result.stderr
+            bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert bundles[0] == bundles[1]
+
     def test_console_script_smoke(self, corpus_path, tmp_path):
         exe = shutil.which("editfx")
         if exe is None:

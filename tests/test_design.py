@@ -396,7 +396,7 @@ class TestCellData:
             ("ds_b", "bb_alpha"),
             ("ds_c", "bb_alpha"),
         ]
-        members = [m.tolist() for m in data.block_members]
+        members = [np.flatnonzero(data.block_codes == b).tolist() for b in range(3)]
         assert members == [[0, 3], [1, 4], [2, 5]]
 
     def test_encode_zscores_and_constant_columns(self):

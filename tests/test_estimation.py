@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
@@ -10,6 +10,7 @@ import editfx.estimation as estimation
 from editfx.design import CellData, TestCell, TreatmentSpec
 from editfx.errors import ConfigError, DegenerateCellError, PositivityError, SchemaError
 from editfx.estimation import (
+    PROB_CLIP,
     RIDGE_LAMBDA,
     WEIGHT_CAP,
     PropensityModel,
@@ -19,6 +20,7 @@ from editfx.estimation import (
     irls_logistic,
     penalized_gradient,
     predict_probabilities,
+    sipw,
     stabilized_weights,
     weighted_difference,
 )
@@ -45,10 +47,10 @@ def neg_penalized_loglik(beta, design, y, ridge):
 
 
 def reference_irls(matrix, y):
-    # The former irls_logistic, kept as the oracle for the trimmed one: it
-    # rebuilds the accepted point and its objective after the line search.
-    # It reads the module's objective and iteration cap at call time, as
-    # irls_logistic does, so both see the same patches.
+    # The dense irls_logistic, kept as the oracle for the run-form one: it
+    # builds the whole design, intercept first, and forms every product
+    # over its rows. It reads the module's objective and iteration cap at
+    # call time, as irls_logistic does, so both see the same patches.
     n = matrix.shape[0]
     design = np.hstack([np.ones((n, 1)), matrix])
     p = design.shape[1]
@@ -65,7 +67,7 @@ def reference_irls(matrix, y):
         grad = design.T @ (y - mu) - penalty * beta
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         hessian = (design * w[:, None]).T @ design
-        hessian[np.diag_indices_from(hessian)] += penalty
+        hessian[np.diag_indices(p)] += penalty
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:
@@ -74,15 +76,27 @@ def reference_irls(matrix, y):
         for _ in range(30):
             candidate = beta + scale * step
             new_objective = estimation._penalized_loglik(design, y, candidate)
-            if new_objective >= objective - 1e-12:
+            if new_objective >= objective - 1e-12 * max(1.0, abs(objective)):
                 break
             scale *= 0.5
-        beta = beta + scale * step
-        objective = estimation._penalized_loglik(design, y, beta)
+        else:
+            candidate = beta + scale * step
+            new_objective = estimation._penalized_loglik(design, y, candidate)
+        beta, objective = candidate, new_objective
         if float(np.max(np.abs(scale * step))) < estimation.COEF_TOLERANCE:
             converged = True
             break
     return beta, converged, iterations
+
+
+def dense_sipw(data, idx):
+    """(beta, SIPW estimate, design) on the rows idx concatenated, fitted by reference_irls."""
+    t = data.treatment[idx].astype(np.float64)
+    matrix = data.encode(idx)
+    beta = reference_irls(matrix, t)[0]
+    probabilities = np.clip(expit(beta[0] + matrix @ beta[1:]), PROB_CLIP, 1.0 - PROB_CLIP)
+    weights = stabilized_weights(t, probabilities).weights
+    return beta, weighted_difference(t, data.outcome[idx], weights), matrix
 
 
 def irls_design(kind, n, p, seed):
@@ -207,9 +221,9 @@ class TestIrls:
         real = estimation._penalized_loglik
         calls = []
 
-        def rejecting(design, y, beta):
+        def rejecting(design, y, beta, weights=None):
             calls.append(beta.copy())
-            return -np.inf if 2 <= len(calls) <= 31 else real(design, y, beta)
+            return -np.inf if 2 <= len(calls) <= 31 else real(design, y, beta, weights)
 
         monkeypatch.setattr(estimation, "_penalized_loglik", rejecting)
         monkeypatch.setattr(estimation, "MAX_ITERATIONS", max_iterations)
@@ -230,6 +244,72 @@ class TestIrls:
         matrix = np.array([[1.0], [np.nan]])
         with pytest.raises(SchemaError):
             irls_logistic(matrix, np.array([0.0, 1.0]))
+
+
+@st.composite
+def weighted_populations(draw):
+    """(data, weights) for one fitting population of a ragged multi-block cell.
+
+    Framework varies within blocks, both task groups share the cell (a
+    pooled population), and p1_n_demos is constant. The weights are none
+    (every row once), a block resample, an iid resample, a leave-one-
+    dataset-out split or a split without the first framework level.
+    """
+    n_blocks = draw(st.integers(min_value=2, max_value=5))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=n_blocks, max_size=n_blocks))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    units = []
+    for block, size in enumerate(sizes):
+        for _ in range(size):
+            x = float(rng.normal())
+            units.append(
+                make_unit(
+                    pair_id=f"u{len(units)}",
+                    treatment=int(rng.random() < expit(x)),
+                    outcome=float(np.clip(0.1 * x + 0.05 * rng.normal(), -1.0, 1.0)),
+                    task_group=str(rng.choice(["math", "logical"])),
+                    p1_word_count=20.0 + 4.0 * x,
+                    headroom=float(rng.random()),
+                    step_index=float(rng.integers(1, 4)),
+                    framework=str(rng.choice(["fw_a", "fw_b", "fw_c"])),
+                    dataset=f"ds_{block % 3}",
+                    backbone=f"bb_{block // 3}",
+                )
+            )
+    data = make_data(units)
+    kind = draw(st.sampled_from(["all", "block", "iid", "loo", "no_first_framework"]))
+    if kind == "all":
+        return data, None
+    if kind == "block":
+        counts = np.bincount(rng.integers(0, n_blocks, n_blocks), minlength=n_blocks)
+        return data, counts[data.block_codes]
+    if kind == "iid":
+        return data, np.bincount(rng.integers(0, data.n, data.n), minlength=data.n)
+    framework, dataset = data.cat_codes[:, 0], data.cat_codes[:, 2]
+    if kind == "loo":
+        excluded = dataset == rng.integers(0, 3)
+    else:
+        excluded = framework == framework.min()
+    return data, (~excluded).astype(np.float64)
+
+
+class TestCountWeightedFit:
+    @given(weighted_populations())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_oracle_on_concatenated_rows(self, population):
+        data, weights = population
+        counts = np.ones(data.n, dtype=int) if weights is None else weights.astype(int)
+        idx = np.repeat(np.arange(data.n), counts)
+        t = data.treatment[idx].astype(np.float64)
+        assume(idx.size > 0 and t.min() != t.max())
+        ref_beta, ref_estimate, matrix = dense_sipw(data, idx)
+        beta = estimation._fit(data, weights)[0]
+        assert sipw(data, weights)[0] == pytest.approx(ref_estimate, rel=0, abs=1e-12)
+        # Both fits stop once a Newton step is below COEF_TOLERANCE; along
+        # near-collinear dummies round-off alone moves beta by ~1e-12.
+        np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=estimation.COEF_TOLERANCE)
+        gradient = penalized_gradient(matrix, t, beta)
+        assert float(np.max(np.abs(gradient))) < 1e-6
 
 
 class TestPropensityModel:

@@ -30,7 +30,7 @@ from editfx.inference import (
 from editfx.report import RunConfig
 
 from test_design import make_data
-from test_estimation import make_cell, make_unit
+from test_estimation import dense_sipw, make_cell, make_unit
 
 TestFamily.__test__ = False
 
@@ -101,14 +101,22 @@ def drawn_sequences(cell, cfg):
     ]
 
 
+def drawn_rows(data, drawn):
+    """The rows of the drawn blocks, concatenated in draw order."""
+    return np.concatenate([np.flatnonzero(data.block_codes == b) for b in drawn])
+
+
 def memo_free_bootstrap(cell, cfg, recipe):
-    """(estimates, valid, discarded) with every resample estimated afresh."""
+    """(estimates, valid, discarded) with every resample estimated afresh.
+
+    Each resample's blocks are concatenated; refits use the dense oracle.
+    """
     data = cell.data
     point_weights = sipw(data)[1].weights
     estimates = []
     discarded = 0
     for drawn in drawn_sequences(cell, cfg):
-        idx = np.concatenate([data.block_members[b] for b in drawn])
+        idx = drawn_rows(data, drawn)
         t = data.treatment[idx].astype(np.float64)
         if t.min() == t.max():
             discarded += 1
@@ -117,7 +125,7 @@ def memo_free_bootstrap(cell, cfg, recipe):
             if recipe == "naive":
                 estimates.append(weighted_difference(t, data.outcome[idx], np.ones(len(idx))))
             elif cfg["refit"]:
-                estimates.append(sipw(data, idx)[0])
+                estimates.append(dense_sipw(data, idx)[1])
             else:
                 estimates.append(weighted_difference(t, data.outcome[idx], point_weights[idx]))
         except (PositivityError, DegenerateCellError):
@@ -212,6 +220,9 @@ class TestTiers:
                 q_value=0.01,
                 tier=tier,
                 valid_resamples=500,
+                n_blocks=8,
+                distinct_resamples=480,
+                discarded=0,
             )
 
         assert result(TIER_BH).marker == "★"
@@ -284,7 +295,7 @@ class TestBlockBootstrap:
         expected = []
         for r in range(cfg["resamples"]):
             drawn = np.random.default_rng([cfg["seed"], r]).integers(0, n_blocks, size=n_blocks)
-            idx = np.concatenate([data.block_members[b] for b in drawn])
+            idx = drawn_rows(data, drawn)
             t = data.treatment[idx].astype(np.float64)
             if t.min() == t.max():
                 continue
@@ -296,21 +307,24 @@ class TestBlockBootstrap:
                 weights = point_weights[idx]
             expected.append(weighted_difference(t, data.outcome[idx], weights))
         assert result.valid_resamples == len(expected) > 0
-        np.testing.assert_array_equal(result.resample_estimates, expected)
+        np.testing.assert_allclose(result.resample_estimates, expected, rtol=0, atol=1e-12)
 
-    def test_each_distinct_draw_is_fitted_once(self, monkeypatch):
+    def test_each_block_multiset_is_fitted_once(self, monkeypatch):
         cell = three_block_cell()
         cfg = dict(resamples=200, seed=11)
         fits = []
         real = estimation.irls_logistic
         monkeypatch.setattr(
-            estimation, "irls_logistic", lambda matrix, y: fits.append(1) or real(matrix, y)
+            estimation, "irls_logistic", lambda *args: fits.append(1) or real(*args)
         )
         res = block_bootstrap(cell, **cfg)
-        distinct = {drawn.tobytes() for drawn in drawn_sequences(cell, cfg)}
+        distinct = {
+            np.bincount(drawn, minlength=3).tobytes() for drawn in drawn_sequences(cell, cfg)
+        }
         assert res.valid_resamples == 200
-        assert len(fits) == len(distinct) + 1
-        assert len(distinct) <= 27
+        assert len(fits) == len(distinct) + 1 == res.distinct_resamples + 1
+        assert len(distinct) <= 10
+        assert res.n_blocks == 3
 
     @pytest.mark.parametrize(
         "recipe, refit", [("sipw", True), ("sipw", False), ("naive", True)]
@@ -328,7 +342,7 @@ class TestBlockBootstrap:
         assert len(one_armed) > len(set(one_armed)) > 0  # repeated discards
         assert res.discarded == discarded >= len(one_armed)
         assert res.valid_resamples == valid == 200 - discarded
-        assert np.array_equal(res.resample_estimates, estimates)
+        np.testing.assert_allclose(res.resample_estimates, estimates, rtol=0, atol=1e-12)
 
     def test_iid_mode_runs(self):
         cell = make_cell(n=160, seed=24)

@@ -137,7 +137,9 @@ class TestInferenceSerialization:
         from editfx.inference import InferenceResult, TIER_BH
 
         results = [
-            InferenceResult("surface", "word_count", "math", 0.05, 0.01, 0.001, 0.004, TIER_BH, 200)
+            InferenceResult(
+                "surface", "word_count", "math", 0.05, 0.01, 0.001, 0.004, TIER_BH, 200, 8, 150, 3
+            )
         ]
         doc = inference_to_json(results, [("surface:char_count:math", "unstable")], alpha=0.1)
         assert doc["alpha"] == 0.1

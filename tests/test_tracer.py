@@ -37,10 +37,20 @@ def test_traced_report_counts_units_and_keeps_the_bundle(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    extra = json.loads(spans.read_text())["extra"]
+    traced = json.loads(spans.read_text())
+    extra = traced["extra"]
     # 14 surface and 4 motif features keep every record; an unannotated
     # corpus gives the annotation view no rows.
     assert extra["units"] == 18 * 120
     assert extra["blocks_per_cell"] >= 2
+    # The bootstrap fits each distinct block multiset that it does not
+    # discard once; here no cell is skipped and no resample discarded.
+    inference = json.loads((tmp_path / "traced" / "inference.json").read_text())
+    assert inference["skipped"] == []
+    assert all(row["discarded"] == 0 for row in inference["results"])
+    infer_spans = {i for i, span in enumerate(traced["spans"]) if span[0] == "infer_all"}
+    fits = sum(span[0] == "irls_logistic" and span[3] in infer_spans for span in traced["spans"])
+    distinct = sum(row["distinct_resamples"] for row in inference["results"])
+    assert fits == distinct <= extra["distinct_draws"]
     assert main([*report, "--out", str(tmp_path / "plain")]) == 0
     assert bundle_bytes(tmp_path / "traced") == bundle_bytes(tmp_path / "plain")
