@@ -12,12 +12,17 @@ failure, 2 internal error.
 from __future__ import annotations
 
 import os
+import platform
 
 # One BLAS thread: a threaded BLAS sums in an order that depends on the
-# thread count, so bundle bytes would depend on the host's cores. This
-# must run before anything imports numpy.
+# thread count, so bundle bytes would depend on the host's cores. One
+# OpenBLAS kernel on x86-64: a DYNAMIC_ARCH build otherwise picks its
+# kernel by CPU, and the kernels round differently. This must run before
+# anything imports numpy (which imports platform itself).
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
+if platform.machine().lower() in ("x86_64", "amd64"):
+    os.environ["OPENBLAS_CORETYPE"] = "Prescott"
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
@@ -72,8 +77,8 @@ def _load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _analysis(args) -> tuple[list, RunConfig, PreparedCorpus]:
-    """Records, run config and prepared corpus for a command with the common flags."""
+def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
+    """Run config and prepared corpus for a command with the common flags."""
     records, _ = ingest(args.input, strict=True)
     cfg = _load_run_config(args.config, args)
     wordlists = default_wordlists()
@@ -89,7 +94,7 @@ def _analysis(args) -> tuple[list, RunConfig, PreparedCorpus]:
             cache / "features.jsonl",
             "feature",
             records,
-            _keyer(wordlists.content_hash, cfg.include_demos),
+            _keyer(wordlists.content_hash),
             lambda doc: (doc["before"], doc["after"]),
         )
         caches["motif_cache"] = _load_cache(
@@ -99,16 +104,20 @@ def _analysis(args) -> tuple[list, RunConfig, PreparedCorpus]:
             _keyer(ruleset.content_hash, cfg.include_demos),
             lambda doc: {label: int(label in doc["record_labels"]) for label in MOTIF_LABELS},
         )
-    prepared = PreparedCorpus(records, wordlists, ruleset, cfg.include_demos, **caches)
-    return records, cfg, prepared
+    return cfg, PreparedCorpus(records, wordlists, ruleset, cfg.include_demos, **caches)
 
 
-def _keyer(content_hash: str, include_demos: bool):
-    """record -> cache key over the version, rules, demo diffing and both prompts."""
+def _keyer(*settings):
+    """record -> cache key over the version, the stage's settings and both prompts.
+
+    Surface features read no demo text, so the feature stage's settings
+    are its word-list hash alone; the motif stage's are its ruleset hash
+    and whether demos are diffed.
+    """
 
     def key(record) -> str:
         states = [record.before.to_json(), record.after.to_json()]
-        doc = [__version__, content_hash, include_demos, states]
+        doc = [__version__, *settings, states]
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
     return key
@@ -160,7 +169,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    records, cfg, prepared = _analysis(args)
+    _, prepared = _analysis(args)
+    records = prepared.records
     out = _out(args)
 
     def line(record) -> dict:
@@ -172,14 +182,15 @@ def _cmd_features(args) -> int:
             "delta": surface_delta(before_vec, after_vec),
         }
 
-    key = _keyer(prepared.wordlists.content_hash, cfg.include_demos)
+    key = _keyer(prepared.wordlists.content_hash)
     _write_stage(out / "features.jsonl", records, line, key)
     print(f"wrote {out / 'features.jsonl'} ({len(records)} records)")
     return 0
 
 
 def _cmd_motifs(args) -> int:
-    records, cfg, prepared = _analysis(args)
+    cfg, prepared = _analysis(args)
+    records = prepared.records
     out = _out(args)
     results = prepared.motif_results()
     key = _keyer(prepared.ruleset.content_hash, cfg.include_demos)
@@ -207,19 +218,21 @@ def _cmd_motifs(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    doc = Pipeline(*_analysis(args)).write_estimates(_out(args))
+    cfg, prepared = _analysis(args)
+    doc = Pipeline(prepared, cfg).write_estimates(_out(args))
     print(f"estimated {len(doc['estimates'])} cells, skipped {len(doc['skipped'])}")
     return 0
 
 
 def _cmd_infer(args) -> int:
-    doc = Pipeline(*_analysis(args)).write_inference(_out(args))
+    cfg, prepared = _analysis(args)
+    doc = Pipeline(prepared, cfg).write_inference(_out(args))
     print(f"tested {len(doc['results'])} cells, skipped {len(doc['skipped'])}")
     return 0
 
 
 def _cmd_loo(args) -> int:
-    records, _, prepared = _analysis(args)
+    _, prepared = _analysis(args)
     signs = (args.sign_a, args.sign_b)
     if None in signs:  # one sign alone is not enough: take both from the baseline
         signs = (None, None)
@@ -230,24 +243,24 @@ def _cmd_loo(args) -> int:
         baseline_sign_a=signs[0],
         baseline_sign_b=signs[1],
     )
-    loo = loo_stability(records, reversal, prepared=prepared)
+    loo = loo_stability(prepared, reversal)
     report_mod.write_text(_out(args) / "loo.csv", report_mod.loo_to_csv(loo))
     print(f"stable {loo.stable_count}/{loo.total}")
     return 0
 
 
 def _cmd_ceiling(args) -> int:
-    records, cfg, _ = _analysis(args)
-    doc = ceiling(records, seed=cfg.seed).to_json()
+    cfg, prepared = _analysis(args)
+    doc = ceiling(prepared.records, seed=cfg.seed).to_json()
     report_mod.write_json(_out(args) / "ceiling.json", doc)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
 
 def _cmd_receptivity(args) -> int:
-    records, cfg, prepared = _analysis(args)
-    estimates = Pipeline(records, cfg, prepared, views=("annotation",)).estimates
-    doc = report_mod.receptivity_section(records, estimates["estimates"])
+    cfg, prepared = _analysis(args)
+    estimates = Pipeline(prepared, cfg, views=("annotation",)).estimates
+    doc = report_mod.receptivity_section(prepared.records, estimates["estimates"])
     report_mod.write_json(_out(args) / "receptivity.json", doc)
     print(json.dumps(doc, sort_keys=True))
     return 0
@@ -281,8 +294,8 @@ def _cmd_report(args) -> int:
         return 0
     if not args.input:
         raise EditfxError("report needs either --input or --estimates")
-    records, cfg, prepared = _analysis(args)
-    report_mod.run_report(records, out, prepared=prepared, **asdict(cfg))
+    cfg, prepared = _analysis(args)
+    report_mod.run_report(prepared, out, **asdict(cfg))
     print(f"wrote report bundle into {out}")
     return 0
 

@@ -274,11 +274,12 @@ def map_cells(fn: Callable, cells: list[TestCell], skip: tuple) -> list:
 
 
 class PreparedCorpus:
-    """Per-record caches shared across treatment specs.
+    """One run's corpus: its records, word lists, ruleset and demo setting.
 
-    Surface vectors, motif diffs and the unit frame are computed at most
-    once per record no matter how many features draw on them. Precomputed
-    maps (for example read back from stage caches) can be injected.
+    Every analysis step of a run reads this one object. Surface vectors,
+    motif diffs and the unit frame are computed at most once per record
+    no matter how many features or steps draw on them. Precomputed maps
+    (for example read back from stage caches) can be injected.
     """
 
     def __init__(
@@ -341,17 +342,6 @@ class PreparedCorpus:
         )
 
 
-def prepared_for(
-    records: list[ComparisonRecord], prepared: PreparedCorpus | None
-) -> PreparedCorpus:
-    """`prepared`, or a new corpus over `records`; cells index its frame, so it must hold them."""
-    if prepared is None:
-        return PreparedCorpus(records)
-    if [r.pair_id for r in records] != [r.pair_id for r in prepared.records]:
-        raise ConfigError("the prepared corpus holds other records than the ones given")
-    return prepared
-
-
 def build_units(prepared: PreparedCorpus, spec: TreatmentSpec) -> tuple[np.ndarray, np.ndarray]:
     """The frame rows a treatment spec keeps, and their 0/1 treatments.
 
@@ -377,11 +367,10 @@ def build_units(prepared: PreparedCorpus, spec: TreatmentSpec) -> tuple[np.ndarr
 
 
 def enumerate_families(
-    records: list[ComparisonRecord],
+    prepared: PreparedCorpus,
     min_cell: int = 10,
     min_arm: int = 3,
     views: tuple[str, ...] = VIEWS,
-    prepared: PreparedCorpus | None = None,
 ) -> list[TestFamily]:
     """Build the per-view test families with degenerate cells excluded.
 
@@ -391,7 +380,6 @@ def enumerate_families(
     every cell are dropped with a warning. Family m is the surviving
     count, which is what BH correction later divides by.
     """
-    prepared = prepared_for(records, prepared)
     frame = prepared.frame
     families = []
     for view in views:

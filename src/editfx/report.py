@@ -353,26 +353,17 @@ class Pipeline:
     """One analysis run over a corpus, staged and built lazily.
 
     Families, the estimates document and the inference document are each
-    built at most once, from `cfg` alone; every analysis command is a view
-    over these stages. A passed-in prepared corpus must diff demos exactly
-    when `cfg` says so.
+    built at most once, from the prepared corpus and `cfg`; every analysis
+    command is a view over these stages. The corpus must diff demos
+    exactly when `cfg` says so.
     """
 
-    def __init__(
-        self,
-        records: list[ComparisonRecord],
-        cfg: RunConfig,
-        prepared: PreparedCorpus | None = None,
-        views: tuple[str, ...] = VIEWS,
-    ):
-        if prepared is None:
-            prepared = PreparedCorpus(records, include_demos=cfg.include_demos)
-        elif prepared.include_demos != cfg.include_demos:
+    def __init__(self, prepared: PreparedCorpus, cfg: RunConfig, views: tuple[str, ...] = VIEWS):
+        if prepared.include_demos != cfg.include_demos:
             raise ConfigError(
                 f"prepared corpus has include_demos={prepared.include_demos}, "
                 f"config has {cfg.include_demos}"
             )
-        self.records = records
         self.cfg = cfg
         self.prepared = prepared
         self.views = views
@@ -381,12 +372,9 @@ class Pipeline:
     def families(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            cfg = self.cfg
             return enumerate_families(
-                self.records,
-                min_cell=self.cfg.min_cell,
-                min_arm=self.cfg.min_arm,
-                views=self.views,
-                prepared=self.prepared,
+                self.prepared, min_cell=cfg.min_cell, min_arm=cfg.min_arm, views=self.views
             )
 
     @cached_property
@@ -419,21 +407,16 @@ class Pipeline:
         return doc
 
 
-def run_report(
-    records: list[ComparisonRecord],
-    out_dir: str | Path,
-    prepared: PreparedCorpus | None = None,
-    **settings,
-) -> dict:
+def run_report(prepared: PreparedCorpus, out_dir: str | Path, **settings) -> dict:
     """Full pipeline: families, estimates, inference, diagnostics, bundle.
 
     `settings` are RunConfig fields. Returns the provenance document.
-    Output is a deterministic function of (records, config); the worker
-    count does not enter it.
+    Output is a deterministic function of (prepared corpus, config); the
+    worker count does not enter it.
     """
     cfg = RunConfig(**settings)
-    pipeline = Pipeline(records, cfg, prepared)
-    prepared = pipeline.prepared
+    pipeline = Pipeline(prepared, cfg)
+    records = prepared.records
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -451,7 +434,7 @@ def run_report(
     if reversal is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            loo_report = loo_stability(records, reversal, prepared=prepared)
+            loo_report = loo_stability(prepared, reversal)
         loo_note = (
             f"{reversal.spec.view}:{reversal.spec.feature_name} "
             f"{reversal.group_a} vs {reversal.group_b}"
@@ -461,7 +444,7 @@ def run_report(
     per_dataset_rows = []
     for feature in view_features("motif"):
         spec = TreatmentSpec(view="motif", feature_name=feature)
-        for dataset, stats in per_dataset_cate(records, spec, prepared=prepared).items():
+        for dataset, stats in per_dataset_cate(prepared, spec).items():
             per_dataset_rows.append(
                 {
                     "view": "motif",
@@ -483,7 +466,7 @@ def run_report(
     receptivity_doc = receptivity_section(records, estimate_rows)
     write_json(out / "receptivity.json", receptivity_doc)
 
-    validity_doc = _validity_section(records, prepared, cfg.seed)
+    validity_doc = _validity_section(prepared, cfg.seed)
 
     provenance = {
         "artifact": {"name": "editfx", "version": __version__},
@@ -561,11 +544,9 @@ def receptivity_section(records: list[ComparisonRecord], estimate_rows: list[dic
     return doc
 
 
-def _validity_section(
-    records: list[ComparisonRecord], prepared: PreparedCorpus, seed: int
-) -> dict:
+def _validity_section(prepared: PreparedCorpus, seed: int) -> dict:
     try:
-        results = construct_validity(records, prepared=prepared, seed=seed)
+        results = construct_validity(prepared, seed=seed)
     except ConfigError as exc:
         return {"note": str(exc)}
     return {

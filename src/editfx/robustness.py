@@ -29,7 +29,6 @@ from .design import (
     TestCell,
     TreatmentSpec,
     build_units,
-    prepared_for,
 )
 from .errors import ConfigError, DegenerateCellError
 from .estimation import sipw
@@ -170,21 +169,17 @@ def sign_of(value: float) -> str:
 
 
 def baseline_cells(
-    records: list[ComparisonRecord],
-    spec: TreatmentSpec,
-    groups: tuple[str, str],
-    prepared: PreparedCorpus | None = None,
+    prepared: PreparedCorpus, spec: TreatmentSpec, groups: tuple[str, str]
 ) -> tuple[list[TestCell], list[float]]:
     """Each reversal group's cell over the whole corpus, and its SIPW estimate.
 
     Raises ConfigError for a group with no records and DegenerateCellError
     for a group whose cell has an empty arm.
     """
-    for group in groups:
-        if not any(r.task_group == group for r in records):
-            raise ConfigError(f"reversal references task group '{group}' with no records")
-    prepared = prepared_for(records, prepared)
     frame = prepared.frame
+    for group in groups:
+        if group not in frame.groups:
+            raise ConfigError(f"reversal references task group '{group}' with no records")
     rows, treatment = build_units(prepared, spec)
     in_group = [frame.group_codes[rows] == frame.groups.index(group) for group in groups]
     if any(np.unique(treatment[mask]).size != 2 for mask in in_group):
@@ -196,11 +191,7 @@ def baseline_cells(
     return cells, [cell.point_fit[0] for cell in cells]
 
 
-def loo_stability(
-    records: list[ComparisonRecord],
-    reversal: SignReversalSpec,
-    prepared: PreparedCorpus | None = None,
-) -> LooReport:
+def loo_stability(prepared: PreparedCorpus, reversal: SignReversalSpec) -> LooReport:
     """Re-estimate a sign reversal with each dataset held out in turn.
 
     Each split refits the propensity model on the baseline cells' rows
@@ -212,21 +203,22 @@ def loo_stability(
     a warning. Signs left as None take the baseline estimates' signs.
     """
     groups = (reversal.group_a, reversal.group_b)
-    cells, (baseline_a, baseline_b) = baseline_cells(records, reversal.spec, groups, prepared)
+    cells, (baseline_a, baseline_b) = baseline_cells(prepared, reversal.spec, groups)
     if reversal.baseline_sign_a is None:
         reversal = replace(
             reversal, baseline_sign_a=sign_of(baseline_a), baseline_sign_b=sign_of(baseline_b)
         )
-    datasets = sorted({r.dataset for r in records if r.task_group in groups})
+    frame = prepared.frame
     column = CATEGORICAL_COVARIATES.index("dataset")
-    levels = cells[0].data.frame.cat_levels[column]
+    dataset_codes = frame.cat_codes[:, column]
+    in_groups = [frame.group_codes == frame.groups.index(group) for group in groups]
     splits: list[LooSplit] = []
     skipped: list[tuple[str, str]] = []
-    for dataset in datasets:
-        if not {r.task_group for r in records if r.dataset != dataset}.issuperset(groups):
+    for code in np.unique(dataset_codes[in_groups[0] | in_groups[1]]):
+        dataset = frame.cat_levels[column][code]
+        if not all(np.any(in_group & (dataset_codes != code)) for in_group in in_groups):
             skipped.append((dataset, "exclusion empties a reversal group"))
             continue
-        code = levels.index(dataset)
         kept = [cell.data.cat_codes[:, column] != code for cell in cells]
         if any(np.unique(cell.data.treatment[mask]).size != 2 for cell, mask in zip(cells, kept)):
             skipped.append((dataset, "exclusion empties a treatment arm"))
@@ -268,17 +260,12 @@ class DatasetCate:
         return not math.isnan(self.cate)
 
 
-def per_dataset_cate(
-    records: list[ComparisonRecord],
-    spec: TreatmentSpec,
-    prepared: PreparedCorpus | None = None,
-) -> dict[str, DatasetCate]:
+def per_dataset_cate(prepared: PreparedCorpus, spec: TreatmentSpec) -> dict[str, DatasetCate]:
     """Unweighted treated-minus-control mean gain per dataset.
 
     Datasets where either arm is empty get cate=nan. Diagnostics only;
     never aggregated into headline estimates.
     """
-    prepared = prepared_for(records, prepared)
     frame = prepared.frame
     rows, treatment = build_units(prepared, spec)
     column = CATEGORICAL_COVARIATES.index("dataset")
@@ -322,7 +309,9 @@ def partial_r2(headrooms, gains, groups) -> float:
     """Variance in gain that task group explains beyond headroom.
 
     (RSS_reduced - RSS_full) / RSS_reduced for least-squares fits of
-    gain on headroom without and with group indicators.
+    gain on headroom without and with group indicators; 0 when the
+    reduced fit is perfect up to round-off, since a ratio of two
+    round-off residuals would depend on the BLAS kernel, not the data.
     """
     h = np.asarray(headrooms, dtype=np.float64)
     y = np.asarray(gains, dtype=np.float64)
@@ -337,9 +326,9 @@ def partial_r2(headrooms, gains, groups) -> float:
     ]
     full = np.column_stack([reduced, *dummies])
     rss_reduced = _rss(reduced, y)
-    rss_full = _rss(full, y)
-    if rss_reduced == 0.0:
+    if rss_reduced <= np.finfo(np.float64).eps * float(y @ y):
         return 0.0
+    rss_full = _rss(full, y)
     value = (rss_reduced - rss_full) / rss_reduced
     return float(min(1.0, max(0.0, value)))
 
@@ -381,10 +370,7 @@ def default_validity_pairs() -> list[tuple[str, str]]:
 
 
 def construct_validity(
-    records: list[ComparisonRecord],
-    pairs: list[tuple[str, str]] | None = None,
-    prepared: PreparedCorpus | None = None,
-    seed: int = 0,
+    prepared: PreparedCorpus, pairs: list[tuple[str, str]] | None = None, seed: int = 0
 ) -> list[ValidityResult]:
     """Rank-correlate annotation scores with their surface proxies.
 
@@ -397,10 +383,8 @@ def construct_validity(
     """
     if pairs is None:
         pairs = default_validity_pairs()
-    if prepared is None:
-        prepared = PreparedCorpus(records)
     states: dict[str, tuple[dict, dict[str, float]]] = {}
-    for record in records:
+    for record in prepared.records:
         for side, state, annotations in (
             (0, record.before, record.annotations_before),
             (1, record.after, record.annotations_after),

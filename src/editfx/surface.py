@@ -129,9 +129,11 @@ def compression_ratio(text: str) -> float:
     """Raw DEFLATE (level 6) size over UTF-8 size; 0.0 for empty text.
 
     Empty input has no ratio to speak of; it reports 0.0 so the whole
-    empty-text feature vector is zero, like every other feature.
+    empty-text feature vector is zero, like every other feature. A lone
+    surrogate is encoded as its three UTF-8-style bytes, so every str has
+    a ratio; valid text encodes as plain UTF-8.
     """
-    data = text.encode("utf-8")
+    data = text.encode("utf-8", "surrogatepass")
     if not data:
         return 0.0
     compressor = zlib.compressobj(level=6, wbits=-15)

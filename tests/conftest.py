@@ -7,6 +7,10 @@ derived from the accuracies unless given).
 
 import pytest
 
+# The CLI sets its BLAS pins (one thread, one OpenBLAS kernel) on import,
+# and they take effect only if numpy has not loaded yet. Importing it
+# first makes in-process runs match the CLI's subprocess runs byte for byte.
+import editfx.cli  # noqa: F401
 from editfx.store import ComparisonRecord, PromptState
 
 

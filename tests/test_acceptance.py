@@ -157,7 +157,7 @@ def test_criterion_03_weight_contracts(capsys):
         records, _ = generate(SynthConfig())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            families = enumerate_families(records)
+            families = enumerate_families(PreparedCorpus(records))
         bounded = True
         checked = 0
         for family in families:
@@ -395,7 +395,7 @@ def test_criterion_08_leave_one_out(capsys):
             baseline_sign_a="+",
             baseline_sign_b="-",
         )
-        report = loo_stability(effect_corpus(layout), reversal)
+        report = loo_stability(PreparedCorpus(effect_corpus(layout)), reversal)
         flagged = [s.excluded_dataset for s in report.splits if not s.stable]
         contaminated_ok = (
             report.total == 6 and report.stable_count == 5 and flagged == ["m4"]
@@ -408,7 +408,7 @@ def test_criterion_08_leave_one_out(capsys):
             ("solo", "logical", False, 0.0, 6),
         ]
         with pytest.warns(UserWarning, match="no evaluable leave-one-out splits"):
-            solo_report = loo_stability(effect_corpus(solo_layout), reversal)
+            solo_report = loo_stability(PreparedCorpus(effect_corpus(solo_layout)), reversal)
         solo_ok = solo_report.total == 0 and len(solo_report.skipped) == 1
 
         c["ok"] = contaminated_ok and solo_ok
@@ -573,9 +573,9 @@ def test_criterion_11_end_to_end_determinism(capsys, tmp_path):
     with criterion(capsys, 11, "end-to-end determinism") as c:
         records, _ = generate(SynthConfig())
         t0 = time.monotonic()
-        provenance = run_report(records, tmp_path / "one", seed=0, workers=1)
+        provenance = run_report(PreparedCorpus(records), tmp_path / "one", seed=0, workers=1)
         t1 = time.monotonic()
-        run_report(records, tmp_path / "two", seed=0, workers=4)
+        run_report(PreparedCorpus(records), tmp_path / "two", seed=0, workers=4)
         t2 = time.monotonic()
         differing = [
             name

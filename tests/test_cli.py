@@ -272,13 +272,11 @@ class TestReportCommand:
         argv = ["report", "--input", str(corpus), "--out", str(out), "--resamples", "20"]
         assert main([*argv, "--wordlists", str(lists_path)]) == 0
         written = json.loads((out / "provenance.json").read_text("utf-8"))["construct_validity"]
-        expected = construct_validity(
-            records, prepared=PreparedCorpus(records, WordLists.load(lists_path))
-        )
+        expected = construct_validity(PreparedCorpus(records, WordLists.load(lists_path)))
         assert written["pairs"] == [
             {**dataclasses.asdict(r), "validated": r.validated} for r in expected
         ]
-        assert expected != construct_validity(records)
+        assert expected != construct_validity(PreparedCorpus(records))
 
     def test_full_bundle_then_render_only(self, corpus_path, tmp_path):
         bundle = tmp_path / "bundle"
@@ -480,6 +478,20 @@ class TestStageCache:
         assert not [row for row in doc["estimates"] if row["feature"] == "meta_instruction"]
         assert (fresh / "estimates.json").read_bytes() == (cached / "estimates.json").read_bytes()
 
+    def test_feature_cache_serves_include_demos(self, tmp_path):
+        corpus = str(demo_corpus(tmp_path / "corpus.jsonl"))
+        cache = tmp_path / "cache"
+        assert main(["features", "--input", corpus, "--out", str(cache)]) == 0
+        argv = ["report", "--input", corpus, "--include-demos", "--resamples", "8", "--out"]
+        assert main([*argv, str(tmp_path / "fresh")]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, str(tmp_path / "cached"), "--cache-dir", str(cache)]) == 0
+        assert not [w for w in caught if "feature cache" in str(w.message)]
+        fresh = {p.name: p.read_bytes() for p in sorted((tmp_path / "fresh").iterdir())}
+        cached = {p.name: p.read_bytes() for p in sorted((tmp_path / "cached").iterdir())}
+        assert cached == fresh
+
     def test_cache_without_keys_recomputes(self, corpus_path, tmp_path):
         cache = tmp_path / "cache"
         assert main(["motifs", "--input", str(corpus_path), "--out", str(cache)]) == 0
@@ -573,25 +585,31 @@ class TestExitCodes:
 
     def test_bundle_does_not_depend_on_blas_threads(self, tmp_path):
         # One task group, so each cell has all 5,000 rows: large enough
-        # products for a threaded BLAS to split them.
+        # products for a threaded BLAS to split them, and for OpenBLAS
+        # kernels built for different CPUs to round them differently.
         datasets = tuple(f"ds_{i:02d}" for i in range(25))
         records, _ = generate(SynthConfig(n=5000, datasets=datasets, groups=("math",), seed=7))
         corpus = tmp_path / "corpus.jsonl"
         serialize(records, corpus)
         src = str(Path(editfx.__file__).parents[1])
-        bundles = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        bundles = {}
+        for name, extra in {
+            "threads1": {"OPENBLAS_NUM_THREADS": "1"},
+            "threads2": {"OPENBLAS_NUM_THREADS": "2"},
+            "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+        }.items():
+            out = tmp_path / name
             args = ["report", "--input", str(corpus), "--seed", "7", "--resamples", "2"]
             result = subprocess.run(
                 [sys.executable, "-m", "editfx.cli", *args, "--out", str(out)],
                 capture_output=True,
                 timeout=300,
-                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                env={**env, "PYTHONPATH": src, **extra},
             )
             assert result.returncode == 0, result.stderr
-            bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert bundles[0] == bundles[1]
+            bundles[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert bundles["threads1"] == bundles["threads2"] == bundles["haswell"]
 
     def test_console_script_smoke(self, corpus_path, tmp_path):
         exe = shutil.which("editfx")

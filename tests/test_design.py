@@ -277,7 +277,7 @@ class TestEnumerateFamilies:
     def test_surface_family_cells_and_exclusions(self):
         records = self.make_corpus()
         with pytest.warns(UserWarning):
-            families = enumerate_families(records, views=VIEWS)
+            families = enumerate_families(PreparedCorpus(records), views=VIEWS)
         assert [f.name for f in families] == ["surface"]
         family = families[0]
         cell_ids = [c.cell_id for c in family.cells]
@@ -292,15 +292,10 @@ class TestEnumerateFamilies:
             "arms treated=0 control=20 below minimum 3",
         ) in family.excluded
 
-    def test_prepared_corpus_must_hold_the_given_records(self):
-        records = self.make_corpus()
-        with pytest.raises(ConfigError, match="other records"):
-            enumerate_families(records[:10], prepared=PreparedCorpus(records))
-
     def test_empty_families_warn_and_drop(self):
         records = self.make_corpus()
         with pytest.warns(UserWarning, match="family 'motif' has no testable cells"):
-            families = enumerate_families(records, views=("motif",))
+            families = enumerate_families(PreparedCorpus(records), views=("motif",))
         assert families == []
 
     def test_min_arm_boundary(self):
@@ -327,10 +322,11 @@ class TestEnumerateFamilies:
                     task_group="sequential",
                 )
             )
-        families = enumerate_families(records, views=("surface",), min_cell=10, min_arm=3)
+        prepared = PreparedCorpus(records)
+        families = enumerate_families(prepared, views=("surface",), min_cell=10, min_arm=3)
         cells = {c.cell_id for c in families[0].cells}
         assert "surface:word_count:math" in cells
-        families = enumerate_families(records, views=("surface",), min_cell=10, min_arm=4)
+        families = enumerate_families(prepared, views=("surface",), min_cell=10, min_arm=4)
         cells = {c.cell_id for c in families[0].cells}
         assert "surface:word_count:sequential" in cells
         assert "surface:word_count:math" not in cells
@@ -363,7 +359,7 @@ class TestEnumerateFamilies:
                         task_group=group,
                     )
                 )
-        families = enumerate_families(records, views=("surface",), min_cell=10)
+        families = enumerate_families(PreparedCorpus(records), views=("surface",), min_cell=10)
         word_cells = [c for c in families[0].cells if c.spec.feature_name == "word_count"]
         assert [c.task_group for c in word_cells] == ["math", "sequential"]
 

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from editfx import estimation
+from editfx import design, estimation, motifs, surface
 from editfx import report as report_mod
 from editfx.design import PreparedCorpus, TreatmentSpec
 from editfx.errors import ConfigError, SchemaError
@@ -430,7 +430,7 @@ def small_corpus():
 class TestRunReport:
     def test_bundle_contents_and_provenance(self, tmp_path, small_corpus):
         out = tmp_path / "bundle"
-        provenance = run_report(small_corpus, out, seed=5, resamples=16)
+        provenance = run_report(PreparedCorpus(small_corpus), out, seed=5, resamples=16)
         for name in BUNDLE_FILES:
             assert (out / name).exists(), name
         for name in provenance["outputs"]:
@@ -463,7 +463,7 @@ class TestRunReport:
 
     def test_artifact_formats(self, tmp_path, small_corpus):
         out = tmp_path / "bundle"
-        run_report(small_corpus, out, seed=5, resamples=16)
+        run_report(PreparedCorpus(small_corpus), out, seed=5, resamples=16)
         estimates_doc = json.loads((out / "estimates.json").read_text("utf-8"))
         assert estimates_doc["estimates"], "expected at least one estimated cell"
         for row in estimates_doc["estimates"]:
@@ -490,11 +490,33 @@ class TestRunReport:
         loo_first = (out / "loo.csv").read_text("utf-8").splitlines()[0]
         assert loo_first.startswith("#")
 
+    def test_one_corpus_serves_the_whole_run(self, tmp_path, monkeypatch):
+        records, _ = generate(SynthConfig(n=120, seed=0, annotate=True))
+        counted_names = ((surface, "extract"), (motifs, "record_motifs"), (design, "UnitFrame"))
+        calls = {name: 0 for _, name in counted_names}
+        for module, name in counted_names:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        provenance = run_report(PreparedCorpus(records), tmp_path / "bundle", seed=3, resamples=8)
+        # Every step ran: construct validity, a leave-one-out reversal and
+        # the per-dataset breakdown all read the one corpus given.
+        assert provenance["construct_validity"]["total"] > 0
+        assert provenance["loo"]["total"] > 0
+        assert len((tmp_path / "bundle" / "per_dataset.csv").read_text().splitlines()) > 1
+        n = len(records)
+        assert calls == {"extract": 2 * n, "record_motifs": n, "UnitFrame": 1}
+
     def test_worker_count_does_not_change_bytes(self, tmp_path, small_corpus):
         out_serial = tmp_path / "serial"
         out_parallel = tmp_path / "parallel"
-        provenance = run_report(small_corpus, out_serial, seed=5, resamples=16, workers=1)
-        run_report(small_corpus, out_parallel, seed=5, resamples=16, workers=3)
+        settings = {"seed": 5, "resamples": 16}
+        provenance = run_report(PreparedCorpus(small_corpus), out_serial, **settings, workers=1)
+        run_report(PreparedCorpus(small_corpus), out_parallel, **settings, workers=3)
         for name in provenance["outputs"]:
             assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes(), name
 
@@ -510,7 +532,7 @@ class TestPipeline:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(report_mod, name, counted)
-        pipeline = Pipeline(small_corpus, RunConfig(resamples=4))
+        pipeline = Pipeline(PreparedCorpus(small_corpus), RunConfig(resamples=4))
         for _ in range(2):
             assert pipeline.estimates["estimates"]
             assert pipeline.inference["results"]
@@ -526,7 +548,7 @@ class TestPipeline:
             return real(data, idx)
 
         monkeypatch.setattr(estimation, "_fit", counted)
-        pipeline = Pipeline(small_corpus, RunConfig())
+        pipeline = Pipeline(PreparedCorpus(small_corpus), RunConfig())
         estimates = pipeline.estimates["estimates"]
         results = pipeline.inference["results"]
         assert pipeline.inference["skipped"] == []
@@ -535,9 +557,9 @@ class TestPipeline:
     def test_prepared_corpus_must_match_config(self, small_corpus, tmp_path):
         prepared = PreparedCorpus(small_corpus, include_demos=True)
         with pytest.raises(ConfigError, match="include_demos"):
-            Pipeline(small_corpus, RunConfig(), prepared)
+            Pipeline(prepared, RunConfig())
         with pytest.raises(ConfigError, match="include_demos"):
-            run_report(small_corpus, tmp_path / "bundle", prepared=prepared)
+            run_report(prepared, tmp_path / "bundle")
 
     @pytest.mark.parametrize(
         "settings",
@@ -553,5 +575,5 @@ class TestPipeline:
     )
     def test_run_report_rejects_bad_settings(self, small_corpus, tmp_path, settings):
         with pytest.raises((ConfigError, TypeError)):
-            run_report(small_corpus, tmp_path / "bundle", **settings)
+            run_report(PreparedCorpus(small_corpus), tmp_path / "bundle", **settings)
         assert not (tmp_path / "bundle").exists()

@@ -229,7 +229,7 @@ class TestLooStability:
         )
 
     def test_contaminated_dataset_is_the_only_unstable_split(self):
-        report = loo_stability(self.contaminated_corpus(), self.reversal())
+        report = loo_stability(PreparedCorpus(self.contaminated_corpus()), self.reversal())
         assert report.baseline_a > 0.0
         assert report.baseline_b < 0.0
         assert report.total == 6
@@ -249,7 +249,7 @@ class TestLooStability:
         ]
         records = effect_corpus(layout)
         with pytest.warns(UserWarning, match="no evaluable leave-one-out splits"):
-            report = loo_stability(records, self.reversal())
+            report = loo_stability(PreparedCorpus(records), self.reversal())
         assert report.total == 0
         assert report.stable_count == 0
         assert report.skipped == [("solo", "exclusion empties a reversal group")]
@@ -265,7 +265,7 @@ class TestLooStability:
             ("l2", "logical", False, 0.0, 6),
         ]
         records = effect_corpus(layout)
-        report = loo_stability(records, self.reversal())
+        report = loo_stability(PreparedCorpus(records), self.reversal())
         assert ("m2", "exclusion empties a treatment arm") in report.skipped
         assert all(s.excluded_dataset != "m2" for s in report.splits)
 
@@ -279,7 +279,7 @@ class TestLooStability:
             baseline_sign_b="-",
         )
         with pytest.raises(ConfigError):
-            loo_stability(records, reversal)
+            loo_stability(PreparedCorpus(records), reversal)
 
     def test_reversal_spec_requires_opposite_signs(self):
         with pytest.raises(ConfigError):
@@ -307,7 +307,7 @@ class TestPerDatasetCate:
             ("d2", "math", True, 0.1, 1),
             ("d2", "math", False, 0.1, 1),
         ]
-        out = per_dataset_cate(effect_corpus(layout), WORD_SPEC)
+        out = per_dataset_cate(PreparedCorpus(effect_corpus(layout)), WORD_SPEC)
         assert list(out) == ["d1", "d2"]
         assert out["d1"].cate == pytest.approx(0.1, abs=1e-12)
         assert out["d1"].n_treated == 2
@@ -316,7 +316,7 @@ class TestPerDatasetCate:
 
     def test_empty_arm_is_undefined(self):
         layout = [("d1", "math", True, 0.2, 3)]
-        out = per_dataset_cate(effect_corpus(layout), WORD_SPEC)
+        out = per_dataset_cate(PreparedCorpus(effect_corpus(layout)), WORD_SPEC)
         assert not out["d1"].defined
         assert math.isnan(out["d1"].cate)
         assert out["d1"].n_control == 0
@@ -347,7 +347,8 @@ class TestConstructValidity:
 
     def test_monotone_pair_validates(self):
         results = construct_validity(
-            self.graded_records(), pairs=[("Metacognition", "metacog_word_density")]
+            PreparedCorpus(self.graded_records()),
+            pairs=[("Metacognition", "metacog_word_density")],
         )
         assert len(results) == 1
         assert results[0].rho == pytest.approx(1.0)
@@ -355,7 +356,8 @@ class TestConstructValidity:
 
     def test_anti_monotone_pair_validates_via_absolute_rho(self):
         results = construct_validity(
-            self.graded_records(flip=True), pairs=[("Metacognition", "metacog_word_density")]
+            PreparedCorpus(self.graded_records(flip=True)),
+            pairs=[("Metacognition", "metacog_word_density")],
         )
         assert results[0].rho == pytest.approx(-1.0)
         assert results[0].validated
@@ -370,7 +372,7 @@ class TestConstructValidity:
             annotations_after={"Metacognition": 2.0},
         )
         results = construct_validity(
-            records + [clone], pairs=[("Metacognition", "metacog_word_density")]
+            PreparedCorpus(records + [clone]), pairs=[("Metacognition", "metacog_word_density")]
         )
         # the clone's states collide with r0's; first-seen annotations win
         assert results[0].n == 8
@@ -386,7 +388,7 @@ class TestConstructValidity:
             for r in self.graded_records()
         ]
         pairs = [("Clarity", "metacog_word_density"), ("Metacognition", "metacog_word_density")]
-        constant, monotone = construct_validity(records, pairs=pairs)
+        constant, monotone = construct_validity(PreparedCorpus(records), pairs=pairs)
         assert constant.rho is None and constant.p_value is None
         assert constant.note == "constant input; rank correlation undefined"
         assert constant.n == 8
@@ -398,13 +400,15 @@ class TestConstructValidity:
     def test_unknown_surface_feature_rejected(self):
         with pytest.raises(ConfigError):
             construct_validity(
-                self.graded_records(), pairs=[("Metacognition", "novelty_index")]
+                PreparedCorpus(self.graded_records()), pairs=[("Metacognition", "novelty_index")]
             )
 
     def test_too_few_states_rejected(self):
         records = self.graded_records()[:1]
         with pytest.raises(ConfigError):
-            construct_validity(records, pairs=[("Metacognition", "metacog_word_density")])
+            construct_validity(
+                PreparedCorpus(records), pairs=[("Metacognition", "metacog_word_density")]
+            )
 
     def test_reads_vectors_from_the_prepared_corpus(self, monkeypatch):
         records = self.graded_records()
@@ -416,9 +420,7 @@ class TestConstructValidity:
         monkeypatch.setattr(
             surface, "extract", lambda *args: calls.append(args) or extract(*args)
         )
-        results = construct_validity(
-            records, pairs=[("Metacognition", "metacog_word_density")], prepared=prepared
-        )
+        results = construct_validity(prepared, pairs=[("Metacognition", "metacog_word_density")])
         assert calls == []
         assert results[0].rho == pytest.approx(1.0)
 

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from editfx.errors import SchemaError
 from editfx.store import PromptState
@@ -207,6 +207,7 @@ class TestFeatures:
         )
     )
     @settings(max_examples=300, deadline=None)
+    @example("\ud800")
     def test_uppercase_ratio_matches_list_oracle(self, text):
         assert vec(text)["uppercase_ratio"] == uppercase_ratio_oracle(text)
         assert vec(text.encode("ascii", "ignore").decode())["uppercase_ratio"] == (
