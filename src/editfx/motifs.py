@@ -1,10 +1,13 @@
 """Word-level diffs between consecutive prompts and inserted-span motifs.
 
 The diff is a minimal edit script under the longest-common-subsequence
-metric over tokens, with deterministic earliest-match tie-breaking.
-Inserted runs of at least MIN_SPAN_TOKENS tokens become spans, which a
-frozen pattern ruleset classifies into four motif categories. A span may
-carry several labels; co-occurrence statistics rely on that.
+metric over tokens, with deterministic earliest-match tie-breaking. Its
+suffix LCS lengths come from bit-parallel rows, one bit per cell
+(Allison & Dix 1986, Inf. Process. Lett. 23:305; Hyyro 2004,
+"Bit-parallel LCS-length computation revisited"). Inserted runs of at
+least MIN_SPAN_TOKENS tokens become spans, which a frozen pattern
+ruleset classifies into four motif categories. A span may carry several
+labels; co-occurrence statistics rely on that.
 """
 
 from __future__ import annotations
@@ -180,43 +183,54 @@ def word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun
         ops.append(("keep", before_tokens[i]))
         i += 1
         j += 1
-    table = _lcs_table(before_tokens[i:], after_tokens[j:])
+    rows = _lcs_rows(before_tokens[i:], after_tokens[j:])
     bi, bj = 0, 0
     rn, rm = n - i, m - j
+    # The low rm - bj bits of a row stand for after_tokens[j + bj:].
+    mask = (1 << rm) - 1
     while bi < rn or bj < rm:
         if bi < rn and bj < rm and before_tokens[i + bi] == after_tokens[j + bj]:
             ops.append(("keep", before_tokens[i + bi]))
             bi += 1
             bj += 1
-        elif bi < rn and table[bi + 1, bj] == table[bi, bj]:
+            mask >>= 1
+        # Deleting keeps the LCS when LCS(before[bi+1:], after[bj:]) equals
+        # LCS(before[bi:], after[bj:]): equal popcounts under the same mask.
+        elif bi < rn and (rows[bi + 1] & mask).bit_count() == (rows[bi] & mask).bit_count():
             ops.append(("delete", before_tokens[i + bi]))
             bi += 1
         else:
             ops.append(("insert", after_tokens[j + bj]))
             bj += 1
+            mask >>= 1
     return _coalesce(ops)
 
 
-def _lcs_table(before: list[str], after: list[str]) -> np.ndarray:
-    """Suffix LCS lengths: table[i, j] = LCS(before[i:], after[j:]).
+def _lcs_rows(before: list[str], after: list[str]) -> list[int]:
+    """Bit-parallel suffix LCS rows, one bit per cell, as Python ints.
 
-    The dtype is the smallest unsigned type that holds min(n, m), the
-    longest possible LCS: uint16 below 65,536 tokens.
+    rows[i] encodes every LCS(before[i:], after[j:]) as
+    k - popcount(rows[i] & ((1 << k) - 1)) with k = m - j. The rows are
+    built over both sequences read backwards, one step per before token
+    in Hyyro's form of the Allison-Dix recurrence: U = V & M[token],
+    V = ((V + U) | (V - U)) & full, where bit k of M[token] marks
+    after[m - 1 - k] == token (Allison & Dix 1986, Inf. Process. Lett.
+    23:305; Hyyro 2004, "Bit-parallel LCS-length computation revisited").
+    The rows take (n + 1) * m bits.
     """
-    n, m = len(before), len(after)
-    table = np.zeros((n + 1, m + 1), dtype=np.min_scalar_type(min(n, m)))
-    if n == 0 or m == 0:
-        return table
-    vocab: dict[str, int] = {}
-    b_ids = np.fromiter((vocab.setdefault(t, len(vocab)) for t in before), dtype=np.int64, count=n)
-    a_ids = np.fromiter((vocab.setdefault(t, len(vocab)) for t in after), dtype=np.int64, count=m)
-    for i in range(n - 1, -1, -1):
-        nxt = table[i + 1]
-        # row[j] = max over k >= j of max(nxt[k], nxt[k+1] + [before[i] == after[k]]):
-        # the same-row dependency unrolls into a reverse cumulative max.
-        cand = np.maximum(nxt[:-1], nxt[1:] + (a_ids == b_ids[i]))
-        table[i, :-1] = np.maximum.accumulate(cand[::-1])[::-1]
-    return table
+    masks: dict[str, int] = {}
+    for k, token in enumerate(reversed(after)):
+        masks[token] = masks.get(token, 0) | (1 << k)
+    full = (1 << len(after)) - 1
+    v = full
+    rows = [v]
+    for token in reversed(before):
+        u = v & masks.get(token, 0)
+        if u:
+            v = ((v + u) | (v - u)) & full
+        rows.append(v)
+    rows.reverse()
+    return rows
 
 
 def _coalesce(ops: list[tuple[str, str]]) -> list[EditRun]:

@@ -17,7 +17,8 @@ from editfx.motifs import (
     EditRun,
     InsertedSpan,
     MotifRuleset,
-    _lcs_table,
+    _coalesce,
+    _lcs_rows,
     apply_script,
     audit_sample,
     classify,
@@ -57,8 +58,8 @@ def lcs_length(a: list[str], b: list[str]) -> int:
 
 
 def lcs_table_int32(before: list[str], after: list[str]) -> np.ndarray:
-    # The former int32 table built from a full int32 equality matrix, kept
-    # as the reference for _lcs_table.
+    # Suffix LCS lengths, table[i, j] = LCS(before[i:], after[j:]), from a
+    # full int32 equality matrix: the reference for the bit rows.
     n, m = len(before), len(after)
     table = np.zeros((n + 1, m + 1), dtype=np.int32)
     if n == 0 or m == 0:
@@ -72,6 +73,84 @@ def lcs_table_int32(before: list[str], after: list[str]) -> np.ndarray:
         cand = np.maximum(nxt[:-1], nxt[1:] + eq[i])
         table[i, :-1] = np.maximum.accumulate(cand[::-1])[::-1]
     return table
+
+
+def lengths_from_rows(before: list[str], after: list[str]) -> np.ndarray:
+    # Every suffix length LCS(before[i:], after[j:]) read off the bit rows.
+    rows = _lcs_rows(before, after)
+    n, m = len(before), len(after)
+    assert len(rows) == n + 1
+    table = np.zeros((n + 1, m + 1), dtype=np.int32)
+    for i in range(n + 1):
+        for j in range(m + 1):
+            k = m - j
+            table[i, j] = k - (rows[i] & ((1 << k) - 1)).bit_count()
+    return table
+
+
+def table_word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun]:
+    # The uint16 suffix-table diff that the bit rows replaced, frozen as the
+    # differential oracle: same prefix skip, same walk, same tie-breaking.
+    ops: list[tuple[str, str]] = []
+    i, j = 0, 0
+    n, m = len(before_tokens), len(after_tokens)
+    while i < n and j < m and before_tokens[i] == after_tokens[j]:
+        ops.append(("keep", before_tokens[i]))
+        i += 1
+        j += 1
+    before, after = before_tokens[i:], after_tokens[j:]
+    rn, rm = len(before), len(after)
+    table = np.zeros((rn + 1, rm + 1), dtype=np.min_scalar_type(min(rn, rm)))
+    if rn and rm:
+        vocab: dict[str, int] = {}
+        b_ids = np.fromiter((vocab.setdefault(t, len(vocab)) for t in before), np.int64, rn)
+        a_ids = np.fromiter((vocab.setdefault(t, len(vocab)) for t in after), np.int64, rm)
+        for r in range(rn - 1, -1, -1):
+            nxt = table[r + 1]
+            cand = np.maximum(nxt[:-1], nxt[1:] + (a_ids == b_ids[r]))
+            table[r, :-1] = np.maximum.accumulate(cand[::-1])[::-1]
+    bi, bj = 0, 0
+    while bi < rn or bj < rm:
+        if bi < rn and bj < rm and before[bi] == after[bj]:
+            ops.append(("keep", before[bi]))
+            bi += 1
+            bj += 1
+        elif bi < rn and table[bi + 1, bj] == table[bi, bj]:
+            ops.append(("delete", before[bi]))
+            bi += 1
+        else:
+            ops.append(("insert", after[bj]))
+            bj += 1
+    return _coalesce(ops)
+
+
+@st.composite
+def near_copies(draw):
+    # A random prompt and an edited copy: substitutions, deletions and
+    # inserted runs of MIN_SPAN_TOKENS or more tokens, so spans appear.
+    words = st.sampled_from([f"w{k}" for k in range(draw(st.integers(1, 20)))])
+    before = draw(st.lists(words, max_size=60))
+    after = list(before)
+    for _ in range(draw(st.integers(0, 6))):
+        pos = draw(st.integers(0, len(after)))
+        kind = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if kind == "insert":
+            run_words = st.one_of(words, st.sampled_from(["make", "sure", "to", "verify"]))
+            after[pos:pos] = draw(st.lists(run_words, min_size=MIN_SPAN_TOKENS, max_size=9))
+        elif kind == "delete":
+            del after[pos : pos + draw(st.integers(1, 5))]
+        elif pos < len(after):
+            after[pos] = "sub"
+    return before, after
+
+
+def substituted_copy(n: int, seed: int) -> tuple[list[str], list[str]]:
+    # An n-token prompt and its copy with one substitution every 97 tokens,
+    # the first past a 5-token common prefix.
+    rng = np.random.default_rng(seed)
+    before = [f"w{k}" for k in rng.integers(200, size=n)]
+    after = [f"sub{k}" if k % 97 == 5 else t for k, t in enumerate(before)]
+    return before, after
 
 
 def mkspan(text: str) -> InsertedSpan:
@@ -141,30 +220,29 @@ class TestLcsTable:
     @given(before=tokens_st, after=tokens_st)
     @settings(max_examples=200, deadline=None)
     def test_small_inputs_match_int32_reference(self, before, after):
-        assert np.array_equal(_lcs_table(before, after), lcs_table_int32(before, after))
+        assert np.array_equal(lengths_from_rows(before, after), lcs_table_int32(before, after))
 
     @pytest.mark.parametrize(
-        "n, m, vocab", [(256, 256, 3), (300, 700, 8), (900, 257, 40), (260, 0, 5)]
+        "n, m, vocab",
+        [
+            (256, 256, 3),
+            (300, 700, 8),
+            (900, 257, 40),
+            (260, 0, 5),
+            (63, 63, 4),
+            (64, 64, 4),
+            (65, 65, 4),
+            (64, 65, 2),
+        ],
     )
     def test_long_inputs_match_int32_reference(self, n, m, vocab):
         rng = np.random.default_rng([n, m, vocab])
         before = [f"w{k}" for k in rng.integers(vocab, size=n)]
         after = [f"w{k}" for k in rng.integers(vocab, size=m)]
-        table = _lcs_table(before, after)
-        assert table.dtype == np.min_scalar_type(min(n, m))
-        assert np.array_equal(table, lcs_table_int32(before, after))
-
-    def test_lcs_length_fits_the_narrow_dtype(self):
-        tokens = [f"w{k}" for k in range(255)]
-        table = _lcs_table(tokens, tokens)
-        assert table.dtype == np.uint8
-        assert table[0, 0] == 255
+        assert np.array_equal(lengths_from_rows(before, after), lcs_table_int32(before, after))
 
     def test_word_diff_peak_memory_on_long_prompts(self):
-        rng = np.random.default_rng(3000)
-        before = [f"w{k}" for k in rng.integers(200, size=3000)]
-        # one substitution every 97 tokens, the first past a 5-token prefix
-        after = [f"sub{k}" if k % 97 == 5 else t for k, t in enumerate(before)]
+        before, after = substituted_copy(3000, 3000)
         tracemalloc.start()
         try:
             script = word_diff(before, after)
@@ -173,6 +251,41 @@ class TestLcsTable:
             tracemalloc.stop()
         assert apply_script(script, before) == after
         assert peak < 24 * 2**20
+
+    def test_word_diff_peak_memory_on_a_20k_token_pair(self):
+        # 20,000 x 20,000 bits is about 48 MiB of rows; a uint16 suffix
+        # table of the same pair would need about 760 MiB.
+        before, after = substituted_copy(20_000, 20_000)
+        tracemalloc.start()
+        try:
+            script = word_diff(before, after)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert apply_script(script, before) == after
+        assert peak < 64 * 2**20
+
+
+class TestTableOracle:
+    @given(before=tokens_st, after=tokens_st)
+    @settings(max_examples=300, deadline=None)
+    def test_random_pairs_match_table_diff(self, before, after):
+        assert word_diff(before, after) == table_word_diff(before, after)
+
+    @given(pair=near_copies())
+    @settings(max_examples=300, deadline=None)
+    def test_near_copies_match_table_diff(self, pair):
+        before, after = pair
+        assert word_diff(before, after) == table_word_diff(before, after)
+
+    def test_long_substituted_copy_matches_table_diff(self):
+        before, after = substituted_copy(4000, 4000)
+        # a 6-token insertion every 503 tokens, so the script has spans
+        for pos in range(len(after) - 200, 0, -503):
+            after[pos:pos] = ["make", "sure", "to", "verify", "it", "now"]
+        script = word_diff(before, after)
+        assert script == table_word_diff(before, after)
+        assert sum(r.op == "insert" and len(r.tokens) >= MIN_SPAN_TOKENS for r in script) == 8
 
 
 class TestApplyScript:
