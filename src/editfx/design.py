@@ -106,6 +106,43 @@ class UnitFrame:
         self.groups, self.group_codes = _level_codes(task_group)
 
 
+class SharedDesign:
+    """A design in run form: [1 | numeric columns], then one-hot columns per run.
+
+    `rows` are the cell rows in design order. Rows come in runs that
+    start at `starts`; every row of run r takes `levels[r]` as its
+    one-hot columns, so each product with those columns is a sum over
+    runs instead of over rows. `scale` is the std each numeric column
+    was divided by and `variable` the categorical variable of each
+    one-hot column; both are None for a bare matrix.
+    """
+
+    def __init__(self, rows, dense, starts, levels, scale=None, variable=None):
+        self.rows = rows
+        self.dense = dense
+        self.starts = starts
+        self.levels = levels
+        self.scale = scale
+        self.variable = variable
+        self.dense_t = np.ascontiguousarray(dense.T)
+        self.n, self.n_dense = dense.shape
+        self.p = self.n_dense + levels.shape[1]
+        self.run = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, self.n]))
+
+    def take(self, keep: np.ndarray) -> SharedDesign:
+        """The design on the rows where keep is true, with the same columns."""
+        run = self.run[keep]
+        starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+        return SharedDesign(
+            self.rows[keep],
+            self.dense[keep],
+            starts,
+            self.levels[run[starts]],
+            scale=self.scale,
+            variable=self.variable,
+        )
+
+
 class CellData:
     """One cell's rows of a unit frame, with their 0/1 treatments.
 
@@ -114,7 +151,8 @@ class CellData:
     population is these rows with frequency weights (a bootstrap
     resample counts each row as often as its block was drawn); z-scoring
     and one-hot levels are always derived from that population, so a
-    resample is self-contained.
+    resample is self-contained. Every population is fitted on the one
+    `shared_design`, mapped to its own z-scores (see estimation).
     """
 
     def __init__(self, frame: UnitFrame, rows, treatment):
@@ -157,53 +195,42 @@ class CellData:
                 columns.append((codes[:, col] == level).astype(np.float64)[:, None])
         return np.hstack(columns)
 
-    @cached_property
-    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows sorted by block then categorical codes, each sorted row's run, each run's codes.
+    @property
+    def shared_design(self) -> SharedDesign:
+        """The one design every fitting population of this cell is fitted on.
 
-        A run is a maximal stretch of sorted rows sharing the block and all
+        It is built on each call, not kept: a cell holds no n x 5 arrays
+        between fits. Rows are sorted by block then categorical codes, and a run is a
+        maximal stretch of sorted rows sharing the block and all
         categorical codes, so every one-hot column is constant on a run.
-        Framework can vary within a block, so a block can hold several runs.
+        Framework can vary within a block, so a block can hold several
+        runs. The numeric columns are z-scored with the cell's unweighted
+        mean and population std (a std of 0 becomes 1); there is one
+        one-hot column per categorical level present in the cell, none
+        dropped.
         """
         keys = np.column_stack([self.block_codes, self.cat_codes])
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
-        starts = np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]
-        return order, np.cumsum(starts) - 1, self.cat_codes[order[starts]]
-
-    def fitting_design(
-        self, weights: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray]]:
-        """The design of the rows with positive weight, in run form.
-
-        Each row counts `weights[row]` times (every row once when None),
-        which is the design encode gives the rows repeated that often.
-        Returns (rows, matrix, row_weights, (starts, levels)): the cell
-        rows in run order; their numeric columns z-scored with the
-        weighted mean and population std (a std of 0 becomes 1); their
-        weights (None when unweighted); the position where each run
-        starts among them; and per run its one-hot columns, over the
-        categorical levels present, first level dropped.
-        """
-        rows, run_of, run_codes = self._runs
-        row_weights = None
-        if weights is not None:
-            sorted_weights = np.asarray(weights, dtype=np.float64)[rows]
-            kept = sorted_weights > 0
-            rows, run_of, row_weights = rows[kept], run_of[kept], sorted_weights[kept]
-        starts = np.flatnonzero(np.r_[True, run_of[1:] != run_of[:-1]])
-        codes = run_codes[run_of[starts]]
-        numeric = self.numeric[rows]
-        mean = np.average(numeric, axis=0, weights=row_weights)
-        std = np.sqrt(np.average((numeric - mean) ** 2, axis=0, weights=row_weights))
-        std = np.where(std == 0.0, 1.0, std)
-        levels = np.hstack(
-            [codes[:, [col]] == np.unique(codes[:, col])[1:] for col in range(codes.shape[1])]
+        starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+        run_codes = self.cat_codes[order[starts]]
+        numeric = self.numeric[order]
+        mean = np.average(numeric, axis=0)
+        std = np.sqrt(np.average((numeric - mean) ** 2, axis=0))
+        scale = np.where(std == 0.0, 1.0, std)
+        present = [np.unique(self.cat_codes[:, col]) for col in range(self.cat_codes.shape[1])]
+        levels = np.hstack([run_codes[:, [col]] == lv for col, lv in enumerate(present)])
+        return SharedDesign(
+            order,
+            np.hstack([np.ones((self.n, 1)), (numeric - mean) / scale]),
+            starts,
+            levels.astype(np.float64),
+            scale=scale,
+            variable=np.repeat(np.arange(len(present)), [lv.size for lv in present]),
         )
-        return rows, (numeric - mean) / std, row_weights, (starts, levels.astype(np.float64))
 
     def column_names(self, idx: np.ndarray | None = None) -> list[str]:
-        """Names of the columns encode(idx) returns, in order (fitting_design's order too)."""
+        """Names of the columns encode(idx) returns, in order."""
         codes = self.cat_codes if idx is None else self.cat_codes[idx]
         names = list(NUMERIC_COVARIATES)
         for col, var in enumerate(CATEGORICAL_COVARIATES):
@@ -234,10 +261,12 @@ class TestCell:
 
     @cached_property
     def point_fit(self):
-        """The cell-scope SIPW (estimate, WeightVector), fitted once for estimate and bootstrap."""
-        from .estimation import sipw  # estimation imports this module
+        """The cell-scope SIPW fit, made once: (estimate, WeightVector, converged)."""
+        from .estimation import fit_stack, sipw  # estimation imports this module
 
-        return sipw(self.data)
+        fit = fit_stack(self.data, np.ones((1, self.data.n)))
+        estimate, wv = sipw(self.data, probabilities=fit.probabilities()[0])
+        return estimate, wv, bool(fit.converged[0])
 
     @property
     def units(self) -> np.recarray:

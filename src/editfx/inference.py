@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import TestCell, TestFamily, map_cells
-from .errors import ConfigError, DegenerateCellError, PositivityError, UnstableCellError
-from .estimation import sipw, weighted_difference
+from .errors import ConfigError, PositivityError, UnstableCellError
+from .estimation import sipw_stack, weighted_difference
 
 TIER_BH = "bh_significant"
 TIER_UNCORRECTED = "uncorrected_significant"
@@ -35,6 +35,7 @@ class BootstrapResult:
     discarded: int
     n_blocks: int
     distinct_resamples: int
+    nonconverged: int
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,7 @@ class InferenceResult:
     n_blocks: int
     distinct_resamples: int
     discarded: int
+    nonconverged: int = 0
 
     @property
     def marker(self) -> str:
@@ -89,7 +91,9 @@ def block_bootstrap(
     (or the row itself) was drawn. Resamples that empty an arm are
     discarded and counted. Block resamples that draw the same multiset
     of blocks as an earlier one reuse its outcome; `distinct_resamples`
-    counts the multisets estimated (every draw in iid mode).
+    counts the multisets drawn (every draw in iid mode). All draws are
+    made first; the refits of the multisets not discarded are then one
+    stacked fit, and `nonconverged` counts those that hit MAX_ITERATIONS.
     """
     if recipe not in ("sipw", "naive"):
         raise ConfigError("recipe must be 'sipw' or 'naive'")
@@ -103,56 +107,54 @@ def block_bootstrap(
     t = data.treatment.astype(np.float64)
     weights = np.ones(data.n)
     if recipe == "sipw":
-        point, point_weights = cell.point_fit
+        point, point_weights, _ = cell.point_fit
         weights = None if refit else point_weights.weights
-
-    def estimator(counts: np.ndarray) -> float:
-        """The recipe's estimate, row i counted counts[i] times; refits when weights is None."""
-        if weights is None:
-            return sipw(data, counts)[0]
-        return weighted_difference(t, data.outcome, counts * weights)
-
     if recipe == "naive":
-        point = estimator(np.ones(data.n))
+        point = weighted_difference(t, data.outcome, weights)
 
-    def outcome(counts: np.ndarray) -> float | None:
-        """The resample's estimate, or None when it is discarded."""
-        arms = data.treatment[counts > 0]
-        if arms.min() == arms.max():
-            return None
-        try:
-            return estimator(counts)
-        except (PositivityError, DegenerateCellError):
-            return None
-
-    # The rows' weights, and so the outcome, depend only on how often each
-    # block was drawn; each distinct multiset is estimated once per call.
-    memo: dict[bytes, float | None] = {}
-    estimates = np.empty(resamples)
-    valid = 0
-    discarded = 0
+    # Draw every resample first. The rows' weights, and so the outcome,
+    # depend only on how often each block was drawn, so each distinct
+    # multiset is one population: population[k][columns[i]] is how often
+    # row i is counted in it.
+    columns = data.block_codes if mode == "block" else np.arange(data.n)
+    size = n_blocks if mode == "block" else data.n
+    slots: dict = {}
+    draws = []
+    population = []
     for r in range(resamples):
         rng = np.random.default_rng([seed, r])
-        if mode == "block":
-            counts = np.bincount(rng.integers(0, n_blocks, size=n_blocks), minlength=n_blocks)
-            key = counts.tobytes()
-            if key not in memo:
-                memo[key] = outcome(counts[data.block_codes])
-            value = memo[key]
-        else:
-            value = outcome(np.bincount(rng.integers(0, data.n, size=data.n), minlength=data.n))
-        if value is None:
-            discarded += 1
-        else:
-            estimates[valid] = value
-            valid += 1
+        counts = np.bincount(rng.integers(0, size, size=size), minlength=size)
+        key = counts.tobytes() if mode == "block" else r
+        if key not in slots:
+            slots[key] = len(population)
+            population.append(counts)
+        draws.append(slots[key])
+    population = np.array(population)
+
+    # A population that empties an arm is discarded; the rest are
+    # estimated, the refits in one stacked fit. Both arms keep positive
+    # weight mass, so no kept population degenerates.
+    drawn = population > 0
+    has = [np.bincount(columns, weights=t == arm, minlength=size) > 0 for arm in (0.0, 1.0)]
+    kept = np.flatnonzero(np.any(drawn & has[0], axis=1) & np.any(drawn & has[1], axis=1))
+    estimate_of: dict[int, float] = {}
+    nonconverged = 0
+    if weights is not None:
+        for k in kept:
+            estimate_of[k] = weighted_difference(t, data.outcome, population[k][columns] * weights)
+    elif kept.size:
+        values, converged = sipw_stack(data, population[kept], columns)
+        estimate_of = dict(zip(kept, values))
+        nonconverged = int(np.sum(~converged))
+    estimates = np.array([estimate_of[k] for k in draws if k in estimate_of])
+    valid = len(estimates)
+    discarded = resamples - valid
     if valid < resamples / 2:
         raise UnstableCellError(f"only {valid} of {resamples} resamples were valid")
-    kept = estimates[:valid]
-    se = float(np.std(kept, ddof=1))
+    se = float(np.std(estimates, ddof=1))
     if percentile_p:
-        frac_low = float(np.mean(kept <= 0.0))
-        frac_high = float(np.mean(kept >= 0.0))
+        frac_low = float(np.mean(estimates <= 0.0))
+        frac_high = float(np.mean(estimates >= 0.0))
         p_value = min(1.0, 2.0 * min(frac_low, frac_high))
     elif se == 0.0:
         p_value = 1.0 if point == 0.0 else 0.0
@@ -162,11 +164,12 @@ def block_bootstrap(
         estimate=point,
         se=se,
         p_value=p_value,
-        resample_estimates=kept,
+        resample_estimates=estimates,
         valid_resamples=valid,
         discarded=discarded,
         n_blocks=n_blocks,
-        distinct_resamples=len(memo) if mode == "block" else resamples,
+        distinct_resamples=len(population),
+        nonconverged=nonconverged,
     )
 
 
@@ -255,6 +258,7 @@ def infer_all(
                     n_blocks=res.n_blocks,
                     distinct_resamples=res.distinct_resamples,
                     discarded=res.discarded,
+                    nonconverged=res.nonconverged,
                 )
             )
     return results, skipped

@@ -123,8 +123,10 @@ INFERENCE_COLUMNS = (
     "tier",
     "valid_resamples",
 )
+# Point-fit health per cell, in estimates.json only.
+FIT_HEALTH_COLUMNS = ("converged", "ess_treated", "ess_control", "max_raw_weight")
 # Bootstrap health per cell, in inference.json only.
-HEALTH_COLUMNS = ("n_blocks", "distinct_resamples", "discarded")
+HEALTH_COLUMNS = ("n_blocks", "distinct_resamples", "discarded", "nonconverged")
 # Columns that the display CSVs round to 3 decimals.
 ROUNDED = {
     "acmgd_sipw", "acmgd_naive", "confounding_magnitude", "estimate", "se", "p_value", "q_value"
@@ -158,7 +160,8 @@ def _ordered_groups(groups) -> list[str]:
 def estimates_to_json(bundle: EstimateBundle) -> dict:
     return {
         "estimates": [
-            {name: getattr(e, name) for name in ESTIMATE_COLUMNS} for e in bundle.estimates
+            {name: getattr(e, name) for name in ESTIMATE_COLUMNS + FIT_HEALTH_COLUMNS}
+            for e in bundle.estimates
         ],
         "skipped": [list(item) for item in bundle.skipped],
         "family_confounding": dict(sorted(bundle.family_confounding.items())),

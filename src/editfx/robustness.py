@@ -31,7 +31,7 @@ from .design import (
     build_units,
 )
 from .errors import ConfigError, DegenerateCellError
-from .estimation import sipw
+from .estimation import sipw_stack
 from .store import ComparisonRecord, headroom
 
 EXACT_PERMUTATION_MAX_N = 7
@@ -212,20 +212,25 @@ def loo_stability(prepared: PreparedCorpus, reversal: SignReversalSpec) -> LooRe
     column = CATEGORICAL_COVARIATES.index("dataset")
     dataset_codes = frame.cat_codes[:, column]
     in_groups = [frame.group_codes == frame.groups.index(group) for group in groups]
-    splits: list[LooSplit] = []
+    held_out: list[str] = []
+    kept: list[list[np.ndarray]] = [[], []]
     skipped: list[tuple[str, str]] = []
     for code in np.unique(dataset_codes[in_groups[0] | in_groups[1]]):
         dataset = frame.cat_levels[column][code]
         if not all(np.any(in_group & (dataset_codes != code)) for in_group in in_groups):
             skipped.append((dataset, "exclusion empties a reversal group"))
             continue
-        kept = [cell.data.cat_codes[:, column] != code for cell in cells]
-        if any(np.unique(cell.data.treatment[mask]).size != 2 for cell, mask in zip(cells, kept)):
+        masks = [cell.data.cat_codes[:, column] != code for cell in cells]
+        if any(np.unique(cell.data.treatment[mask]).size != 2 for cell, mask in zip(cells, masks)):
             skipped.append((dataset, "exclusion empties a treatment arm"))
             continue
-        estimate_a, estimate_b = (
-            sipw(cell.data, mask.astype(np.float64))[0] for cell, mask in zip(cells, kept)
-        )
+        held_out.append(dataset)
+        for cell_kept, mask in zip(kept, masks):
+            cell_kept.append(mask.astype(np.float64))
+    # Each cell's splits are fitted together, as one stack.
+    estimates = [sipw_stack(c.data, split)[0] if split else [] for c, split in zip(cells, kept)]
+    splits: list[LooSplit] = []
+    for dataset, estimate_a, estimate_b in zip(held_out, *estimates):
         stable = (
             sign_of(estimate_a) == reversal.baseline_sign_a
             and sign_of(estimate_b) == reversal.baseline_sign_b

@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 import editfx.estimation as estimation
-from editfx.design import CellData, TestCell, TreatmentSpec
+from editfx.design import NUMERIC_COVARIATES, CellData, TestCell, TreatmentSpec
 from editfx.errors import ConfigError, DegenerateCellError, PositivityError, SchemaError
 from editfx.estimation import (
     PROB_CLIP,
@@ -222,7 +222,8 @@ class TestIrls:
         calls = []
 
         def rejecting(design, y, beta, weights=None):
-            calls.append(beta.copy())
+            # One population: the stacked loop's one row, or the reference's vector.
+            calls.append(beta.reshape(-1).copy())
             return -np.inf if 2 <= len(calls) <= 31 else real(design, y, beta, weights)
 
         monkeypatch.setattr(estimation, "_penalized_loglik", rejecting)
@@ -303,13 +304,164 @@ class TestCountWeightedFit:
         t = data.treatment[idx].astype(np.float64)
         assume(idx.size > 0 and t.min() != t.max())
         ref_beta, ref_estimate, matrix = dense_sipw(data, idx)
-        beta = estimation._fit(data, weights)[0]
+        beta = estimation.fit_stack(data, [counts]).coefficients(0)
         assert sipw(data, weights)[0] == pytest.approx(ref_estimate, rel=0, abs=1e-12)
         # Both fits stop once a Newton step is below COEF_TOLERANCE; along
         # near-collinear dummies round-off alone moves beta by ~1e-12.
         np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=estimation.COEF_TOLERANCE)
         gradient = penalized_gradient(matrix, t, beta)
         assert float(np.max(np.abs(gradient))) < 1e-6
+
+
+def stack_cell(n_per_block=12, seed=0):
+    """A cell of four (dataset, backbone) blocks for stacked fits.
+
+    Frameworks vary within blocks, treatment depends weakly on word
+    count, and p1_n_demos is 2 in block 0, 4 in block 1 and 3 in blocks
+    2 and 3 with equal block sizes: constant within each block, not in
+    the cell, and exactly at the cell mean in blocks 2 and 3.
+    """
+    rng = np.random.default_rng(seed)
+    units = []
+    for block, demos in enumerate([2.0, 4.0, 3.0, 3.0]):
+        for k in range(n_per_block):
+            x = float(rng.normal())
+            units.append(
+                make_unit(
+                    pair_id=f"u{len(units)}",
+                    treatment=int(k % 2 == 0) if k < 4 else int(rng.random() < expit(0.5 * x)),
+                    outcome=float(np.clip(0.1 * x + 0.05 * rng.normal(), -1.0, 1.0)),
+                    p1_word_count=20.0 + 4.0 * x,
+                    p1_n_demos=demos,
+                    headroom=float(rng.random()),
+                    step_index=float(rng.integers(1, 4)),
+                    framework=["fw_a", "fw_b", "fw_c"][k % 3],
+                    dataset=f"ds_{block % 2}",
+                    backbone=f"bb_{block // 2}",
+                )
+            )
+    return make_data(units)
+
+
+def block_counts(data, counts):
+    """Row weights of a block resample that draws block b counts[b] times."""
+    return np.asarray(counts, dtype=np.float64)[data.block_codes]
+
+
+def assert_stack_matches_dense(data, populations, fit=None, rows=None, beta=True):
+    """Fit the populations as one stack (unless fit is given); each of `rows` must match
+    the dense oracle on its rows: its estimate, and its coefficients when beta is true."""
+    fit = estimation.fit_stack(data, populations) if fit is None else fit
+    for r in range(len(populations)) if rows is None else rows:
+        idx = np.repeat(np.arange(data.n), populations[r].astype(int))
+        ref_beta, ref_estimate, _ = dense_sipw(data, idx)
+        estimate = sipw(data, populations[r], probabilities=fit.probabilities(r)[0])[0]
+        assert estimate == pytest.approx(ref_estimate, rel=0, abs=1e-12)
+        if beta:
+            np.testing.assert_allclose(
+                fit.coefficients(r), ref_beta, rtol=0, atol=estimation.COEF_TOLERANCE
+            )
+    return fit
+
+
+class TestStackedFit:
+    """Each population of a stack is fitted as its own population, as the dense oracle does."""
+
+    def test_population_without_the_first_level_shifts_the_reference(self):
+        data = stack_cell()
+        framework = data.cat_codes[:, 0]
+        without_first = (framework != framework.min()).astype(np.float64)
+        populations = [np.ones(data.n), without_first, block_counts(data, [2, 0, 1, 1])]
+        fit = assert_stack_matches_dense(data, populations)
+        # fw_a is pinned in the whole cell; without it, fw_b is pinned instead.
+        levels = fit.free[:, data.shared_design.n_dense :]
+        assert levels[0, :3].tolist() == [False, True, True]
+        assert levels[1, :3].tolist() == [False, False, True]
+
+    def test_column_constant_in_one_population_only(self):
+        data = stack_cell()
+        populations = [block_counts(data, [1, 0, 0, 0]), block_counts(data, [1, 1, 2, 0])]
+        fit = assert_stack_matches_dense(data, populations)
+        demos = 1 + NUMERIC_COVARIATES.index("p1_n_demos")
+        assert fit.beta[0, demos] == 0.0
+        assert fit.beta[1, demos] != 0.0
+
+    def test_one_population_exhausts_its_halvings(self, monkeypatch):
+        data = stack_cell()
+        target = block_counts(data, [1, 1, 1, 3])
+        populations = [block_counts(data, [2, 1, 1, 0]), target, np.ones(data.n)]
+        real = estimation._penalized_loglik
+        seen = []
+
+        def rejecting(design, y, beta, weights=None):
+            # The target's objective calls 2 to 31 are rejected: its first
+            # step exhausts every halving. Only the target counts 3 * 12 * 3.
+            value = np.array(real(design, y, beta, weights), dtype=np.float64)
+            mine = np.sum(weights, axis=-1) == target.sum() if weights is not None else True
+            if np.any(mine):
+                seen.append(1)
+                if 2 <= len(seen) <= 31:
+                    value[mine] = -np.inf
+            return value
+
+        monkeypatch.setattr(estimation, "_penalized_loglik", rejecting)
+        fit = estimation.fit_stack(data, populations)
+        # Its tiny last step is below COEF_TOLERANCE, so it stops there.
+        assert len(seen) == 32
+        assert (fit.converged[1], fit.iterations[1]) == (True, 1)
+        monkeypatch.setattr(estimation, "_penalized_loglik", real)
+        assert_stack_matches_dense(data, populations, fit=fit, rows=[0, 2])
+        assert min(fit.iterations[[0, 2]]) > 1
+        # The target's reference is the dense oracle with the same rejections.
+        idx = np.repeat(np.arange(data.n), target.astype(int))
+        seen.clear()
+        monkeypatch.setattr(estimation, "_penalized_loglik", rejecting)
+        ref_beta, ref_converged, ref_iterations = reference_irls(
+            data.encode(idx), data.treatment[idx].astype(np.float64)
+        )
+        assert (fit.converged[1], fit.iterations[1]) == (ref_converged, ref_iterations)
+        np.testing.assert_allclose(
+            fit.coefficients(1), ref_beta, rtol=0, atol=estimation.COEF_TOLERANCE
+        )
+
+    def test_singular_hessian_beside_regular_ones(self, monkeypatch):
+        # Without the ridge, a population whose fw_b rows are exactly its
+        # ds_1 rows has two equal columns: its Hessian is singular and its
+        # steps come from lstsq, while the others solve. Its coefficients
+        # along fw_b - ds_1 are not identified; its probabilities are.
+        data = stack_cell(n_per_block=30, seed=4)
+        monkeypatch.setattr(estimation, "RIDGE_LAMBDA", 0.0)
+        monkeypatch.setitem(globals(), "RIDGE_LAMBDA", 0.0)
+        lstsq_calls = []
+        real_lstsq = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **k: lstsq_calls.append(1) or real_lstsq(*a, **k)
+        )
+        fw_b, ds_1 = data.cat_codes[:, 0] == 1, data.cat_codes[:, 2] == 1
+        singular = (fw_b == ds_1).astype(np.float64)
+        populations = [np.ones(data.n), singular, block_counts(data, [2, 1, 1, 1])]
+        fit = estimation.fit_stack(data, populations)
+        assert lstsq_calls
+        assert fit.converged.all()
+        assert_stack_matches_dense(data, populations, fit=fit, rows=[0, 2])
+        assert_stack_matches_dense(data, populations, fit=fit, rows=[1], beta=False)
+
+    def test_result_does_not_depend_on_the_stack(self, monkeypatch):
+        data = stack_cell()
+        rng = np.random.default_rng(3)
+        populations = [block_counts(data, rng.multinomial(4, [0.25] * 4)) for _ in range(12)]
+        populations = [w for w in populations if np.unique(data.treatment[w > 0]).size == 2]
+        alone = [estimation.fit_stack(data, [w]) for w in populations]
+        together = estimation.fit_stack(data, populations)
+        monkeypatch.setattr(estimation, "CHUNK_ROW_WEIGHTS", 2 * data.n)
+        pairs = estimation.fit_stack(data, populations[::-1])
+        for r, one in enumerate(alone):
+            for fit, k in ((together, r), (pairs, len(populations) - 1 - r)):
+                np.testing.assert_allclose(
+                    fit.probabilities(k), one.probabilities(0), rtol=0, atol=1e-12
+                )
+                assert fit.iterations[k] == one.iterations[0]
+        assert_stack_matches_dense(data, populations, fit=together)
 
 
 class TestPropensityModel:

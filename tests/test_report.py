@@ -8,6 +8,7 @@ synthetic corpus and check provenance contents and byte determinism.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from editfx import design, estimation, motifs, surface
@@ -92,8 +93,12 @@ class TestWriters:
 class TestEstimateSerialization:
     def bundle(self):
         estimates = [
-            CellEstimate("surface", "word_count", "math", 0.0512, 0.0819, 12, 15, 1),
-            CellEstimate("surface", "word_count", "logical", -0.02, -0.02, 9, 11, 0),
+            CellEstimate(
+                "surface", "word_count", "math", 0.0512, 0.0819, 12, 15, 1, True, 11.5, 14.25, 10.5
+            ),
+            CellEstimate(
+                "surface", "word_count", "logical", -0.02, -0.02, 9, 11, 0, False, 9.0, 11.0, 1.0
+            ),
         ]
         return EstimateBundle(
             estimates=estimates,
@@ -115,6 +120,10 @@ class TestEstimateSerialization:
             "n_treated": 12,
             "n_control": 15,
             "cap_hits": 1,
+            "converged": True,
+            "ess_treated": 11.5,
+            "ess_control": 14.25,
+            "max_raw_weight": 10.5,
         }
         assert doc["skipped"] == [["surface:char_count:math", "propensity model needs both arms"]]
         assert list(doc["family_confounding"]) == ["motif", "surface"]
@@ -477,6 +486,10 @@ class TestRunReport:
                 "n_treated",
                 "n_control",
                 "cap_hits",
+                "converged",
+                "ess_treated",
+                "ess_control",
+                "max_raw_weight",
             }
         inference_lines = (out / "inference.csv").read_text("utf-8").splitlines()
         assert inference_lines[0] == f"# {LEGEND}"
@@ -540,14 +553,16 @@ class TestPipeline:
 
     def test_each_cell_point_estimate_is_fitted_once(self, small_corpus, monkeypatch):
         whole_cell_fits = []
-        real = estimation._fit
+        real = estimation.fit_stack
 
-        def counted(data, idx):
-            if idx is None:
+        def counted(data, weights, columns=None):
+            # The whole cell is one population counting every row once;
+            # bootstrap resamples come as block counts with columns.
+            if columns is None and len(weights) == 1 and np.all(np.asarray(weights[0]) == 1):
                 whole_cell_fits.append(data)
-            return real(data, idx)
+            return real(data, weights, columns)
 
-        monkeypatch.setattr(estimation, "_fit", counted)
+        monkeypatch.setattr(estimation, "fit_stack", counted)
         pipeline = Pipeline(PreparedCorpus(small_corpus), RunConfig())
         estimates = pipeline.estimates["estimates"]
         results = pipeline.inference["results"]

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from editfx import estimation, report
 from editfx.cli import main
 from editfx.store import serialize
 from editfx.synth import SynthConfig, generate
@@ -21,15 +22,15 @@ def bundle_bytes(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-def test_traced_report_counts_units_and_keeps_the_bundle(tmp_path):
+def test_traced_report_counts_units_and_keeps_the_bundle(tmp_path, monkeypatch):
     records, _ = generate(SynthConfig(n=120, seed=7))
     corpus = tmp_path / "corpus.jsonl"
     serialize(records, corpus)
-    report = ["report", "--input", str(corpus), "--seed", "7", "--resamples", "20"]
+    report_args = ["report", "--input", str(corpus), "--seed", "7", "--resamples", "20"]
     spans = tmp_path / "spans.json"
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans), *report]
+        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans), *report_args]
         + ["--out", str(tmp_path / "traced")],
         env={**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
@@ -48,9 +49,26 @@ def test_traced_report_counts_units_and_keeps_the_bundle(tmp_path):
     inference = json.loads((tmp_path / "traced" / "inference.json").read_text())
     assert inference["skipped"] == []
     assert all(row["discarded"] == 0 for row in inference["results"])
-    infer_spans = {i for i, span in enumerate(traced["spans"]) if span[0] == "infer_all"}
-    fits = sum(span[0] == "irls_logistic" and span[3] in infer_spans for span in traced["spans"])
+    # The plain run counts the populations each stacked fit under
+    # infer_all takes (the rows of its weights).
+    fits, inferring = [], []
+    real_infer, real_newton = report.infer_all, estimation._newton
+
+    def infer_all(*args, **kwargs):
+        inferring.append(True)
+        try:
+            return real_infer(*args, **kwargs)
+        finally:
+            inferring.pop()
+
+    def newton(*args):
+        if inferring:
+            fits.append(len(args[2]))
+        return real_newton(*args)
+
+    monkeypatch.setattr(report, "infer_all", infer_all)
+    monkeypatch.setattr(estimation, "_newton", newton)
+    assert main([*report_args, "--out", str(tmp_path / "plain")]) == 0
     distinct = sum(row["distinct_resamples"] for row in inference["results"])
-    assert fits == distinct <= extra["distinct_draws"]
-    assert main([*report, "--out", str(tmp_path / "plain")]) == 0
+    assert sum(fits) == distinct <= extra["distinct_draws"]
     assert bundle_bytes(tmp_path / "traced") == bundle_bytes(tmp_path / "plain")
