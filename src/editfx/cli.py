@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import os
 import platform
+import sys
 
 # One BLAS thread: a threaded BLAS sums in an order that depends on the
 # thread count, so bundle bytes would depend on the host's cores. One
 # OpenBLAS kernel on x86-64: a DYNAMIC_ARCH build otherwise picks its
 # kernel by CPU, and the kernels round differently. This must run before
-# anything imports numpy (which imports platform itself).
+# anything imports numpy (which imports platform itself); OpenBLAS reads
+# both only when it loads, so main() says so when numpy came first.
+_PINS_MISSED = "numpy" in sys.modules
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 if platform.machine().lower() in ("x86_64", "amd64"):
@@ -27,7 +30,6 @@ if platform.machine().lower() in ("x86_64", "amd64"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
-import sys  # noqa: E402
 import warnings  # noqa: E402
 from dataclasses import asdict, fields  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -87,7 +89,7 @@ def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
     ruleset = default_ruleset()
     if args.ruleset:
         ruleset = MotifRuleset.load(_require_file(args.ruleset, "ruleset file"))
-    caches = {}
+    caches, stale = {}, []
     if args.cache_dir:
         cache = Path(args.cache_dir)
         caches["surface_cache"] = _load_cache(
@@ -96,6 +98,7 @@ def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
             records,
             _keyer(wordlists.content_hash),
             lambda doc: (doc["before"], doc["after"]),
+            stale,
         )
         caches["motif_cache"] = _load_cache(
             cache / "motifs.jsonl",
@@ -103,8 +106,11 @@ def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
             records,
             _keyer(ruleset.content_hash, cfg.include_demos),
             lambda doc: {label: int(label in doc["record_labels"]) for label in MOTIF_LABELS},
+            stale,
         )
-    return cfg, PreparedCorpus(records, wordlists, ruleset, cfg.include_demos, **caches)
+    prepared = PreparedCorpus(records, wordlists, ruleset, cfg.include_demos, **caches)
+    prepared.stale_caches = stale
+    return cfg, prepared
 
 
 def _keyer(*settings):
@@ -132,26 +138,29 @@ def _write_stage(path: Path, records, line, key) -> None:
     report_mod.write_json(path.with_suffix(".keys.json"), {r.pair_id: key(r) for r in records})
 
 
-def _load_cache(path: Path, what: str, records, key, value) -> dict | None:
+def _load_cache(path: Path, what: str, records, key, value, stale: list) -> dict | None:
     """pair_id -> value(line) from a stage cache, or None to recompute.
 
     The cache is ignored with a warning unless it covers every record
     and its sidecar holds key(record), the key this run would write,
-    for each of them.
+    for each of them; an ignored cache is noted in `stale` as its stage
+    (the file's stem) and the reason.
     """
     if not path.exists():
         return None
     with path.open("r", encoding="utf-8") as fh:
         docs = {doc["pair_id"]: doc for doc in map(json.loads, fh)}
-    if any(r.pair_id not in docs for r in records):
-        warnings.warn(f"{what} cache {path} does not cover the corpus; recomputing")
-        return None
     keys_path = path.with_suffix(".keys.json")
     keys = json.loads(keys_path.read_text("utf-8")) if keys_path.exists() else {}
-    if any(keys.get(r.pair_id) != key(r) for r in records):
-        warnings.warn(f"{what} cache {path} was built from other inputs or settings; recomputing")
-        return None
-    return {r.pair_id: value(docs[r.pair_id]) for r in records}
+    if any(r.pair_id not in docs for r in records):
+        reason = "does not cover the corpus"
+    elif any(keys.get(r.pair_id) != key(r) for r in records):
+        reason = "was built from other inputs or settings"
+    else:
+        return {r.pair_id: value(docs[r.pair_id]) for r in records}
+    warnings.warn(f"{what} cache {path} {reason}; recomputing")
+    stale.append({"stage": path.stem, "reason": reason})
+    return None
 
 
 def _out(args) -> Path:
@@ -172,6 +181,7 @@ def _cmd_features(args) -> int:
     _, prepared = _analysis(args)
     records = prepared.records
     out = _out(args)
+    prepared.prepare_text(motifs=False)
 
     def line(record) -> dict:
         before_vec, after_vec = prepared.surface_pair(record)
@@ -192,6 +202,7 @@ def _cmd_motifs(args) -> int:
     cfg, prepared = _analysis(args)
     records = prepared.records
     out = _out(args)
+    prepared.prepare_text(surface=False)
     results = prepared.motif_results()
     key = _keyer(prepared.ruleset.content_hash, cfg.include_demos)
     _write_stage(out / "motifs.jsonl", records, lambda r: results[r.pair_id].to_json(), key)
@@ -410,6 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if _PINS_MISSED:
+        print(
+            "note: numpy was loaded before editfx.cli, so the one-thread and OpenBLAS kernel"
+            " pins do not apply; bundle floats may differ in their last bits",
+            file=sys.stderr,
+        )
     try:
         return args.func(args)
     except EditfxError as exc:

@@ -26,6 +26,7 @@ from . import motifs as motifs_mod
 from . import surface as surface_mod
 from .errors import ConfigError, SchemaError
 from .store import ANNOTATION_FEATURES, ComparisonRecord, headroom
+from .surface import FEATURE_ORDER
 
 VIEWS = ("annotation", "surface", "motif")
 
@@ -37,7 +38,7 @@ def view_features(view: str) -> tuple[str, ...]:
     if view == "annotation":
         return ANNOTATION_FEATURES
     if view == "surface":
-        return surface_mod.FEATURE_ORDER
+        return FEATURE_ORDER
     if view == "motif":
         return motifs_mod.MOTIF_LABELS
     raise ConfigError(f"unknown view '{view}'")
@@ -307,8 +308,10 @@ class PreparedCorpus:
 
     Every analysis step of a run reads this one object. Surface vectors,
     motif diffs and the unit frame are computed at most once per record
-    no matter how many features or steps draw on them. Precomputed maps
-    (for example read back from stage caches) can be injected.
+    no matter how many features or steps draw on them, and the two text
+    stages share one token list per text (see prepare_text). Precomputed
+    stages (for example read back from stage caches) can be injected;
+    `stale_caches` lists the stage caches a run ignored, with the reason.
     """
 
     def __init__(
@@ -324,26 +327,83 @@ class PreparedCorpus:
         self.wordlists = wordlists or surface_mod.default_wordlists()
         self.ruleset = ruleset or motifs_mod.default_ruleset()
         self.include_demos = include_demos
-        self._surface: dict[str, tuple[dict, dict]] = dict(surface_cache or {})
+        self.stale_caches: list[dict[str, str]] = []
+        self._surface: tuple[np.ndarray, np.ndarray] | None = None
+        if surface_cache:
+            self._surface = tuple(
+                _pack([_in_order(surface_cache[r.pair_id][side]) for r in self.records])
+                for side in (0, 1)
+            )
         self._motif: dict[str, dict[str, int]] | None = dict(motif_cache) if motif_cache else None
         self._motif_results: dict[str, motifs_mod.MotifResult] | None = None
 
+    def prepare_text(self, surface: bool = True, motifs: bool = True) -> None:
+        """Compute the requested text stages in one pass over the records.
+
+        A stage already present (computed or injected) is skipped. Each
+        text is tokenized once for both stages; a text repeated from the
+        previous record reuses that record's tokens (in an optimizer
+        trajectory one step's after-prompt is the next step's
+        before-prompt), and surface vectors are memoised by instruction
+        text and demo count. Token lists are dropped after the next
+        record, so they never pile up over a long corpus.
+        """
+        surface = surface and self._surface is None
+        motifs = motifs and self._motif_results is None
+        if not (surface or motifs):
+            return
+        previous: dict[str, list[str]] = {}
+        current: dict[str, list[str]] = {}
+
+        def tokens(text: str) -> list[str]:
+            found = current.get(text)
+            if found is None:
+                found = previous.get(text)
+                if found is None:
+                    found = surface_mod.tokenize(text)
+                current[text] = found
+            return found
+
+        vectors: dict[tuple[str, int], list[float]] = {}
+        sides: tuple[list, list] = ([], [])
+        results = {}
+        for record in self.records:
+            if surface:
+                for side, state in zip(sides, (record.before, record.after)):
+                    key = (state.instruction_text, len(state.demos))
+                    vector = vectors.get(key)
+                    if vector is None:
+                        found = surface_mod.extract(state, self.wordlists, tokens(key[0]))
+                        vector = vectors[key] = _in_order(found)
+                    side.append(vector)
+            if motifs:
+                results[record.pair_id] = motifs_mod.record_motifs(
+                    record, self.ruleset, self.include_demos, tokens
+                )
+            previous, current = current, {}
+        if surface:
+            self._surface = (_pack(sides[0]), _pack(sides[1]))
+        if motifs:
+            self._motif_results = results
+
+    def surface_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Before and after surface vectors, one (n, 14) array each, columns in FEATURE_ORDER."""
+        if self._surface is None:
+            self.prepare_text(motifs=self._motif is None)
+        return self._surface
+
     def surface_pair(self, record: ComparisonRecord) -> tuple[dict, dict]:
-        cached = self._surface.get(record.pair_id)
-        if cached is None:
-            cached = (
-                surface_mod.extract(record.before, self.wordlists),
-                surface_mod.extract(record.after, self.wordlists),
-            )
-            self._surface[record.pair_id] = cached
-        return cached
+        """One record's (before, after) surface vectors as feature -> value dicts."""
+        row = self._rows[record.pair_id]
+        return tuple(dict(zip(FEATURE_ORDER, side[row].tolist())) for side in self.surface_arrays())
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {record.pair_id: row for row, record in enumerate(self.records)}
 
     def motif_results(self) -> dict[str, motifs_mod.MotifResult]:
         if self._motif_results is None:
-            self._motif_results = {
-                r.pair_id: motifs_mod.record_motifs(r, self.ruleset, self.include_demos)
-                for r in self.records
-            }
+            self.prepare_text()
         return self._motif_results
 
     def motif_treatments(self) -> dict[str, dict[str, int]]:
@@ -355,11 +415,12 @@ class PreparedCorpus:
     def frame(self) -> UnitFrame:
         """Every record's unit, packed once; covariates come from the before state."""
         records = self.records
+        word_count = FEATURE_ORDER.index("word_count")
         return UnitFrame(
             pair_ids=[r.pair_id for r in records],
             gain=[r.gain for r in records],
             numeric={
-                "p1_word_count": [self.surface_pair(r)[0]["word_count"] for r in records],
+                "p1_word_count": self.surface_arrays()[0][:, word_count],
                 "p1_n_demos": [float(len(r.before.demos)) for r in records],
                 "headroom": [headroom(r) for r in records],
                 "step_index": [float(r.step_index) for r in records],
@@ -369,6 +430,15 @@ class PreparedCorpus:
             },
             task_group=[r.task_group for r in records],
         )
+
+
+def _in_order(vector: dict[str, float]) -> list[float]:
+    return [vector[name] for name in FEATURE_ORDER]
+
+
+def _pack(vectors: list[list[float]]) -> np.ndarray:
+    """Surface vectors, each a list in FEATURE_ORDER, as one (n, 14) float array."""
+    return np.array(vectors, dtype=np.float64).reshape(len(vectors), len(FEATURE_ORDER))
 
 
 def build_units(prepared: PreparedCorpus, spec: TreatmentSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -386,11 +456,11 @@ def build_units(prepared: PreparedCorpus, spec: TreatmentSpec) -> tuple[np.ndarr
         treatment = [motif_map[record.pair_id][feature] for record in records]
         return np.arange(len(records)), np.asarray(treatment, dtype=np.int8)
     if spec.view == "surface":
-        pairs = [prepared.surface_pair(record) for record in records]
-        rows = range(len(records))
-    else:
-        pairs = [(r.annotations_before or {}, r.annotations_after or {}) for r in records]
-        rows = [row for row, (old, new) in enumerate(pairs) if feature in old and feature in new]
+        before, after = prepared.surface_arrays()
+        k = FEATURE_ORDER.index(feature)
+        return np.arange(len(records)), (after[:, k] - before[:, k] > 0).astype(np.int8)
+    pairs = [(r.annotations_before or {}, r.annotations_after or {}) for r in records]
+    rows = [row for row, (old, new) in enumerate(pairs) if feature in old and feature in new]
     treatment = [pairs[row][1][feature] - pairs[row][0][feature] > 0 for row in rows]
     return np.asarray(rows, dtype=np.intp), np.asarray(treatment, dtype=np.int8)
 

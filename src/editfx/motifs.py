@@ -18,15 +18,15 @@ import re
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import combinations, islice
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, SchemaError
 from .store import ComparisonRecord
-from .surface import tokenize, tokenize_with_offsets
+from .surface import _TOKEN, tokenize
 
 MOTIF_LABELS = (
     "chain_of_thought",
@@ -173,37 +173,75 @@ def word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun
 
     Tie-breaking is fixed: a match is taken whenever one is available at
     the current position (earliest match), and deletions are emitted
-    before insertions when both are optimal.
+    before insertions when both are optimal. So every keep run is the
+    longest common run at its position, found by slice comparison
+    (_common_run); deletes and inserts are decided token by token.
     """
-    ops: list[tuple[str, str]] = []
-    i, j = 0, 0
+    script: list[EditRun] = []
     n, m = len(before_tokens), len(after_tokens)
     # Common prefix is always part of an optimal earliest-match alignment.
-    while i < n and j < m and before_tokens[i] == after_tokens[j]:
-        ops.append(("keep", before_tokens[i]))
-        i += 1
-        j += 1
+    i = j = _common_run(before_tokens, 0, after_tokens, 0)
+    if i:
+        script.append(EditRun("keep", tuple(before_tokens[:i])))
     rows = _lcs_rows(before_tokens[i:], after_tokens[j:])
     bi, bj = 0, 0
     rn, rm = n - i, m - j
     # The low rm - bj bits of a row stand for after_tokens[j + bj:].
     mask = (1 << rm) - 1
-    while bi < rn or bj < rm:
-        if bi < rn and bj < rm and before_tokens[i + bi] == after_tokens[j + bj]:
-            ops.append(("keep", before_tokens[i + bi]))
-            bi += 1
-            bj += 1
-            mask >>= 1
+
+    def keeps() -> bool:
+        return bi < rn and bj < rm and before_tokens[i + bi] == after_tokens[j + bj]
+
+    def deletes() -> bool:
         # Deleting keeps the LCS when LCS(before[bi+1:], after[bj:]) equals
         # LCS(before[bi:], after[bj:]): equal popcounts under the same mask.
-        elif bi < rn and (rows[bi + 1] & mask).bit_count() == (rows[bi] & mask).bit_count():
-            ops.append(("delete", before_tokens[i + bi]))
+        return bi < rn and (rows[bi + 1] & mask).bit_count() == (rows[bi] & mask).bit_count()
+
+    while bi < rn or bj < rm:
+        if keeps():
+            run = _common_run(before_tokens, i + bi, after_tokens, j + bj)
+            script.append(EditRun("keep", tuple(before_tokens[i + bi : i + bi + run])))
+            bi += run
+            bj += run
+            mask >>= run
+            continue
+        start = bi
+        while not keeps() and deletes():
             bi += 1
-        else:
-            ops.append(("insert", after_tokens[j + bj]))
+        if bi > start:
+            script.append(EditRun("delete", tuple(before_tokens[i + start : i + bi])))
+        start = bj
+        while bj < rm and not (keeps() or deletes()):
             bj += 1
             mask >>= 1
-    return _coalesce(ops)
+        if bj > start:
+            script.append(EditRun("insert", tuple(after_tokens[j + start : j + bj])))
+    return script
+
+
+def _common_run(a: list[str], i: int, b: list[str], j: int) -> int:
+    """Length k of the longest run with a[i:i + k] == b[j:j + k].
+
+    Slices of 8, 16, 32, ... tokens are compared until one differs, and
+    the first mismatch inside it is found by bisection, so a run of k
+    tokens takes O(log k) slice comparisons.
+    """
+    limit = min(len(a) - i, len(b) - j)
+    done, step = 0, 8
+    while done < limit:
+        stop = min(done + step, limit)
+        if a[i + done : i + stop] != b[j + done : j + stop]:
+            # a[i:i + done] == b[j:j + done]; the first mismatch is before stop.
+            while stop - done > 1:
+                mid = (done + stop) // 2
+                if a[i + done : i + mid] == b[j + done : j + mid]:
+                    done = mid
+                else:
+                    stop = mid
+            return done
+        done = stop
+        step *= 2
+    return done
 
 
 def _lcs_rows(before: list[str], after: list[str]) -> list[int]:
@@ -233,13 +271,6 @@ def _lcs_rows(before: list[str], after: list[str]) -> list[int]:
     return rows
 
 
-def _coalesce(ops: list[tuple[str, str]]) -> list[EditRun]:
-    return [
-        EditRun(op, tuple(token for _, token in group))
-        for op, group in groupby(ops, key=itemgetter(0))
-    ]
-
-
 def apply_script(script: list[EditRun], before_tokens: list[str]) -> list[str]:
     """Replay the script against before_tokens; the diff-correctness oracle."""
     out: list[str] = []
@@ -265,22 +296,26 @@ def extract_spans(script: list[EditRun], after_text: str) -> list[InsertedSpan]:
     """Materialize inserted runs of >= 4 tokens, with original-case text.
 
     The script must come from the token stream of after_text so that
-    token offsets line up. The text is tokenized only when the script has
-    a run long enough to become a span.
+    token offsets line up. The text is scanned only when the script has
+    a run long enough to become a span, and only up to the last span's
+    last token.
     """
     if not any(run.op == "insert" and len(run.tokens) >= MIN_SPAN_TOKENS for run in script):
         return []
-    offsets = tokenize_with_offsets(after_text)
+    matches = _TOKEN.finditer(after_text)
+    scanned = 0  # tokens of after_text taken from matches so far
     spans: list[InsertedSpan] = []
     pos = 0
     for run in script:
         if run.op == "delete":
             continue
         if run.op == "insert" and len(run.tokens) >= MIN_SPAN_TOKENS:
-            last = pos + len(run.tokens) - 1
-            if last >= len(offsets):
+            first = next(islice(matches, pos - scanned, None), None)
+            last = next(islice(matches, len(run.tokens) - 2, None), None)
+            scanned = pos + len(run.tokens)
+            if last is None:
                 raise SchemaError("edit script does not align with after text")
-            text = after_text[offsets[pos][1] : offsets[last][2]]
+            text = after_text[first.start() : last.end()]
             spans.append(InsertedSpan(tokens=run.tokens, start_index=pos, text=text))
         pos += len(run.tokens)
     return spans
@@ -295,21 +330,28 @@ def record_motifs(
     record: ComparisonRecord,
     rules: MotifRuleset | None = None,
     include_demos: bool = False,
+    tokens: Callable[[str], list[str]] = tokenize,
 ) -> MotifResult:
     """Diff one record's prompts and classify its inserted spans.
 
     By default only the instruction text is diffed; include_demos=True
-    appends the concatenated demo text, which is noisier (structured demo
-    field names such as "reasoning" then count as insertions).
+    appends the concatenated demo text after a blank line, which is
+    noisier (structured demo field names such as "reasoning" then count
+    as insertions). `tokens` maps a text to tokenize(text); a caller that
+    keeps token lists passes its lookup. The joined text's tokens are the
+    two texts' tokens joined, because no token crosses whitespace.
     """
     if rules is None:
         rules = default_ruleset()
-    before_text = record.before.instruction_text
     after_text = record.after.instruction_text
+    before_tokens = tokens(record.before.instruction_text)
+    after_tokens = tokens(after_text)
     if include_demos:
-        before_text = before_text + "\n\n" + record.before.demo_text()
-        after_text = after_text + "\n\n" + record.after.demo_text()
-    script = word_diff(tokenize(before_text), tokenize(after_text))
+        before_tokens = before_tokens + tokens(record.before.demo_text())
+        after_demos = record.after.demo_text()
+        after_tokens = after_tokens + tokens(after_demos)
+        after_text = after_text + "\n\n" + after_demos
+    script = word_diff(before_tokens, after_tokens)
     spans = tuple(extract_spans(script, after_text))
     labels = tuple(classify(s, rules) for s in spans)
     union: frozenset[str] = frozenset().union(*labels) if labels else frozenset()

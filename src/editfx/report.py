@@ -505,6 +505,8 @@ def run_report(prepared: PreparedCorpus, out_dir: str | Path, **settings) -> dic
         "per_dataset_note": "naive per-dataset values are diagnostics only",
         "outputs": sorted([*BUNDLE_FILES, *family_files]),
     }
+    if prepared.stale_caches:
+        provenance["stale_caches"] = prepared.stale_caches
     write_json(out / "provenance.json", provenance)
     verify_bundle(out)
     return provenance

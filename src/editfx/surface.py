@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -108,13 +109,16 @@ def default_wordlists() -> WordLists:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased whitespace runs, each trimmed to its alphanumeric ends (_TOKEN)."""
+    """Lowercased whitespace runs, each trimmed to its alphanumeric ends (_TOKEN).
+
+    ASCII text is lowercased before the scan: lowercasing maps A-Z to a-z
+    and changes no character's class, so the tokens are the same. Other
+    text is lowercased token by token, because lowercasing can change a
+    class there ("\u0130".lower() appends U+0307, which is not alphanumeric).
+    """
+    if text.isascii():
+        return _TOKEN.findall(text.lower())
     return [token.lower() for token in _TOKEN.findall(text)]
-
-
-def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
-    """tokenize() plus each token's character span in the original text."""
-    return [(m.group().lower(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
 
 
 def letter_counts(text: str) -> tuple[int, int]:
@@ -146,38 +150,45 @@ def sentence_count(text: str) -> int:
     return sum(1 for seg in _SENTENCE_SPLIT.split(text) if _TOKEN.search(seg))
 
 
-def extract(state: PromptState, lists: WordLists | None = None) -> dict[str, float]:
+def extract(
+    state: PromptState, lists: WordLists | None = None, tokens: list[str] | None = None
+) -> dict[str, float]:
     """Compute the fixed 14-feature surface vector for one prompt state.
 
-    Densities are matching-token counts divided by word_count, defined as 0
-    when the instruction has no tokens.
+    `tokens`, when given, must be tokenize(state.instruction_text); a
+    caller that already holds them saves the scan. Densities are
+    matching-token counts divided by word_count, defined as 0 when the
+    instruction has no tokens.
     """
     if lists is None:
         lists = default_wordlists()
     text = state.instruction_text
-    tokens = tokenize(text)
+    if tokens is None:
+        tokens = tokenize(text)
     n_words = len(tokens)
+    counts = Counter(tokens)
 
     def density(words: frozenset[str]) -> float:
         if n_words == 0:
             return 0.0
-        return sum(1 for t in tokens if t in words) / n_words
+        return sum(counts[word] for word in counts.keys() & words) / n_words
 
     letters, upper = letter_counts(text)
     numbered = any(_NUMBERED_LINE.match(line) for line in text.splitlines())
+    token_chars = sum(len(token) * count for token, count in counts.items())
 
     return {
         "word_count": float(n_words),
         "char_count": float(len(text)),
         "sentence_count": float(sentence_count(text)),
         "n_demos": float(len(state.demos)),
-        "type_token_ratio": (len(set(tokens)) / n_words) if n_words else 0.0,
+        "type_token_ratio": (len(counts) / n_words) if n_words else 0.0,
         "compression_ratio": compression_ratio(text),
         "step_word_density": density(lists.step_words),
         "reasoning_word_density": density(lists.reasoning_words),
         "metacog_word_density": density(lists.metacog_words),
         "numbered_list_presence": 1.0 if numbered else 0.0,
-        "avg_word_length": (sum(len(t) for t in tokens) / n_words) if n_words else 0.0,
+        "avg_word_length": (token_chars / n_words) if n_words else 0.0,
         "question_count": float(text.count("?")),
         "imperative_density": density(lists.imperative_verbs),
         "uppercase_ratio": upper / letters if letters else 0.0,

@@ -12,6 +12,13 @@ import pytest
 # first makes in-process runs match the CLI's subprocess runs byte for byte.
 import editfx.cli  # noqa: F401
 from editfx.store import ComparisonRecord, PromptState
+from editfx.surface import _TOKEN
+
+
+def tokenize_with_offsets(text):
+    # tokenize() plus each token's character span, the offset scan the
+    # span extractor once made over the whole text: the offset oracle.
+    return [(m.group().lower(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
 
 
 def make_record(

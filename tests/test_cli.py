@@ -459,6 +459,27 @@ class TestStageCache:
             assert main(argv) == 0
         assert (fresh / "estimates.json").read_bytes() == (partial / "estimates.json").read_bytes()
 
+    def test_ignored_caches_are_noted_in_provenance(self, corpus_path, tmp_path):
+        cache = tmp_path / "cache"
+        assert main(["features", "--input", str(corpus_path), "--out", str(cache)]) == 0
+        assert main(["motifs", "--input", str(corpus_path), "--out", str(cache)]) == 0
+        features = (cache / "features.jsonl").read_text("utf-8").splitlines()
+        (cache / "features.jsonl").write_text(features[0] + "\n", encoding="utf-8")
+        (cache / "motifs.keys.json").unlink()
+        argv = ["report", "--input", str(corpus_path), "--resamples", "8", "--out"]
+        assert main([*argv, str(tmp_path / "fresh")]) == 0
+        with pytest.warns(UserWarning, match="recomputing"):
+            assert main([*argv, str(tmp_path / "stale"), "--cache-dir", str(cache)]) == 0
+        fresh = {p.name: p.read_bytes() for p in sorted((tmp_path / "fresh").iterdir())}
+        stale = {p.name: p.read_bytes() for p in sorted((tmp_path / "stale").iterdir())}
+        provenance = json.loads(stale.pop("provenance.json"))
+        assert provenance.pop("stale_caches") == [
+            {"stage": "features", "reason": "does not cover the corpus"},
+            {"stage": "motifs", "reason": "was built from other inputs or settings"},
+        ]
+        assert provenance == json.loads(fresh.pop("provenance.json"))
+        assert stale == fresh
+
     def test_cache_from_other_ruleset_recomputes(self, corpus_path, tmp_path):
         rules = json.loads(resources.files("editfx.data").joinpath("motif_rules.json").read_text())
         rules["labels"]["meta_instruction"] = [{"kind": "phrase", "text": "zqxv never zqxv"}]
@@ -582,6 +603,26 @@ class TestExitCodes:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert result.returncode == 0, result.stderr
+
+    def test_numpy_loaded_first_gets_a_note(self, corpus_path):
+        # The BLAS pins take effect only if the CLI loads numpy; a caller
+        # that loaded it first is told once, and the plain command is not.
+        src = str(Path(editfx.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["validate", "--input", str(corpus_path)]
+        code = f"import sys, numpy, editfx.cli; sys.exit(editfx.cli.main({argv!r}))"
+        runs = {
+            "numpy_first": [sys.executable, "-c", code],
+            "plain": [sys.executable, "-m", "editfx.cli", *argv],
+        }
+        stderr = {}
+        for name, command in runs.items():
+            result = subprocess.run(command, capture_output=True, text=True, timeout=60, env=env)
+            assert result.returncode == 0, result.stderr
+            stderr[name] = result.stderr
+        assert stderr["plain"] == ""
+        lines = stderr["numpy_first"].splitlines()
+        assert len(lines) == 1 and lines[0].startswith("note: numpy was loaded before")
 
     def test_bundle_does_not_depend_on_blas_threads(self, tmp_path):
         # One task group, so each cell has all 5,000 rows: large enough

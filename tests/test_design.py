@@ -1,10 +1,12 @@
 """Treatment assignment, covariate packing, and family enumeration."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from editfx import motifs, surface
 from editfx.design import (
     CATEGORICAL_COVARIATES,
     NUMERIC_COVARIATES,
@@ -250,6 +252,112 @@ class TestBuildUnits:
         second, _ = build_units(prepared, TreatmentSpec(view="surface", feature_name="char_count"))
         assert first.tolist() == second.tolist()
         assert prepared.frame is frame
+
+
+def trajectory(n_steps, words=6, demos=()):
+    # An optimizer trajectory: step k's after-prompt is step k+1's
+    # before-prompt, and each step inserts a four-word span.
+    texts = ["Solve the Problem carefully."]
+    for k in range(n_steps):
+        texts.append(texts[-1] + f" Make sure to check step {k}" + " again" * (k % words))
+    return [
+        make_record(
+            f"s{k}",
+            before_text=texts[k],
+            after_text=texts[k + 1],
+            demos_before=demos,
+            demos_after=demos,
+        )
+        for k in range(n_steps)
+    ]
+
+
+class TestPreparedText:
+    def counting(self, monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("include_demos", [False, True])
+    def test_each_text_is_tokenized_once_for_both_stages(self, monkeypatch, include_demos):
+        records = trajectory(6, demos=[{"q": "What is 2 + 2?", "a": "4"}])
+        calls = {}
+        self.counting(monkeypatch, surface, "tokenize", calls)
+        prepared = PreparedCorpus(records, include_demos=include_demos)
+        results = prepared.motif_results()
+        # seven distinct instruction texts, plus the one demo text when diffed
+        assert calls == {"tokenize": 7 + include_demos}
+        monkeypatch.undo()
+        for record in records:
+            expected = motifs.record_motifs(record, include_demos=include_demos)
+            assert results[record.pair_id] == expected
+            vectors = (surface.extract(record.before), surface.extract(record.after))
+            assert prepared.surface_pair(record) == vectors
+
+    def test_repeated_states_are_extracted_once(self, monkeypatch):
+        base = "table value record input"
+        records = [make_record(f"r{k}", before_text=base, after_text=base + GROW) for k in range(4)]
+        calls = {}
+        self.counting(monkeypatch, surface, "extract", calls)
+        before, after = PreparedCorpus(records).surface_arrays()
+        assert calls == {"extract": 2}
+        assert before.shape == after.shape == (4, len(surface.FEATURE_ORDER))
+        assert np.array_equal(after[:, 0] - before[:, 0], [3.0] * 4)
+
+    def test_stages_run_only_when_asked(self, monkeypatch):
+        records = trajectory(3)
+        calls = {}
+        self.counting(monkeypatch, surface, "extract", calls)
+        self.counting(monkeypatch, motifs, "record_motifs", calls)
+        prepared = PreparedCorpus(records)
+        prepared.prepare_text(motifs=False)
+        assert calls == {"extract": 4}
+        prepared.prepare_text(surface=False)
+        prepared.surface_pair(records[0])
+        prepared.motif_treatments()
+        assert calls == {"extract": 4, "record_motifs": 3}
+
+    def test_injected_stages_are_skipped(self, monkeypatch):
+        records = trajectory(3)
+        fresh = PreparedCorpus(records)
+        surface_cache = {r.pair_id: fresh.surface_pair(r) for r in records}
+        motif_cache = fresh.motif_treatments()
+        calls = {}
+        self.counting(monkeypatch, surface, "tokenize", calls)
+        prepared = PreparedCorpus(records, surface_cache=surface_cache, motif_cache=motif_cache)
+        assert [prepared.surface_pair(r) for r in records] == list(surface_cache.values())
+        assert prepared.motif_treatments() == motif_cache
+        for spec in (("surface", "word_count"), ("motif", "meta_instruction")):
+            spec = TreatmentSpec(*spec)
+            assert np.array_equal(build_units(prepared, spec)[1], build_units(fresh, spec)[1])
+        assert calls == {}
+
+    def test_token_lists_are_not_kept(self):
+        # 100 records of about 3,000-token prompts: their 200 token lists
+        # take about 30 MiB, which must not stay alive after the pass.
+        rng = np.random.default_rng(5)
+        records = []
+        for k in range(100):
+            words = [f"w{w}" for w in rng.integers(500, size=3000)]
+            after = list(words)
+            after[1500:1500] = ["make", "sure", "to", "verify"]
+            records.append(
+                make_record(f"m{k}", before_text=" ".join(words), after_text=" ".join(after))
+            )
+        tracemalloc.start()
+        try:
+            prepared = PreparedCorpus(records)
+            prepared.surface_arrays()
+            prepared.motif_treatments()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(prepared.motif_results()) == 100
+        assert held < 3 * 2**20
 
 
 class TestEnumerateFamilies:

@@ -3,6 +3,8 @@
 import json
 import tracemalloc
 import warnings
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,6 @@ from editfx.motifs import (
     EditRun,
     InsertedSpan,
     MotifRuleset,
-    _coalesce,
     _lcs_rows,
     apply_script,
     audit_sample,
@@ -31,7 +32,7 @@ from editfx.motifs import (
 )
 from editfx.surface import tokenize
 
-from conftest import make_record
+from conftest import make_record, tokenize_with_offsets
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -88,6 +89,66 @@ def lengths_from_rows(before: list[str], after: list[str]) -> np.ndarray:
     return table
 
 
+def coalesce(ops: list[tuple[str, str]]) -> list[EditRun]:
+    # Per-token (op, token) pairs grouped into maximal runs.
+    return [
+        EditRun(op, tuple(token for _, token in group))
+        for op, group in groupby(ops, key=itemgetter(0))
+    ]
+
+
+def tokenwise_word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun]:
+    # The bit-row diff before keep runs were found by slice comparison,
+    # frozen as the differential oracle: it walks every kept token one at
+    # a time and groups the per-token ops afterwards.
+    ops: list[tuple[str, str]] = []
+    i, j = 0, 0
+    n, m = len(before_tokens), len(after_tokens)
+    while i < n and j < m and before_tokens[i] == after_tokens[j]:
+        ops.append(("keep", before_tokens[i]))
+        i += 1
+        j += 1
+    rows = _lcs_rows(before_tokens[i:], after_tokens[j:])
+    bi, bj = 0, 0
+    rn, rm = n - i, m - j
+    mask = (1 << rm) - 1
+    while bi < rn or bj < rm:
+        if bi < rn and bj < rm and before_tokens[i + bi] == after_tokens[j + bj]:
+            ops.append(("keep", before_tokens[i + bi]))
+            bi += 1
+            bj += 1
+            mask >>= 1
+        elif bi < rn and (rows[bi + 1] & mask).bit_count() == (rows[bi] & mask).bit_count():
+            ops.append(("delete", before_tokens[i + bi]))
+            bi += 1
+        else:
+            ops.append(("insert", after_tokens[j + bj]))
+            bj += 1
+            mask >>= 1
+    return coalesce(ops)
+
+
+def offset_extract_spans(script: list[EditRun], after_text: str) -> list[InsertedSpan]:
+    # The span extractor before it stopped at the last span: it scans the
+    # whole after text with offsets, kept as the differential oracle.
+    if not any(run.op == "insert" and len(run.tokens) >= MIN_SPAN_TOKENS for run in script):
+        return []
+    offsets = tokenize_with_offsets(after_text)
+    spans: list[InsertedSpan] = []
+    pos = 0
+    for run in script:
+        if run.op == "delete":
+            continue
+        if run.op == "insert" and len(run.tokens) >= MIN_SPAN_TOKENS:
+            last = pos + len(run.tokens) - 1
+            if last >= len(offsets):
+                raise SchemaError("edit script does not align with after text")
+            text = after_text[offsets[pos][1] : offsets[last][2]]
+            spans.append(InsertedSpan(tokens=run.tokens, start_index=pos, text=text))
+        pos += len(run.tokens)
+    return spans
+
+
 def table_word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun]:
     # The uint16 suffix-table diff that the bit rows replaced, frozen as the
     # differential oracle: same prefix skip, same walk, same tie-breaking.
@@ -121,7 +182,7 @@ def table_word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[E
         else:
             ops.append(("insert", after[bj]))
             bj += 1
-    return _coalesce(ops)
+    return coalesce(ops)
 
 
 @st.composite
@@ -142,6 +203,44 @@ def near_copies(draw):
         elif pos < len(after):
             after[pos] = "sub"
     return before, after
+
+
+@st.composite
+def diff_pairs(draw):
+    # A vocabulary of 2 to 20 words and a before text of 0 to 40 tokens;
+    # half of the after texts are edited copies (substitutions, deletions
+    # and inserted runs), the other half independent draws.
+    words = [f"w{k}" for k in range(draw(st.integers(2, 20)))]
+    before = draw(st.lists(st.sampled_from(words), max_size=40))
+    if not draw(st.booleans()):
+        return before, draw(st.lists(st.sampled_from(words), max_size=40))
+    return before, edited_copy(draw, before, words)
+
+
+def edited_copy(draw, before: list[str], words: list[str]) -> list[str]:
+    after = list(before)
+    for _ in range(draw(st.integers(0, 6))):
+        pos = draw(st.integers(0, len(after)))
+        kind = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if kind == "insert":
+            run_words = st.sampled_from([*words, "make", "sure", "to", "verify"])
+            after[pos:pos] = draw(st.lists(run_words, min_size=1, max_size=9))
+        elif kind == "delete":
+            del after[pos : pos + draw(st.integers(1, 5))]
+        elif pos < len(after):
+            after[pos] = "sub"
+    return after
+
+
+@st.composite
+def long_near_copies(draw):
+    # Up to 2,000 tokens with a few edits, so keep runs span several
+    # doublings of the slice comparison in both directions.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = [f"w{k}" for k in range(draw(st.integers(2, 20)))]
+    n = draw(st.integers(0, 2000))
+    before = [words[k] for k in rng.integers(len(words), size=n)]
+    return before, edited_copy(draw, before, words)
 
 
 def substituted_copy(n: int, seed: int) -> tuple[list[str], list[str]]:
@@ -288,6 +387,53 @@ class TestTableOracle:
         assert sum(r.op == "insert" and len(r.tokens) >= MIN_SPAN_TOKENS for r in script) == 8
 
 
+class TestTokenwiseOracle:
+    @given(pair=diff_pairs())
+    @settings(max_examples=1000, deadline=None)
+    def test_pairs_match_tokenwise_diff(self, pair):
+        before, after = pair
+        assert word_diff(before, after) == tokenwise_word_diff(before, after)
+
+    @given(pair=long_near_copies())
+    @settings(max_examples=100, deadline=None)
+    def test_long_near_copies_match_tokenwise_diff(self, pair):
+        before, after = pair
+        assert word_diff(before, after) == tokenwise_word_diff(before, after)
+
+    @pytest.mark.parametrize("run", [0, 1, 7, 8, 9, 23, 24, 25, 1000, 1023, 1024])
+    def test_keep_runs_around_doublings(self, run):
+        # A keep run of `run` tokens ends at a change, after a 5-token
+        # prefix, at each boundary of the 8, 16, 32, ... token slices.
+        before = [f"p{k}" for k in range(5)] + ["x"] + [f"k{k}" for k in range(run)] + ["y", "z"]
+        after = [f"p{k}" for k in range(5)] + ["q"] + [f"k{k}" for k in range(run)] + ["r", "z"]
+        assert word_diff(before, after) == tokenwise_word_diff(before, after)
+        assert word_diff(before[:-1], after[:-1]) == tokenwise_word_diff(before[:-1], after[:-1])
+
+    @given(pair=diff_pairs(), cut=st.integers(0, 6))
+    @settings(max_examples=500, deadline=None)
+    def test_spans_match_offset_scan(self, pair, cut):
+        # The after text loses its last `cut` tokens, so some scripts no
+        # longer align with it: both extractors must then raise.
+        before, after = pair
+        script = word_diff(before, after)
+        text = " ".join(after[: len(after) - cut])
+        try:
+            expected = offset_extract_spans(script, text)
+        except SchemaError:
+            with pytest.raises(SchemaError):
+                extract_spans(script, text)
+        else:
+            assert extract_spans(script, text) == expected
+
+    @given(pair=long_near_copies())
+    @settings(max_examples=50, deadline=None)
+    def test_long_spans_match_offset_scan(self, pair):
+        before, after = pair
+        script = word_diff(before, after)
+        text = "  ".join(token.upper() + "," for token in after)
+        assert extract_spans(script, text) == offset_extract_spans(script, text)
+
+
 class TestApplyScript:
     def test_round_trip(self):
         script = [
@@ -354,10 +500,14 @@ class TestExtractSpans:
         import editfx.motifs as motifs
 
         calls = []
-        real = motifs.tokenize_with_offsets
-        monkeypatch.setattr(
-            motifs, "tokenize_with_offsets", lambda text: calls.append(text) or real(text)
-        )
+        real = motifs._TOKEN
+
+        class CountingPattern:
+            def finditer(self, text):
+                calls.append(text)
+                return real.finditer(text)
+
+        monkeypatch.setattr(motifs, "_TOKEN", CountingPattern())
         before = "alpha beta gamma"
         short = "alpha one two three gamma"
         assert extract_spans(word_diff(tokenize(before), tokenize(short)), short) == []

@@ -521,8 +521,11 @@ class TestRunReport:
         assert provenance["construct_validity"]["total"] > 0
         assert provenance["loo"]["total"] > 0
         assert len((tmp_path / "bundle" / "per_dataset.csv").read_text().splitlines()) > 1
-        n = len(records)
-        assert calls == {"extract": 2 * n, "record_motifs": n, "UnitFrame": 1}
+        # Each distinct state (instruction text, demo count) is extracted
+        # once; repeated states reuse the first vector.
+        states = {(s.instruction_text, len(s.demos)) for r in records for s in (r.before, r.after)}
+        assert len(states) == 175
+        assert calls == {"extract": len(states), "record_motifs": len(records), "UnitFrame": 1}
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, small_corpus):
         out_serial = tmp_path / "serial"

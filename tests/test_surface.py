@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from editfx.errors import SchemaError
 from editfx.store import PromptState
 from editfx.surface import (
+    _TOKEN,
     FEATURE_ORDER,
     NON_CANON_FEATURES,
     WordLists,
@@ -21,8 +22,9 @@ from editfx.surface import (
     letter_counts,
     sentence_count,
     tokenize,
-    tokenize_with_offsets,
 )
+
+from conftest import tokenize_with_offsets
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -122,6 +124,22 @@ class TestTokenize:
         expected = char_loop_tokens(text)
         assert tokenize_with_offsets(text) == expected
         assert tokenize(text) == [token for token, _, _ in expected]
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_ascii_fast_path_matches_per_token_lowering(self, text):
+        assert tokenize(text) == [token.lower() for token in _TOKEN.findall(text)]
+
+    def test_non_ascii_text_is_lowered_token_by_token(self):
+        # "\u0130".lower() is "i\u0307", and U+0307 is not alphanumeric:
+        # lowering the text first would trim it off the token.
+        assert tokenize("\u0130 Xy") == ["i\u0307", "xy"]
+        assert _TOKEN.findall("\u0130 Xy".lower()) == ["i", "xy"]
+
+    @given(token_text_st, token_text_st)
+    @settings(max_examples=300, deadline=None)
+    def test_no_token_crosses_a_blank_line(self, a, b):
+        assert tokenize(a + "\n\n" + b) == tokenize(a) + tokenize(b)
 
     @given(st.text(max_size=200))
     @settings(max_examples=200, deadline=None)
@@ -239,6 +257,13 @@ class TestFeatures:
         assert v["word_count"] == len(tokenize(text))
         assert v["n_demos"] == demos
         assert v["type_token_ratio"] <= 1.0
+
+
+    @given(token_text_st, st.integers(min_value=0, max_value=3))
+    @settings(max_examples=200, deadline=None)
+    def test_given_tokens_give_the_same_vector(self, text, demos):
+        state = PromptState(instruction_text=text, demos=tuple({} for _ in range(demos)))
+        assert extract(state, tokens=tokenize(text)) == extract(state)
 
 
 class TestDelta:
