@@ -92,24 +92,27 @@ def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
     caches, stale = {}, []
     if args.cache_dir:
         cache = Path(args.cache_dir)
-        caches["surface_cache"] = _load_cache(
-            cache / "features.jsonl",
-            "feature",
-            records,
-            _keyer(wordlists.content_hash),
-            lambda doc: (doc["before"], doc["after"]),
-            stale,
-        )
-        caches["motif_cache"] = _load_cache(
-            cache / "motifs.jsonl",
-            "motif",
-            records,
-            _keyer(ruleset.content_hash, cfg.include_demos),
-            lambda doc: {label: int(label in doc["record_labels"]) for label in MOTIF_LABELS},
-            stale,
-        )
-    prepared = PreparedCorpus(records, wordlists, ruleset, cfg.include_demos, **caches)
-    prepared.stale_caches = stale
+        loaded = {
+            "surface_cache": _load_cache(
+                cache / "features.jsonl",
+                "feature",
+                records,
+                _keyer(wordlists.content_hash),
+                lambda doc: (doc["before"], doc["after"]),
+            ),
+            "motif_cache": _load_cache(
+                cache / "motifs.jsonl",
+                "motif",
+                records,
+                _keyer(ruleset.content_hash, cfg.include_demos),
+                lambda doc: {label: int(label in doc["record_labels"]) for label in MOTIF_LABELS},
+            ),
+        }
+        caches = {name: found for name, (found, _) in loaded.items()}
+        stale = [note for _, note in loaded.values() if note]
+    prepared = PreparedCorpus(
+        records, wordlists, ruleset, cfg.include_demos, stale_caches=stale, **caches
+    )
     return cfg, prepared
 
 
@@ -138,16 +141,16 @@ def _write_stage(path: Path, records, line, key) -> None:
     report_mod.write_json(path.with_suffix(".keys.json"), {r.pair_id: key(r) for r in records})
 
 
-def _load_cache(path: Path, what: str, records, key, value, stale: list) -> dict | None:
-    """pair_id -> value(line) from a stage cache, or None to recompute.
+def _load_cache(path: Path, what: str, records, key, value) -> tuple[dict | None, dict | None]:
+    """(pair_id -> value(line), None) from a stage cache, or (None, note) to recompute.
 
     The cache is ignored with a warning unless it covers every record
     and its sidecar holds key(record), the key this run would write,
-    for each of them; an ignored cache is noted in `stale` as its stage
-    (the file's stem) and the reason.
+    for each of them. The note of an ignored cache names its stage (the
+    file's stem) and the reason; a missing cache has no note.
     """
     if not path.exists():
-        return None
+        return None, None
     with path.open("r", encoding="utf-8") as fh:
         docs = {doc["pair_id"]: doc for doc in map(json.loads, fh)}
     keys_path = path.with_suffix(".keys.json")
@@ -157,10 +160,9 @@ def _load_cache(path: Path, what: str, records, key, value, stale: list) -> dict
     elif any(keys.get(r.pair_id) != key(r) for r in records):
         reason = "was built from other inputs or settings"
     else:
-        return {r.pair_id: value(docs[r.pair_id]) for r in records}
+        return {r.pair_id: value(docs[r.pair_id]) for r in records}, None
     warnings.warn(f"{what} cache {path} {reason}; recomputing")
-    stale.append({"stage": path.stem, "reason": reason})
-    return None
+    return None, {"stage": path.stem, "reason": reason}
 
 
 def _out(args) -> Path:
@@ -181,7 +183,6 @@ def _cmd_features(args) -> int:
     _, prepared = _analysis(args)
     records = prepared.records
     out = _out(args)
-    prepared.prepare_text(motifs=False)
 
     def line(record) -> dict:
         before_vec, after_vec = prepared.surface_pair(record)
@@ -202,7 +203,6 @@ def _cmd_motifs(args) -> int:
     cfg, prepared = _analysis(args)
     records = prepared.records
     out = _out(args)
-    prepared.prepare_text(surface=False)
     results = prepared.motif_results()
     key = _keyer(prepared.ruleset.content_hash, cfg.include_demos)
     _write_stage(out / "motifs.jsonl", records, lambda r: results[r.pair_id].to_json(), key)

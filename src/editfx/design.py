@@ -322,12 +322,13 @@ class PreparedCorpus:
         include_demos: bool = False,
         surface_cache: dict[str, tuple[dict, dict]] | None = None,
         motif_cache: dict[str, dict[str, int]] | None = None,
+        stale_caches: list[dict[str, str]] | None = None,
     ):
         self.records = list(records)
         self.wordlists = wordlists or surface_mod.default_wordlists()
         self.ruleset = ruleset or motifs_mod.default_ruleset()
         self.include_demos = include_demos
-        self.stale_caches: list[dict[str, str]] = []
+        self.stale_caches = list(stale_caches or [])
         self._surface: tuple[np.ndarray, np.ndarray] | None = None
         if surface_cache:
             self._surface = tuple(
@@ -389,7 +390,7 @@ class PreparedCorpus:
     def surface_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Before and after surface vectors, one (n, 14) array each, columns in FEATURE_ORDER."""
         if self._surface is None:
-            self.prepare_text(motifs=self._motif is None)
+            self.prepare_text(motifs=False)
         return self._surface
 
     def surface_pair(self, record: ComparisonRecord) -> tuple[dict, dict]:
@@ -403,7 +404,7 @@ class PreparedCorpus:
 
     def motif_results(self) -> dict[str, motifs_mod.MotifResult]:
         if self._motif_results is None:
-            self.prepare_text()
+            self.prepare_text(surface=False)
         return self._motif_results
 
     def motif_treatments(self) -> dict[str, dict[str, int]]:
@@ -479,6 +480,10 @@ def enumerate_families(
     every cell are dropped with a warning. Family m is the surviving
     count, which is what BH correction later divides by.
     """
+    # The frame and the surface view read the surface stage, and the motif
+    # view reads motif treatments unless they were injected: one pass
+    # computes what is missing, tokenizing each text once.
+    prepared.prepare_text(motifs="motif" in views and prepared._motif is None)
     frame = prepared.frame
     families = []
     for view in views:

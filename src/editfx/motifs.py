@@ -173,75 +173,46 @@ def word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun
 
     Tie-breaking is fixed: a match is taken whenever one is available at
     the current position (earliest match), and deletions are emitted
-    before insertions when both are optimal. So every keep run is the
-    longest common run at its position, found by slice comparison
-    (_common_run); deletes and inserts are decided token by token.
+    before insertions when both are optimal. The walk decides token by
+    token and emits each maximal run as it ends.
     """
-    script: list[EditRun] = []
-    n, m = len(before_tokens), len(after_tokens)
+    i = 0
     # Common prefix is always part of an optimal earliest-match alignment.
-    i = j = _common_run(before_tokens, 0, after_tokens, 0)
-    if i:
-        script.append(EditRun("keep", tuple(before_tokens[:i])))
-    rows = _lcs_rows(before_tokens[i:], after_tokens[j:])
+    while i < len(before_tokens) and i < len(after_tokens) and before_tokens[i] == after_tokens[i]:
+        i += 1
+    script = [EditRun("keep", tuple(before_tokens[:i]))] if i else []
+    before, after = before_tokens[i:], after_tokens[i:]
+    rows = _lcs_rows(before, after)
+    n, m = len(before), len(after)
     bi, bj = 0, 0
-    rn, rm = n - i, m - j
-    # The low rm - bj bits of a row stand for after_tokens[j + bj:].
-    mask = (1 << rm) - 1
+    # The low m - bj bits of a row stand for after[bj:].
+    mask = (1 << m) - 1
 
     def keeps() -> bool:
-        return bi < rn and bj < rm and before_tokens[i + bi] == after_tokens[j + bj]
+        return bi < n and bj < m and before[bi] == after[bj]
 
     def deletes() -> bool:
         # Deleting keeps the LCS when LCS(before[bi+1:], after[bj:]) equals
         # LCS(before[bi:], after[bj:]): equal popcounts under the same mask.
-        return bi < rn and (rows[bi + 1] & mask).bit_count() == (rows[bi] & mask).bit_count()
+        return bi < n and (rows[bi + 1] & mask).bit_count() == (rows[bi] & mask).bit_count()
 
-    while bi < rn or bj < rm:
-        if keeps():
-            run = _common_run(before_tokens, i + bi, after_tokens, j + bj)
-            script.append(EditRun("keep", tuple(before_tokens[i + bi : i + bi + run])))
-            bi += run
-            bj += run
-            mask >>= run
-            continue
+    while bi < n or bj < m:
+        start = bi
+        while keeps():
+            bi, bj, mask = bi + 1, bj + 1, mask >> 1
+        if bi > start:
+            script.append(EditRun("keep", tuple(before[start:bi])))
         start = bi
         while not keeps() and deletes():
             bi += 1
         if bi > start:
-            script.append(EditRun("delete", tuple(before_tokens[i + start : i + bi])))
+            script.append(EditRun("delete", tuple(before[start:bi])))
         start = bj
-        while bj < rm and not (keeps() or deletes()):
-            bj += 1
-            mask >>= 1
+        while bj < m and not (keeps() or deletes()):
+            bj, mask = bj + 1, mask >> 1
         if bj > start:
-            script.append(EditRun("insert", tuple(after_tokens[j + start : j + bj])))
+            script.append(EditRun("insert", tuple(after[start:bj])))
     return script
-
-
-def _common_run(a: list[str], i: int, b: list[str], j: int) -> int:
-    """Length k of the longest run with a[i:i + k] == b[j:j + k].
-
-    Slices of 8, 16, 32, ... tokens are compared until one differs, and
-    the first mismatch inside it is found by bisection, so a run of k
-    tokens takes O(log k) slice comparisons.
-    """
-    limit = min(len(a) - i, len(b) - j)
-    done, step = 0, 8
-    while done < limit:
-        stop = min(done + step, limit)
-        if a[i + done : i + stop] != b[j + done : j + stop]:
-            # a[i:i + done] == b[j:j + done]; the first mismatch is before stop.
-            while stop - done > 1:
-                mid = (done + stop) // 2
-                if a[i + done : i + mid] == b[j + done : j + mid]:
-                    done = mid
-                else:
-                    stop = mid
-            return done
-        done = stop
-        step *= 2
-    return done
 
 
 def _lcs_rows(before: list[str], after: list[str]) -> list[int]:

@@ -111,13 +111,10 @@ def default_wordlists() -> WordLists:
 def tokenize(text: str) -> list[str]:
     """Lowercased whitespace runs, each trimmed to its alphanumeric ends (_TOKEN).
 
-    ASCII text is lowercased before the scan: lowercasing maps A-Z to a-z
-    and changes no character's class, so the tokens are the same. Other
-    text is lowercased token by token, because lowercasing can change a
-    class there ("\u0130".lower() appends U+0307, which is not alphanumeric).
+    Tokens are lowercased after the scan: lowercasing first can change a
+    character's class ("\u0130".lower() appends U+0307, which is not
+    alphanumeric).
     """
-    if text.isascii():
-        return _TOKEN.findall(text.lower())
     return [token.lower() for token in _TOKEN.findall(text)]
 
 

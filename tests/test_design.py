@@ -288,10 +288,12 @@ class TestPreparedText:
         calls = {}
         self.counting(monkeypatch, surface, "tokenize", calls)
         prepared = PreparedCorpus(records, include_demos=include_demos)
-        results = prepared.motif_results()
+        with pytest.warns(UserWarning, match="no testable cells"):
+            enumerate_families(prepared, min_cell=1, min_arm=1)
         # seven distinct instruction texts, plus the one demo text when diffed
         assert calls == {"tokenize": 7 + include_demos}
         monkeypatch.undo()
+        results = prepared.motif_results()
         for record in records:
             expected = motifs.record_motifs(record, include_demos=include_demos)
             assert results[record.pair_id] == expected
@@ -320,6 +322,28 @@ class TestPreparedText:
         prepared.surface_pair(records[0])
         prepared.motif_treatments()
         assert calls == {"extract": 4, "record_motifs": 3}
+
+    def test_frame_and_surface_stage_do_not_diff(self, monkeypatch):
+        records = trajectory(3)
+        calls = {}
+        self.counting(monkeypatch, surface, "extract", calls)
+        self.counting(monkeypatch, motifs, "record_motifs", calls)
+        prepared = PreparedCorpus(records)
+        word_count = prepared.frame.numeric[:, NUMERIC_COVARIATES.index("p1_word_count")]
+        assert word_count.tolist() == [4.0, 10.0, 17.0]
+        enumerate_families(prepared, min_cell=1, min_arm=1, views=("surface",))
+        assert calls == {"extract": 4}
+
+    def test_injected_motif_treatments_are_not_recomputed(self, monkeypatch):
+        records = trajectory(3)
+        motif_cache = PreparedCorpus(records).motif_treatments()
+        calls = {}
+        self.counting(monkeypatch, motifs, "record_motifs", calls)
+        prepared = PreparedCorpus(records, motif_cache=motif_cache)
+        # every step inserts a span, so the motif view tests no cell
+        with pytest.warns(UserWarning, match="'motif' has no testable cells"):
+            enumerate_families(prepared, min_cell=1, min_arm=1, views=("motif",))
+        assert calls == {}
 
     def test_injected_stages_are_skipped(self, monkeypatch):
         records = trajectory(3)

@@ -97,37 +97,6 @@ def coalesce(ops: list[tuple[str, str]]) -> list[EditRun]:
     ]
 
 
-def tokenwise_word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun]:
-    # The bit-row diff before keep runs were found by slice comparison,
-    # frozen as the differential oracle: it walks every kept token one at
-    # a time and groups the per-token ops afterwards.
-    ops: list[tuple[str, str]] = []
-    i, j = 0, 0
-    n, m = len(before_tokens), len(after_tokens)
-    while i < n and j < m and before_tokens[i] == after_tokens[j]:
-        ops.append(("keep", before_tokens[i]))
-        i += 1
-        j += 1
-    rows = _lcs_rows(before_tokens[i:], after_tokens[j:])
-    bi, bj = 0, 0
-    rn, rm = n - i, m - j
-    mask = (1 << rm) - 1
-    while bi < rn or bj < rm:
-        if bi < rn and bj < rm and before_tokens[i + bi] == after_tokens[j + bj]:
-            ops.append(("keep", before_tokens[i + bi]))
-            bi += 1
-            bj += 1
-            mask >>= 1
-        elif bi < rn and (rows[bi + 1] & mask).bit_count() == (rows[bi] & mask).bit_count():
-            ops.append(("delete", before_tokens[i + bi]))
-            bi += 1
-        else:
-            ops.append(("insert", after_tokens[j + bj]))
-            bj += 1
-            mask >>= 1
-    return coalesce(ops)
-
-
 def offset_extract_spans(script: list[EditRun], after_text: str) -> list[InsertedSpan]:
     # The span extractor before it stopped at the last span: it scans the
     # whole after text with offsets, kept as the differential oracle.
@@ -234,8 +203,7 @@ def edited_copy(draw, before: list[str], words: list[str]) -> list[str]:
 
 @st.composite
 def long_near_copies(draw):
-    # Up to 2,000 tokens with a few edits, so keep runs span several
-    # doublings of the slice comparison in both directions.
+    # Up to 2,000 tokens with a few edits, so spans sit far into the text.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     words = [f"w{k}" for k in range(draw(st.integers(2, 20)))]
     n = draw(st.integers(0, 2000))
@@ -377,6 +345,12 @@ class TestTableOracle:
         before, after = pair
         assert word_diff(before, after) == table_word_diff(before, after)
 
+    @given(pair=diff_pairs())
+    @settings(max_examples=1000, deadline=None)
+    def test_generated_pairs_match_table_diff(self, pair):
+        before, after = pair
+        assert word_diff(before, after) == table_word_diff(before, after)
+
     def test_long_substituted_copy_matches_table_diff(self):
         before, after = substituted_copy(4000, 4000)
         # a 6-token insertion every 503 tokens, so the script has spans
@@ -387,28 +361,7 @@ class TestTableOracle:
         assert sum(r.op == "insert" and len(r.tokens) >= MIN_SPAN_TOKENS for r in script) == 8
 
 
-class TestTokenwiseOracle:
-    @given(pair=diff_pairs())
-    @settings(max_examples=1000, deadline=None)
-    def test_pairs_match_tokenwise_diff(self, pair):
-        before, after = pair
-        assert word_diff(before, after) == tokenwise_word_diff(before, after)
-
-    @given(pair=long_near_copies())
-    @settings(max_examples=100, deadline=None)
-    def test_long_near_copies_match_tokenwise_diff(self, pair):
-        before, after = pair
-        assert word_diff(before, after) == tokenwise_word_diff(before, after)
-
-    @pytest.mark.parametrize("run", [0, 1, 7, 8, 9, 23, 24, 25, 1000, 1023, 1024])
-    def test_keep_runs_around_doublings(self, run):
-        # A keep run of `run` tokens ends at a change, after a 5-token
-        # prefix, at each boundary of the 8, 16, 32, ... token slices.
-        before = [f"p{k}" for k in range(5)] + ["x"] + [f"k{k}" for k in range(run)] + ["y", "z"]
-        after = [f"p{k}" for k in range(5)] + ["q"] + [f"k{k}" for k in range(run)] + ["r", "z"]
-        assert word_diff(before, after) == tokenwise_word_diff(before, after)
-        assert word_diff(before[:-1], after[:-1]) == tokenwise_word_diff(before[:-1], after[:-1])
-
+class TestSpanOracle:
     @given(pair=diff_pairs(), cut=st.integers(0, 6))
     @settings(max_examples=500, deadline=None)
     def test_spans_match_offset_scan(self, pair, cut):

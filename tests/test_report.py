@@ -527,6 +527,19 @@ class TestRunReport:
         assert len(states) == 175
         assert calls == {"extract": len(states), "record_motifs": len(records), "UnitFrame": 1}
 
+    def test_annotation_view_does_not_diff(self, monkeypatch):
+        # The annotation view and the frame read no motif diffs, so a run
+        # of that view alone never computes them.
+        records, _ = generate(SynthConfig(n=120, seed=0, annotate=True))
+        calls = []
+        original = motifs.record_motifs
+        monkeypatch.setattr(
+            motifs, "record_motifs", lambda *args, **kw: calls.append(args) or original(*args, **kw)
+        )
+        doc = Pipeline(PreparedCorpus(records), RunConfig(), views=("annotation",)).estimates
+        assert {row["view"] for row in doc["estimates"]} == {"annotation"}
+        assert calls == []
+
     def test_worker_count_does_not_change_bytes(self, tmp_path, small_corpus):
         out_serial = tmp_path / "serial"
         out_parallel = tmp_path / "parallel"
