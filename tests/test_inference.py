@@ -21,6 +21,7 @@ from editfx.inference import (
     TIER_NONE,
     TIER_UNCORRECTED,
     InferenceResult,
+    _bounded_draws,
     bh_fdr,
     block_bootstrap,
     derive_cell_seed,
@@ -70,13 +71,14 @@ def aligned_block_cell():
     return TestCell(spec=spec, task_group="math", data=make_data(units))
 
 
-def three_block_cell(arms=("mixed", "mixed", "mixed"), per_block=30, seed=0):
-    """A cell with one block per dataset ds_a, ds_b, ds_c; each block's arm
-    is "treated", "control" or "mixed" (treatment tied to word count)."""
+def block_cell(arms=("mixed", "mixed", "mixed"), per_block=30, seed=0):
+    """A cell with one block per entry of arms, datasets ds_a, ds_b, ...;
+    each block's arm is "treated", "control" or "mixed" (treatment tied
+    to word count)."""
     rng = np.random.default_rng(seed)
     spec = TreatmentSpec(view="surface", feature_name="word_count")
     units = []
-    for dataset, arm in zip(("ds_a", "ds_b", "ds_c"), arms):
+    for dataset, arm in zip(("ds_a", "ds_b", "ds_c", "ds_d"), arms):
         for k in range(per_block):
             x = float(rng.normal())
             t = {"treated": 1, "control": 0}.get(arm, int(rng.random() < 1.0 / (1.0 + np.exp(-x))))
@@ -92,11 +94,11 @@ def three_block_cell(arms=("mixed", "mixed", "mixed"), per_block=30, seed=0):
     return TestCell(spec=spec, task_group="math", data=make_data(units))
 
 
-def drawn_sequences(cell, cfg):
-    """Each resample's drawn block sequence, as block_bootstrap draws it."""
-    n_blocks = len(cell.data.blocks)
+def drawn_sequences(cell, cfg, mode="block"):
+    """Each resample's drawn blocks (rows in iid mode), one default_rng per draw."""
+    size = len(cell.data.blocks) if mode == "block" else cell.data.n
     return [
-        np.random.default_rng([cfg["seed"], r]).integers(0, n_blocks, size=n_blocks)
+        np.random.default_rng([cfg["seed"], r]).integers(0, size, size=size)
         for r in range(cfg["resamples"])
     ]
 
@@ -106,17 +108,18 @@ def drawn_rows(data, drawn):
     return np.concatenate([np.flatnonzero(data.block_codes == b) for b in drawn])
 
 
-def memo_free_bootstrap(cell, cfg, recipe):
+def memo_free_bootstrap(cell, cfg, recipe, mode="block"):
     """(estimates, valid, discarded) with every resample estimated afresh.
 
-    Each resample's blocks are concatenated; refits use the dense oracle.
+    Each resample's blocks are concatenated (its rows taken as drawn in
+    iid mode); refits use the dense oracle.
     """
     data = cell.data
     point_weights = sipw(data)[1].weights
     estimates = []
     discarded = 0
-    for drawn in drawn_sequences(cell, cfg):
-        idx = drawn_rows(data, drawn)
+    for drawn in drawn_sequences(cell, cfg, mode):
+        idx = drawn_rows(data, drawn) if mode == "block" else drawn
         t = data.treatment[idx].astype(np.float64)
         if t.min() == t.max():
             discarded += 1
@@ -199,6 +202,10 @@ class TestBhFdr:
             bh_fdr([0.5, 1.2])
         with pytest.raises(ConfigError):
             bh_fdr([0.5], alpha=0.0)
+
+    def test_nan_p_value_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            bh_fdr([0.01, float("nan")])
 
 
 class TestTiers:
@@ -310,7 +317,7 @@ class TestBlockBootstrap:
         np.testing.assert_allclose(result.resample_estimates, expected, rtol=0, atol=1e-12)
 
     def test_each_block_multiset_is_fitted_once(self, monkeypatch):
-        cell = three_block_cell()
+        cell = block_cell()
         cfg = dict(resamples=200, seed=11)
         # Each stacked fit counts its populations, the rows of its weights.
         fits = []
@@ -331,7 +338,7 @@ class TestBlockBootstrap:
         "recipe, refit", [("sipw", True), ("sipw", False), ("naive", True)]
     )
     def test_memo_matches_memo_free_replay(self, recipe, refit):
-        cell = three_block_cell(arms=("treated", "control", "mixed"), seed=3)
+        cell = block_cell(arms=("treated", "control", "mixed"), seed=3)
         cfg = dict(resamples=200, seed=12, refit=refit)
         res = block_bootstrap(cell, **cfg, recipe=recipe)
         estimates, valid, discarded = memo_free_bootstrap(cell, cfg, recipe)
@@ -344,6 +351,44 @@ class TestBlockBootstrap:
         assert res.discarded == discarded >= len(one_armed)
         assert res.valid_resamples == valid == 200 - discarded
         np.testing.assert_allclose(res.resample_estimates, estimates, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["block", "iid"])
+    def test_matches_one_generator_per_draw(self, mode):
+        cell = block_cell(arms=("treated", "control", "mixed"), per_block=12, seed=4)
+        cfg = dict(resamples=60, seed=2**64 + 5, refit=True)
+        res = block_bootstrap(cell, **cfg, mode=mode)
+        estimates, valid, discarded = memo_free_bootstrap(cell, cfg, "sipw", mode)
+        # The oracle fits each distinct draw (block multiset, or iid draw) once, alone.
+        data = cell.data
+        keys, nonconverged = set(), 0
+        for r, drawn in enumerate(drawn_sequences(cell, cfg, mode)):
+            key = np.bincount(drawn, minlength=3).tobytes() if mode == "block" else r
+            if key in keys:
+                continue
+            keys.add(key)
+            idx = drawn_rows(data, drawn) if mode == "block" else drawn
+            if 0 < data.treatment[idx].sum() < len(idx):
+                nonconverged += not fit_propensity(data, idx).converged
+        assert res.distinct_resamples == len(keys)
+        assert res.discarded == discarded
+        assert res.valid_resamples == valid == 60 - discarded
+        assert res.nonconverged == nonconverged
+        np.testing.assert_allclose(res.resample_estimates, estimates, rtol=0, atol=1e-12)
+
+    def test_draws_make_no_generator(self, monkeypatch):
+        cell = block_cell(arms=("mixed",) * 4, per_block=10)
+        calls = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or real(*a))
+        res = block_bootstrap(cell, resamples=500, seed=7)
+        assert res.n_blocks == 4
+        assert res.valid_resamples == 500
+        assert calls == []
+
+    def test_fewer_than_two_valid_resamples_is_unstable(self):
+        # One of the two draws empties an arm; one estimate has no spread.
+        with pytest.raises(UnstableCellError, match="only 1 of 2"):
+            block_bootstrap(aligned_block_cell(), resamples=2, seed=4)
 
     def test_iid_mode_runs(self):
         cell = make_cell(n=160, seed=24)
@@ -432,6 +477,56 @@ class TestBlockBootstrap:
             block_bootstrap(cell, resamples=10, recipe="ols")
         with pytest.raises(ConfigError):
             block_bootstrap(cell, resamples=10, mode="jackknife")
+
+
+def one_generator_per_row(seed, high, size, resamples):
+    return np.array(
+        [
+            np.random.default_rng([seed, r]).integers(0, high, size=size)
+            for r in range(resamples)
+        ]
+    )
+
+
+class TestBoundedDraws:
+    """_bounded_draws against one default_rng per row, element for element."""
+
+    # 0, one 32-bit word, a 64-bit seed, and seeds of 5 and 6 words: more
+    # entropy words than SeedSequence's pool of 4.
+    @pytest.mark.parametrize("seed", [0, 4_000_000_007, 2**63 + 11, 2**128, 2**160 + 2**97 + 3])
+    def test_matches_one_generator_per_row(self, seed):
+        cases = [(1, 1, 30), (1, 6, 30), (2, 2, 40), (3, 3, 40), (4, 4, 40), (50, 50, 20)]
+        cases += [(5000, 5000, 2), (5000, 7, 30)]
+        for high, size, resamples in cases:
+            got = _bounded_draws(seed, high, size, resamples)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, one_generator_per_row(seed, high, size, resamples))
+
+    @pytest.mark.parametrize("resamples", [1, 2, 255, 600])
+    def test_resample_counts(self, resamples):
+        expected = one_generator_per_row(2**63 + 11, 4, 4, resamples)
+        np.testing.assert_array_equal(_bounded_draws(2**63 + 11, 4, 4, resamples), expected)
+
+    @pytest.mark.parametrize("high, size", [(3 * 2**30, 3), (2**31 + 1, 5)])
+    def test_rejected_rows_are_redrawn(self, monkeypatch, high, size):
+        expected = one_generator_per_row(99, high, size, 200)
+        calls = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or real(*a))
+        got = _bounded_draws(99, high, size, 200)
+        assert 0 < len(calls) < 200
+        np.testing.assert_array_equal(got, expected)
+
+    def test_negative_seed_raises_as_default_rng_does(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 0])
+        with pytest.raises(ValueError):
+            _bounded_draws(-1, 4, 4, 3)
+
+    @pytest.mark.parametrize("high", [0, 2**32])
+    def test_high_outside_the_replicated_range_raises(self, high):
+        with pytest.raises(ValueError, match="high"):
+            _bounded_draws(0, high, 4, 3)
 
 
 class TestInferFamilies:
