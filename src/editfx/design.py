@@ -128,20 +128,6 @@ class SharedDesign:
         self.dense_t = np.ascontiguousarray(dense.T)
         self.n, self.n_dense = dense.shape
         self.p = self.n_dense + levels.shape[1]
-        self.run = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, self.n]))
-
-    def take(self, keep: np.ndarray) -> SharedDesign:
-        """The design on the rows where keep is true, with the same columns."""
-        run = self.run[keep]
-        starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
-        return SharedDesign(
-            self.rows[keep],
-            self.dense[keep],
-            starts,
-            self.levels[run[starts]],
-            scale=self.scale,
-            variable=self.variable,
-        )
 
 
 class CellData:

@@ -1,5 +1,7 @@
 """Propensity fitting, stabilized weights, and cell estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,19 +9,15 @@ from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 import editfx.estimation as estimation
-from editfx.design import NUMERIC_COVARIATES, CellData, TestCell, TreatmentSpec
+from editfx.design import NUMERIC_COVARIATES, CellData, SharedDesign, TestCell, TreatmentSpec
 from editfx.errors import ConfigError, DegenerateCellError, PositivityError, SchemaError
 from editfx.estimation import (
     PROB_CLIP,
     RIDGE_LAMBDA,
     WEIGHT_CAP,
-    PropensityModel,
     estimate_all,
     estimate_cell,
-    fit_propensity,
     irls_logistic,
-    penalized_gradient,
-    predict_probabilities,
     sipw,
     stabilized_weights,
     weighted_difference,
@@ -28,6 +26,13 @@ from editfx.estimation import (
 from editfx.design import PreparedCorpus, TestFamily, build_units
 from editfx.synth import SynthConfig, generate
 
+from oracles import (
+    PropensityModel,
+    coefficients,
+    fit_propensity,
+    penalized_gradient,
+    predict_probabilities,
+)
 from test_design import make_cells, make_data, make_unit
 
 TestFamily.__test__ = False
@@ -304,7 +309,7 @@ class TestCountWeightedFit:
         t = data.treatment[idx].astype(np.float64)
         assume(idx.size > 0 and t.min() != t.max())
         ref_beta, ref_estimate, matrix = dense_sipw(data, idx)
-        beta = estimation.fit_stack(data, [counts]).coefficients(0)
+        beta = coefficients(estimation.fit_stack(data, [counts]), 0)
         assert sipw(data, weights)[0] == pytest.approx(ref_estimate, rel=0, abs=1e-12)
         # Both fits stop once a Newton step is below COEF_TOLERANCE; along
         # near-collinear dummies round-off alone moves beta by ~1e-12.
@@ -359,7 +364,7 @@ def assert_stack_matches_dense(data, populations, fit=None, rows=None, beta=True
         assert estimate == pytest.approx(ref_estimate, rel=0, abs=1e-12)
         if beta:
             np.testing.assert_allclose(
-                fit.coefficients(r), ref_beta, rtol=0, atol=estimation.COEF_TOLERANCE
+                coefficients(fit, r), ref_beta, rtol=0, atol=estimation.COEF_TOLERANCE
             )
     return fit
 
@@ -421,7 +426,7 @@ class TestStackedFit:
         )
         assert (fit.converged[1], fit.iterations[1]) == (ref_converged, ref_iterations)
         np.testing.assert_allclose(
-            fit.coefficients(1), ref_beta, rtol=0, atol=estimation.COEF_TOLERANCE
+            coefficients(fit, 1), ref_beta, rtol=0, atol=estimation.COEF_TOLERANCE
         )
 
     def test_singular_hessian_beside_regular_ones(self, monkeypatch):
@@ -446,11 +451,13 @@ class TestStackedFit:
         assert_stack_matches_dense(data, populations, fit=fit, rows=[0, 2])
         assert_stack_matches_dense(data, populations, fit=fit, rows=[1], beta=False)
 
-    def test_result_does_not_depend_on_the_stack(self, monkeypatch):
-        data = stack_cell()
-        rng = np.random.default_rng(3)
-        populations = [block_counts(data, rng.multinomial(4, [0.25] * 4)) for _ in range(12)]
-        populations = [w for w in populations if np.unique(data.treatment[w > 0]).size == 2]
+    @pytest.mark.parametrize("cell", ["four_blocks", "ragged_blocks"])
+    def test_result_does_not_depend_on_the_stack(self, monkeypatch, cell):
+        data, populations = stack_populations(cell)
+        # Blocks hold several runs, and populations leave whole blocks undrawn.
+        design = data.shared_design
+        assert len(design.starts) > len(data.blocks)
+        assert any(np.any(np.bincount(data.block_codes, weights=w) == 0) for w in populations)
         alone = [estimation.fit_stack(data, [w]) for w in populations]
         together = estimation.fit_stack(data, populations)
         monkeypatch.setattr(estimation, "CHUNK_ROW_WEIGHTS", 2 * data.n)
@@ -462,6 +469,123 @@ class TestStackedFit:
                 )
                 assert fit.iterations[k] == one.iterations[0]
         assert_stack_matches_dense(data, populations, fit=together)
+
+
+def ragged_cell(seed=0):
+    """A cell of eight blocks of 6 to 15 rows, frameworks drawn at random within each."""
+    rng = np.random.default_rng(seed)
+    units = []
+    for block in range(8):
+        for _ in range(int(rng.integers(6, 16))):
+            x = float(rng.normal())
+            units.append(
+                make_unit(
+                    pair_id=f"u{len(units)}",
+                    treatment=int(rng.random() < expit(0.5 * x)),
+                    outcome=float(np.clip(0.1 * x + 0.05 * rng.normal(), -1.0, 1.0)),
+                    p1_word_count=20.0 + 4.0 * x,
+                    p1_n_demos=float(block % 3),
+                    headroom=float(rng.random()),
+                    step_index=float(rng.integers(1, 4)),
+                    framework=str(rng.choice(["fw_a", "fw_b", "fw_c"])),
+                    dataset=f"ds_{block % 4}",
+                    backbone=f"bb_{block // 4}",
+                )
+            )
+    return make_data(units)
+
+
+def stack_populations(cell):
+    """(data, block resamples with both arms) for the stack-independence test."""
+    if cell == "four_blocks":
+        data = stack_cell()
+        rng = np.random.default_rng(3)
+        populations = [block_counts(data, rng.multinomial(4, [0.25] * 4)) for _ in range(12)]
+    else:
+        data = ragged_cell()
+        rng = np.random.default_rng(8)
+        populations = [np.ones(data.n)]
+        for _ in range(12):
+            # Eight draws from five of the eight blocks: three or more stay undrawn.
+            chosen = rng.choice(8, size=5, replace=False)
+            counts = np.bincount(chosen[rng.integers(0, 5, 8)], minlength=8)
+            populations.append(block_counts(data, counts))
+    populations = [w for w in populations if np.unique(data.treatment[w > 0]).size == 2]
+    return data, populations
+
+
+def manyblocks_cell(seed=0):
+    """A cell of the manyblocks shape: 5,000 rows in 50 (dataset, backbone) blocks of 100."""
+    rng = np.random.default_rng(seed)
+    units = []
+    for block in range(50):
+        for _ in range(100):
+            x = float(rng.normal())
+            units.append(
+                make_unit(
+                    pair_id=f"u{len(units)}",
+                    treatment=int(rng.random() < expit(0.5 * x)),
+                    outcome=float(np.clip(0.1 * x + 0.05 * rng.normal(), -1.0, 1.0)),
+                    p1_word_count=20.0 + 4.0 * x,
+                    headroom=float(rng.random()),
+                    step_index=float(rng.integers(1, 4)),
+                    framework=["fw_a", "fw_b", "fw_c"][block % 3],
+                    dataset=f"ds_{block % 25:02d}",
+                    backbone=f"bb_{block // 25}",
+                )
+            )
+    return make_data(units)
+
+
+class TestStackKernels:
+    # tracemalloc peak of the sipw_stack call below when every population of
+    # a stack of at most 2**14 row weights ran over the stack's union of
+    # drawn rows (measured with numpy 2.4): 2.309 MiB.
+    SIPW_STACK_PEAK_MIB = 2.31
+
+    def test_manyblocks_refits_stay_within_the_union_rows_peak(self):
+        data = manyblocks_cell()
+        rng = np.random.default_rng(1)
+        counts = np.stack([np.bincount(rng.integers(0, 50, 50), minlength=50) for _ in range(100)])
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            estimates, converged = estimation.sipw_stack(data, counts, data.block_codes)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert converged.all() and np.all(np.isfinite(estimates))
+        assert peak / 2**20 <= self.SIPW_STACK_PEAK_MIB
+
+    @pytest.mark.parametrize("kind", ["cell", "bare"])
+    def test_hessian_reuses_the_intercept_row_of_its_run_sums(self, kind):
+        # On a cell design, and on irls_logistic's bare-matrix one with runs.
+        rng = np.random.default_rng(6)
+        if kind == "cell":
+            design = stack_cell().shared_design
+        else:
+            levels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+            matrix = rng.normal(size=(30, 3))
+            dense = np.hstack([np.ones((30, 1)), matrix])
+            design = SharedDesign(np.arange(30), dense, np.array([0, 7, 19]), levels)
+        w = rng.random((3, design.n))
+        every = np.ones((3, len(design.starts)))
+        rows = estimation._own_rows(design, every, design.starts)[0]
+        hessian = estimation._hessian(rows, w)
+        # The formula before the reuse: a second reduceat pass over w.
+        scaled = design.dense_t * w[:, None, :]
+        runs = np.add.reduceat(scaled, design.starts, axis=2)
+        run_w = np.add.reduceat(w, design.starts, axis=1)
+        assert np.array_equal(runs[:, 0], run_w)
+        d = design.n_dense
+        assert np.array_equal(hessian[:, :d, :d], np.matmul(scaled, design.dense))
+        assert np.array_equal(hessian[:, :d, d:], np.matmul(runs, design.levels))
+        expected = np.matmul(design.levels.T, design.levels * run_w[:, :, None])
+        assert np.array_equal(hessian[:, d:, d:], expected)
 
 
 class TestPropensityModel:
@@ -685,6 +809,34 @@ class TestEstimateAll:
             expected = weighted_difference(t, data.outcome, wv.weights)
             assert est.acmgd_sipw == pytest.approx(expected, abs=1e-12)
             assert est.cap_hits == wv.cap_hits
+
+    def test_pooled_scope_predicts_once_per_feature(self, monkeypatch):
+        math = make_units(n=120, seed=10, task_group="math")
+        logical = make_units(n=150, seed=11, task_group="logical")
+        logical, math = make_cells(math + logical)
+        family = TestFamily(name="surface", cells=[math, logical])
+        fits, predictions = [], []
+        real_fit, real_probabilities = estimation.fit_stack, estimation.StackFit.probabilities
+
+        def fit_stack(data, weights, columns=None):
+            fits.append(fit := real_fit(data, weights, columns))
+            return fit
+
+        def probabilities(fit, *args):
+            predictions.append(fit)
+            return real_probabilities(fit, *args)
+
+        monkeypatch.setattr(estimation, "fit_stack", fit_stack)
+        monkeypatch.setattr(estimation.StackFit, "probabilities", probabilities)
+        bundle = estimate_all([family], scope="pooled")
+        assert len(fits) == len(predictions) == 1 and predictions[0] is fits[0]
+        # Each cell's slice of that one prediction, as the per-cell calls gave it.
+        full = real_probabilities(fits[0])[0]
+        bounds = {"logical": slice(0, 150), "math": slice(150, 270)}
+        for cell, est in zip((logical, math), bundle.estimates):
+            rate = float(np.mean(np.r_[logical.data.treatment, math.data.treatment]))
+            expected = estimate_cell(cell, full[bounds[cell.task_group]], rate, est.converged)
+            assert est == expected
 
     def test_pooled_scope_recovers_synthetic_ground_truth(self):
         records, _ = generate(

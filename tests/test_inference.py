@@ -9,13 +9,7 @@ from scipy.stats import norm
 import editfx.estimation as estimation
 from editfx.design import TestCell, TestFamily, TreatmentSpec
 from editfx.errors import ConfigError, DegenerateCellError, PositivityError, UnstableCellError
-from editfx.estimation import (
-    fit_propensity,
-    predict_probabilities,
-    sipw,
-    stabilized_weights,
-    weighted_difference,
-)
+from editfx.estimation import sipw, stabilized_weights, weighted_difference
 from editfx.inference import (
     TIER_BH,
     TIER_NONE,
@@ -30,6 +24,7 @@ from editfx.inference import (
 )
 from editfx.report import RunConfig
 
+from oracles import fit_propensity, predict_probabilities
 from test_design import make_data
 from test_estimation import dense_sipw, make_cell, make_unit
 
