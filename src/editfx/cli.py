@@ -48,7 +48,6 @@ from .report import Pipeline, RunConfig  # noqa: E402
 from .robustness import SignReversalSpec, ceiling, loo_stability  # noqa: E402
 from .store import ingest, serialize  # noqa: E402
 from .surface import WordLists, default_wordlists, delta as surface_delta  # noqa: E402
-from .synth import SynthConfig, generate  # noqa: E402
 
 
 def _require_file(path: str, what: str) -> str:
@@ -278,6 +277,9 @@ def _cmd_receptivity(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    # synth alone needs scipy (for ndtr), so it is imported only here.
+    from .synth import SynthConfig, generate
+
     cfg = SynthConfig()
     if args.config:
         cfg = SynthConfig.from_file(_require_file(args.config, "config file"))

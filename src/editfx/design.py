@@ -14,11 +14,10 @@ FDR control and carry the realized test count m.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -507,24 +506,3 @@ def _level_codes(values: list) -> tuple[list, np.ndarray]:
     levels = sorted(set(values))
     index = {level: k for k, level in enumerate(levels)}
     return levels, np.array([index[v] for v in values], dtype=np.int32)
-
-
-def units_to_csv(data: CellData, stream: IO[str]) -> None:
-    """One unit per row with expanded covariates, for external checking.
-
-    The fitting population for z-scores and dummy levels is the cell's
-    full row set.
-    """
-    matrix, names = data.encode_with_names()
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["pair_id", "treatment", "outcome", *names, "block_id"])
-    for k, row in enumerate(data.rows):
-        writer.writerow(
-            [
-                data.frame.pair_ids[row],
-                int(data.treatment[k]),
-                repr(float(data.outcome[k])),
-                *[repr(float(v)) for v in matrix[k]],
-                "|".join(data.blocks[data.block_codes[k]]),
-            ]
-        )

@@ -13,11 +13,11 @@ cell's one shared design, each over only the rows it counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .design import CellData, SharedDesign, TestCell, TestFamily, map_cells
 from .errors import ConfigError, DegenerateCellError, PositivityError, SchemaError
@@ -30,6 +30,41 @@ COEF_TOLERANCE = 1e-8
 # A stack holds at most this many slots: its populations times the most
 # rows one of them counts (or it is one population).
 CHUNK_ROW_WEIGHTS = 2**14
+# glibc's cexp rescales a real part above int(1023 ln 2) = 709 by exp(709),
+# which can move the last bit of exp.
+CEXP_EXACT_MAX = 709.0
+
+
+def expit(x) -> np.ndarray:
+    """1 / (1 + exp(-x)) with the C library's exp: scipy.special.expit's bits.
+
+    numpy's real exp has SIMD loops whose bits vary with the host; its
+    complex exp has none and calls C99 cexp, whose real part at imaginary
+    part 0 is libm exp. The few arguments past CEXP_EXACT_MAX take
+    math.exp, which is libm exp too.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    z = np.zeros(x.shape, dtype=np.complex128)
+    e = z.real
+    np.negative(x, out=e)
+    far = None
+    if not np.min(x, initial=0.0) >= -CEXP_EXACT_MAX:
+        far = np.nonzero(e > CEXP_EXACT_MAX)
+        big = e[far]
+        e[far] = 0.0
+    np.exp(z, out=z)
+    out = e + 1.0
+    if far is not None:
+        out[far] = [1.0 + _libm_exp(v) for v in big.tolist()]
+    np.divide(1.0, out, out=out)
+    return out
+
+
+def _libm_exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -242,27 +242,6 @@ def _lcs_rows(before: list[str], after: list[str]) -> list[int]:
     return rows
 
 
-def apply_script(script: list[EditRun], before_tokens: list[str]) -> list[str]:
-    """Replay the script against before_tokens; the diff-correctness oracle."""
-    out: list[str] = []
-    pos = 0
-    for run in script:
-        if run.op == "keep":
-            if tuple(before_tokens[pos : pos + len(run.tokens)]) != run.tokens:
-                raise SchemaError("edit script does not align with before tokens")
-            out.extend(run.tokens)
-            pos += len(run.tokens)
-        elif run.op == "delete":
-            pos += len(run.tokens)
-        elif run.op == "insert":
-            out.extend(run.tokens)
-        else:
-            raise SchemaError(f"unknown edit op '{run.op}'")
-    if pos != len(before_tokens):
-        raise SchemaError("edit script does not consume all before tokens")
-    return out
-
-
 def extract_spans(script: list[EditRun], after_text: str) -> list[InsertedSpan]:
     """Materialize inserted runs of >= 4 tokens, with original-case text.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -19,7 +20,6 @@ from itertools import permutations
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtr
 
 from . import surface as surface_mod
 from .design import (
@@ -37,6 +37,8 @@ from .store import ComparisonRecord, headroom
 EXACT_PERMUTATION_MAX_N = 7
 MC_PERMUTATION_MAX_N = 20
 MC_PERMUTATIONS = 10_000
+# Below this p-value the t tail is summed directly rather than as 1 - A.
+T_TAIL_SUMMED_BELOW = 0.1
 VALIDATED_RHO = 0.10
 VALIDATED_P = 0.10
 FINGERPRINT_THRESHOLD = 0.5
@@ -93,7 +95,51 @@ def _spearman_p_t(rho: float, n: int) -> float:
     if abs(rho) >= 1.0:
         return 0.0
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    return 2.0 * float(stdtr(n - 2, -abs(t)))
+    return _t_two_sided(t, n - 2)
+
+
+def _t_two_sided(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with integer df >= 1.
+
+    Abramowitz & Stegun 26.7.3-4 give A = P(|T| < t) as a finite series
+    in cos^2 theta, theta = atan(t / sqrt(df)). The series continued to
+    infinity sums to 1, so when p is small it is summed as that positive
+    tail instead of as 1 - A, which would cancel. Powers of cos^2 theta
+    step by subtracting sin^2 theta times the term while cos^2 theta is
+    near 1, where its own rounding would compound over df / 2 steps.
+    """
+    t = abs(t)
+    if df == 1:
+        return math.atan2(1.0, t) / (math.pi / 2)
+    d = df + t * t
+    sin2 = t * t / d
+    cos2 = df / d
+    near_one = sin2 < 0.5
+    odd = df % 2
+    scale = math.sqrt(sin2)
+    if odd:
+        scale *= math.sqrt(cos2) / (math.pi / 2)
+    term, head = 1.0, 0.0
+    for k in range(df // 2):
+        head += term
+        term *= (2 * k + 1 + odd) / (2 * k + 2 + odd)
+        term = term - term * sin2 if near_one else term * cos2
+    inside = scale * head
+    if odd:
+        inside += math.atan2(t, math.sqrt(df)) / (math.pi / 2)
+    if 1.0 - inside >= T_TAIL_SUMMED_BELOW:
+        return 1.0 - inside
+    tail, k = 0.0, df // 2
+    # The term ratios rise towards cos^2 theta, so what is left after a term
+    # is at most term / sin^2 theta. Subnormal terms lose digits and stop
+    # shrinking, so they end the sum: a p-value under about 1e-290 loses
+    # digits, and one under the smallest normal double reads as 0.
+    while term > 1e-17 * sin2 * tail and term >= sys.float_info.min:
+        tail += term
+        term *= (2 * k + 1 + odd) / (2 * k + 2 + odd)
+        term = term - term * sin2 if near_one else term * cos2
+        k += 1
+    return scale * tail
 
 
 def _spearman_p_exact(rx: np.ndarray, ry: np.ndarray, rho: float) -> float:

@@ -27,7 +27,7 @@ from editfx.design import (
 )
 from editfx.estimation import estimate_cell, stabilized_weights
 from editfx.inference import bh_fdr, block_bootstrap
-from editfx.motifs import MIN_SPAN_TOKENS, apply_script, classify, extract_spans, word_diff
+from editfx.motifs import MIN_SPAN_TOKENS, classify, extract_spans, word_diff
 from editfx.report import render_from_artifacts, run_report, write_json
 from editfx.robustness import SignReversalSpec, ceiling, loo_stability, partial_r2
 from editfx.store import PromptState
@@ -35,7 +35,7 @@ from editfx.surface import extract
 from editfx.synth import TREATED_SPAN, SynthConfig, generate
 
 from conftest import effect_corpus, make_record
-from oracles import PropensityModel, fit_propensity, predict_probabilities
+from oracles import PropensityModel, apply_script, fit_propensity, predict_probabilities
 from test_inference import brute_force_bh
 from test_motifs import AUDIT_SENTENCE, mkspan
 

@@ -593,16 +593,40 @@ class TestExitCodes:
         assert main(["validate", "--input", str(corpus_path)]) == 2
         assert capsys.readouterr().err.startswith("internal error: RuntimeError: boom")
 
-    def test_cli_import_leaves_out_scipy_stats(self):
-        code = "import sys, editfx.cli; sys.exit(int('scipy.stats' in sys.modules))"
+    def test_cli_import_leaves_out_scipy_stats(self, corpus_path, tmp_path):
+        # Only synth needs scipy: neither the import nor a report, under its
+        # defaults or any of its non-default inference paths, loads it.
+        argv = ["report", "--input", str(corpus_path), "--resamples", "8", "--out"]
+        runs = [
+            [*argv, str(tmp_path / name), *flags]
+            for name, flags in [
+                ("default", []),
+                ("pooled", ["--scope", "pooled"]),
+                ("no_refit", ["--no-refit"]),
+                ("percentile", ["--percentile-p"]),
+            ]
+        ]
+        check = "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
+        codes = {
+            "import": f"import sys, editfx.cli; {check}",
+            "report": (
+                "import sys, editfx.cli\n"
+                f"for argv in {runs!r}:\n"
+                "    assert editfx.cli.main(argv) == 0\n"
+                f"{check}"
+            ),
+        }
         src = str(Path(editfx.__file__).parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert result.returncode == 0, result.stderr
+        for name, code in codes.items():
+            result = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert result.returncode == 0, (name, result.stderr)
+        assert all((tmp_path / name / "estimates.json").is_file() for name in ("default", "pooled"))
 
     def test_numpy_loaded_first_gets_a_note(self, corpus_path):
         # The BLAS pins take effect only if the CLI loads numpy; a caller

@@ -19,12 +19,12 @@ from editfx.design import (
     UnitFrame,
     build_units,
     enumerate_families,
-    units_to_csv,
     view_features,
 )
 from editfx.errors import ConfigError, SchemaError
 
 from conftest import GROW, make_record
+from oracles import units_to_csv
 
 # imported dataclasses, not test classes
 TestCell.__test__ = False

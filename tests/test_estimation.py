@@ -1,6 +1,7 @@
 """Propensity fitting, stabilized weights, and cell estimates."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,36 @@ def make_units(n=200, seed=0, tau=0.05, beta_x=0.1, gamma=1.0, task_group="math"
 def make_cell(n=200, seed=0, tau=0.05, beta_x=0.1, gamma=1.0, task_group="math"):
     """One make_units cell over its own frame."""
     return make_cells(make_units(n, seed, tau, beta_x, gamma, task_group))[0]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise bit equality, any NaN equal to any NaN."""
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+class TestExpit:
+    def test_bits_equal_scipy_expit(self):
+        rng = np.random.default_rng(17)
+        x = np.concatenate(
+            [
+                *(scale * rng.normal(size=500_000) for scale in (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)),
+                np.linspace(-760.0, 760.0, 1_000_001),
+                # cexp rescales real parts above 709; exp overflows past 709.7827.
+                np.linspace(-709.8, -709.7, 800_001),
+                np.linspace(-709.7828, -709.7826, 200_001),
+                [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320, 1e308, -1e308],
+            ]
+        )
+        assert x.size >= 5_000_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimation.expit(x)
+            square = estimation.expit(x[:4_000_000].reshape(2000, 2000))
+        want = expit(x)
+        assert got.shape == x.shape and square.shape == (2000, 2000)
+        assert same_bits(got, want).all()
+        assert same_bits(square, want[:4_000_000].reshape(2000, 2000)).all()
+        assert same_bits(estimation.expit(x[::-7]), want[::-7]).all()
 
 
 class TestIrls:

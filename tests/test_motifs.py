@@ -20,7 +20,6 @@ from editfx.motifs import (
     InsertedSpan,
     MotifRuleset,
     _lcs_rows,
-    apply_script,
     audit_sample,
     classify,
     cooccurrence_matrix,
@@ -33,6 +32,7 @@ from editfx.motifs import (
 from editfx.surface import tokenize
 
 from conftest import make_record, tokenize_with_offsets
+from oracles import apply_script
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
 from scipy.stats import rankdata, spearmanr
 
 from editfx import surface
@@ -15,6 +16,7 @@ from editfx.robustness import (
     FINGERPRINT_THRESHOLD,
     SignReversalSpec,
     _average_ranks,
+    _t_two_sided,
     ceiling,
     construct_validity,
     default_validity_pairs,
@@ -107,6 +109,28 @@ class TestSpearman:
             else:
                 values = rng.normal(size=n)
             assert np.array_equal(_average_ranks(values), rankdata(values))
+
+    def test_t_tail_matches_scipy_stdtr(self):
+        ts = np.concatenate([np.linspace(0.0, 3.0, 13), np.geomspace(3.0, 60.0, 20)[1:]])
+        worst = 0.0
+        for df in range(1, 401):
+            want = 2.0 * stdtr(df, -ts)
+            got = np.array([_t_two_sided(float(t), df) for t in ts])
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst < 1e-12
+        assert _t_two_sided(0.0, 1) == 1.0
+        assert _t_two_sided(0.0, 17) == 1.0
+        assert _t_two_sided(0.0, 400) == 1.0
+        # df = 1 is the Cauchy closed form, 1 - 2 atan(t) / pi.
+        for t in (0.3, 1.0, 7.5):
+            assert _t_two_sided(-t, 1) == pytest.approx(1.0 - 2.0 * math.atan(t) / math.pi, rel=1e-12)
+        # Far out in the tail 1 - A would cancel to 0.
+        p = _t_two_sided(40.0, 40)
+        assert p < 1e-30
+        assert p == pytest.approx(2.0 * float(stdtr(40, -40.0)), rel=1e-12)
+        # Past the smallest normal double the terms stop shrinking; the sum ends.
+        assert _t_two_sided(46.0, 4998) == 0.0
+        assert _t_two_sided(39.0, 4998) == pytest.approx(2.0 * float(stdtr(4998, -39.0)), rel=1e-12)
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateCellError):
