@@ -30,13 +30,14 @@ if platform.machine().lower() in ("x86_64", "amd64"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import warnings  # noqa: E402
 from dataclasses import asdict, fields  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from . import __version__, report as report_mod  # noqa: E402
 from .design import PreparedCorpus, TreatmentSpec  # noqa: E402
-from .errors import EditfxError  # noqa: E402
+from .errors import ConfigError, EditfxError  # noqa: E402
 from .motifs import (  # noqa: E402
     MOTIF_LABELS,
     MotifRuleset,
@@ -47,26 +48,43 @@ from .motifs import (  # noqa: E402
 from .report import Pipeline, RunConfig  # noqa: E402
 from .robustness import SignReversalSpec, ceiling, loo_stability  # noqa: E402
 from .store import ingest, serialize  # noqa: E402
-from .surface import WordLists, default_wordlists, delta as surface_delta  # noqa: E402
+from .surface import FEATURE_ORDER, WordLists, default_wordlists  # noqa: E402
+from .surface import delta as surface_delta  # noqa: E402
 
 
-def _require_file(path: str, what: str) -> str:
+def _read_json(path: str, what: str):
+    """The JSON document in a user-supplied file; a missing or undecodable one is a user error."""
     if not Path(path).is_file():
-        raise EditfxError(f"{what} not found: {path}")
-    return path
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{what} is not valid JSON ({path}): {exc}") from exc
+
+
+def _from_file(path: str, what: str, build):
+    """build(the file's JSON document), where build's errors mean the document is invalid."""
+    doc = _read_json(path, what)
+    try:
+        return build(doc)
+    except (EditfxError, ValueError, KeyError, TypeError, AttributeError, re.error) as exc:
+        raise ConfigError(f"{what} {path} is invalid: {exc}") from exc
+
+
+def _artifact(path: str, what: str, key: str) -> None:
+    """Check that a render-only input holds a JSON object with a `key` list."""
+    doc = _read_json(path, what)
+    if not (isinstance(doc, dict) and isinstance(doc.get(key), list)):
+        raise ConfigError(f"{what} {path} holds no '{key}' list")
 
 
 def _load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Defaults, overlaid by the JSON config file, overlaid by flags."""
     values = {}
     if path is not None:
-        _require_file(path, "config file")
-        try:
-            doc = json.loads(Path(path).read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise EditfxError(f"config file is not valid JSON: {exc}") from exc
+        doc = _read_json(path, "config file")
         if not isinstance(doc, dict):
-            raise EditfxError("config file must hold a JSON object")
+            raise ConfigError(f"config file {path} must hold a JSON object")
         unknown = set(doc) - {item.name for item in fields(RunConfig)}
         if unknown:
             raise EditfxError(f"unknown config keys: {sorted(unknown)}")
@@ -84,10 +102,10 @@ def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
     cfg = _load_run_config(args.config, args)
     wordlists = default_wordlists()
     if args.wordlists:
-        wordlists = WordLists.load(_require_file(args.wordlists, "word-list file"))
+        wordlists = _from_file(args.wordlists, "word-list file", WordLists.from_json)
     ruleset = default_ruleset()
     if args.ruleset:
-        ruleset = MotifRuleset.load(_require_file(args.ruleset, "ruleset file"))
+        ruleset = _from_file(args.ruleset, "ruleset file", MotifRuleset)
     caches, stale = {}, []
     if args.cache_dir:
         cache = Path(args.cache_dir)
@@ -97,14 +115,14 @@ def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
                 "feature",
                 records,
                 _keyer(wordlists.content_hash),
-                lambda doc: (doc["before"], doc["after"]),
+                _feature_sides,
             ),
             "motif_cache": _load_cache(
                 cache / "motifs.jsonl",
                 "motif",
                 records,
                 _keyer(ruleset.content_hash, cfg.include_demos),
-                lambda doc: {label: int(label in doc["record_labels"]) for label in MOTIF_LABELS},
+                _motif_labels,
             ),
         }
         caches = {name: found for name, (found, _) in loaded.items()}
@@ -140,26 +158,52 @@ def _write_stage(path: Path, records, line, key) -> None:
     report_mod.write_json(path.with_suffix(".keys.json"), {r.pair_id: key(r) for r in records})
 
 
+def _feature_sides(doc: dict) -> tuple[dict, dict]:
+    """A feature cache line's (before, after) vectors, each a number for every feature."""
+    sides = doc["before"], doc["after"]
+    if not all(isinstance(side[name], (int, float)) for side in sides for name in FEATURE_ORDER):
+        raise TypeError("a feature value is not a number")
+    return sides
+
+
+def _motif_labels(doc: dict) -> dict[str, int]:
+    """A motif cache line's inserted indicator for every label."""
+    labels = doc["record_labels"]
+    if not isinstance(labels, list):
+        raise TypeError("record_labels is not a list")
+    return {label: int(label in labels) for label in MOTIF_LABELS}
+
+
 def _load_cache(path: Path, what: str, records, key, value) -> tuple[dict | None, dict | None]:
     """(pair_id -> value(line), None) from a stage cache, or (None, note) to recompute.
 
-    The cache is ignored with a warning unless it covers every record
-    and its sidecar holds key(record), the key this run would write,
-    for each of them. The note of an ignored cache names its stage (the
-    file's stem) and the reason; a missing cache has no note.
+    The cache is ignored with a warning if it is malformed (a line that
+    is not a JSON object with a pair_id, a line value rejects with
+    KeyError, TypeError or ValueError, or a sidecar that is not a JSON
+    object), and unless it covers every record and its sidecar holds
+    key(record), the key this run would write, for each of them. The
+    note of an ignored cache names its stage (the file's stem) and the
+    reason; a missing cache has no note.
     """
     if not path.exists():
         return None, None
-    with path.open("r", encoding="utf-8") as fh:
-        docs = {doc["pair_id"]: doc for doc in map(json.loads, fh)}
     keys_path = path.with_suffix(".keys.json")
-    keys = json.loads(keys_path.read_text("utf-8")) if keys_path.exists() else {}
-    if any(r.pair_id not in docs for r in records):
-        reason = "does not cover the corpus"
-    elif any(keys.get(r.pair_id) != key(r) for r in records):
-        reason = "was built from other inputs or settings"
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            docs = {doc["pair_id"]: doc for doc in map(json.loads, fh)}
+        values = {pair_id: value(doc) for pair_id, doc in docs.items()}
+        keys = json.loads(keys_path.read_text("utf-8")) if keys_path.exists() else {}
+        if not isinstance(keys, dict):
+            raise TypeError("the key sidecar is not a JSON object")
+    except (KeyError, TypeError, ValueError):
+        reason = "is malformed"
     else:
-        return {r.pair_id: value(docs[r.pair_id]) for r in records}, None
+        if any(r.pair_id not in docs for r in records):
+            reason = "does not cover the corpus"
+        elif any(keys.get(r.pair_id) != key(r) for r in records):
+            reason = "was built from other inputs or settings"
+        else:
+            return {r.pair_id: values[r.pair_id] for r in records}, None
     warnings.warn(f"{what} cache {path} {reason}; recomputing")
     return None, {"stage": path.stem, "reason": reason}
 
@@ -282,7 +326,7 @@ def _cmd_synth(args) -> int:
 
     cfg = SynthConfig()
     if args.config:
-        cfg = SynthConfig.from_file(_require_file(args.config, "config file"))
+        cfg = _from_file(args.config, "config file", SynthConfig.from_json)
     if args.seed is not None:
         cfg = SynthConfig.from_json({**cfg.to_json(), "seed": args.seed})
     records, truth = generate(cfg)
@@ -298,9 +342,9 @@ def _cmd_report(args) -> int:
     if args.estimates:
         if args.input:
             raise EditfxError("report takes either --input or --estimates, not both")
-        _require_file(args.estimates, "estimates file")
+        _artifact(args.estimates, "estimates file", "estimates")
         if args.inference:
-            _require_file(args.inference, "inference file")
+            _artifact(args.inference, "inference file", "results")
         cfg = _load_run_config(args.config, args)
         report_mod.render_from_artifacts(args.estimates, args.inference, out, alpha=cfg.alpha)
         print(f"rendered tables into {out}")

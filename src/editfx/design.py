@@ -161,26 +161,6 @@ class CellData:
     def n(self) -> int:
         return self.rows.size
 
-    def encode(self, idx: np.ndarray | None = None) -> np.ndarray:
-        """Design matrix for the given rows as their own fitting population.
-
-        Numeric columns are z-scored within the subset (constant columns
-        become zeros); categorical variables are one-hot encoded over the
-        levels present in the subset, lexicographically first level
-        dropped.
-        """
-        numeric = self.numeric if idx is None else self.numeric[idx]
-        codes = self.cat_codes if idx is None else self.cat_codes[idx]
-        mean = numeric.mean(axis=0)
-        std = numeric.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)
-        columns = [(numeric - mean) / std]
-        for col in range(codes.shape[1]):
-            present = np.unique(codes[:, col])
-            for level in present[1:]:
-                columns.append((codes[:, col] == level).astype(np.float64)[:, None])
-        return np.hstack(columns)
-
     @property
     def shared_design(self) -> SharedDesign:
         """The one design every fitting population of this cell is fitted on.
@@ -215,19 +195,6 @@ class CellData:
             variable=np.repeat(np.arange(len(present)), [lv.size for lv in present]),
         )
 
-    def column_names(self, idx: np.ndarray | None = None) -> list[str]:
-        """Names of the columns encode(idx) returns, in order."""
-        codes = self.cat_codes if idx is None else self.cat_codes[idx]
-        names = list(NUMERIC_COVARIATES)
-        for col, var in enumerate(CATEGORICAL_COVARIATES):
-            present = np.unique(codes[:, col])
-            for level in present[1:]:
-                names.append(f"{var}={self.frame.cat_levels[col][level]}")
-        return names
-
-    def encode_with_names(self, idx: np.ndarray | None = None) -> tuple[np.ndarray, list[str]]:
-        return self.encode(idx), self.column_names(idx)
-
 
 @dataclass
 class TestCell:
@@ -251,12 +218,12 @@ class TestCell:
         from .estimation import fit_stack, sipw  # estimation imports this module
 
         fit = fit_stack(self.data, np.ones((1, self.data.n)))
-        estimate, wv = sipw(self.data, probabilities=fit.probabilities()[0])
+        estimate, wv = sipw(self.data, fit.probabilities())
         return estimate, wv, bool(fit.converged[0])
 
     @property
     def units(self) -> np.recarray:
-        """Frame rows with a `block_id` field, for the benchmark tracer until ROADMAP item 5."""
+        """Frame rows with a `block_id` field, for the benchmark tracer until ROADMAP item 6."""
         rows = self.data.rows
         return np.rec.fromarrays([rows, self.data.frame.block_codes[rows]], names="row,block_id")
 

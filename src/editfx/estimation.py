@@ -315,16 +315,6 @@ class _Stack:
         return _linear(self.rows, self.shared(beta))
 
 
-class _Known:
-    """Stands for a design whose linear predictor at the coefficients given is known."""
-
-    def __init__(self, eta: np.ndarray):
-        self.eta = eta
-
-    def __matmul__(self, beta: np.ndarray) -> np.ndarray:
-        return self.eta
-
-
 # Every kernel below makes one BLAS call per population (a stacked matmul
 # or solve). A sum over rows runs over exactly a population's own rows:
 # a stacked matmul per group of populations with as many own rows. On the
@@ -415,14 +405,12 @@ def _solve(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.array(steps)
 
 
-def _penalized_loglik(design, y: np.ndarray, beta: np.ndarray, weights=None):
-    """The objective the Newton loop maximizes, in own coordinates.
+def _penalized_loglik(eta: np.ndarray, y: np.ndarray, beta: np.ndarray, weights=None):
+    """The objective the Newton loop maximizes at the linear predictor eta, in own coordinates.
 
-    design is a dense matrix with beta one coefficient vector, or, in
-    the stacked loop, a _Known linear predictor with y, beta and weights
-    one row per population; the result is one value per population.
+    eta, y, beta and weights hold one row per population, or are one
+    population's vectors; the result is one value per population.
     """
-    eta = design @ beta
     # log sigma(eta) summed over y=1, log(1-sigma) over y=0, stably. Every
     # row given is a population's own row or padding of weight 0.
     terms = y * eta
@@ -466,7 +454,7 @@ def _newton(
     inside = (0.0 < rate) & (rate < 1.0)
     beta[inside, 0] = np.log(rate[inside] / (1.0 - rate[inside]))
     eta = stack.linear(beta)
-    objective = _penalized_loglik(_Known(eta), y, beta, weights)
+    objective = _penalized_loglik(eta, y, beta, weights)
     pinned = ~(free[:, :, None] & free[:, None, :])
     diagonal = np.arange(p)
     # The populations still fitting keep the first rows of these arrays,
@@ -487,7 +475,7 @@ def _newton(
         floor = objective - 1e-12 * np.maximum(1.0, np.abs(objective))
         candidate = beta + step
         candidate_eta = stack.linear(candidate)
-        new_objective = _penalized_loglik(_Known(candidate_eta), y, candidate, weights)
+        new_objective = _penalized_loglik(candidate_eta, y, candidate, weights)
         new_objective = np.full(len(live), new_objective)
         scale = np.ones(len(live))
         pending = np.flatnonzero(~(new_objective >= floor))
@@ -498,7 +486,7 @@ def _newton(
             scale[pending] *= 0.5
             trial = beta[pending] + scale[pending, None] * step[pending]
             trial_eta = stack.take(pending).linear(trial)
-            value = _penalized_loglik(_Known(trial_eta), y[pending], trial, weights[pending])
+            value = _penalized_loglik(trial_eta, y[pending], trial, weights[pending])
             candidate[pending], candidate_eta[pending] = trial, trial_eta
             new_objective[pending] = value
             if tries < 31:
@@ -595,20 +583,17 @@ class StackFit:
     converged: np.ndarray
     iterations: np.ndarray
 
-    def probabilities(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Clipped fitted probabilities of populations start to stop - 1, one row each.
+    def probabilities(self, r: int = 0) -> np.ndarray:
+        """Clipped fitted probabilities of population r, in cell row order.
 
-        stop defaults to start + 1. Columns are cell rows, in cell row
-        order; every row gets one, but only a population's own rows were
-        fitted.
+        Every row gets one, but only the population's own rows were fitted.
         """
-        pick = slice(start, start + 1 if stop is None else stop)
-        beta = self.beta[pick]
-        every = np.ones((len(beta), len(self.design.starts)))
+        pick = slice(r, r + 1)
+        every = np.ones((1, len(self.design.starts)))
         rows = _own_rows(self.design, every, self.design.starts)[0]
-        eta = _Stack(rows, self.shift[pick], self.spread[pick]).linear(beta)
-        probabilities = np.empty((len(eta), self.design.n))
-        probabilities[:, self.design.rows] = _clipped(eta)
+        eta = _Stack(rows, self.shift[pick], self.spread[pick]).linear(self.beta[pick])
+        probabilities = np.empty(self.design.n)
+        probabilities[self.design.rows] = _clipped(eta[0])
         return probabilities
 
 
@@ -807,31 +792,16 @@ def weighted_difference(treatment: np.ndarray, outcome: np.ndarray, weights: np.
 
 
 def sipw(
-    data: CellData,
-    weights: np.ndarray | None = None,
-    probabilities: np.ndarray | None = None,
-    rate: float | None = None,
+    data: CellData, probabilities: np.ndarray, rate: float | None = None
 ) -> tuple[float, WeightVector]:
-    """Stabilized-IPW treated-minus-control difference over a weighted population.
+    """Stabilized-IPW treated-minus-control difference over a cell's rows, each once.
 
-    The population is the rows of positive weight, each counted
-    weights[row] times (every row once when weights is None). Without
-    given probabilities (one per cell row) the propensity model is
-    fitted on that population itself; rate defaults to its treated
-    fraction. The WeightVector holds each population row once, in row
-    order.
+    probabilities hold one per cell row; rate defaults to the cell's
+    treated fraction. The WeightVector holds one weight per row.
     """
-    idx = slice(None) if weights is None else np.flatnonzero(weights)
-    t = data.treatment[idx].astype(np.float64)
-    if probabilities is None:
-        population = np.ones(data.n) if weights is None else weights
-        probabilities = fit_stack(data, [population]).probabilities()[0]
-    counts = None if weights is None else np.asarray(weights, dtype=np.float64)[idx]
-    if rate is None and counts is not None:
-        rate = float(np.average(t, weights=counts))
-    wv = stabilized_weights(t, probabilities[idx], marginal_rate=rate)
-    mass = wv.weights if counts is None else counts * wv.weights
-    return weighted_difference(t, data.outcome[idx], mass), wv
+    t = data.treatment.astype(np.float64)
+    wv = stabilized_weights(t, probabilities, marginal_rate=rate)
+    return weighted_difference(t, data.outcome, wv.weights), wv
 
 
 def kish_ess(weights: np.ndarray) -> float:
@@ -861,7 +831,7 @@ def estimate_cell(
     if probabilities is None and rate is None:
         estimate, wv, converged = cell.point_fit
     else:
-        estimate, wv = sipw(data, probabilities=probabilities, rate=rate)
+        estimate, wv = sipw(data, probabilities, rate)
     naive = weighted_difference(t, data.outcome, np.ones_like(t))
     return CellEstimate(
         view=cell.spec.view,
@@ -918,7 +888,7 @@ def estimate_all(
             )
             fit = fit_stack(data, np.ones((1, data.n)))
             rate, converged = float(data.treatment.mean()), bool(fit.converged[0])
-            probabilities = fit.probabilities()[0]
+            probabilities = fit.probabilities()
             bounds = np.cumsum([0] + [c.data.n for c in group])
             for c, start, stop in zip(group, bounds, bounds[1:]):
                 pooled[c.cell_id] = (probabilities[start:stop], rate, converged)

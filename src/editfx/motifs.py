@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations, islice
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -149,14 +148,6 @@ class MotifRuleset:
             or any(near(*pair) for pair in self._pairs[label])
         )
 
-    @classmethod
-    def load(cls, path: str | Path | None = None) -> "MotifRuleset":
-        if path is None:
-            text = resources.files("editfx.data").joinpath("motif_rules.json").read_text("utf-8")
-        else:
-            text = Path(path).read_text("utf-8")
-        return cls(json.loads(text))
-
 
 _default_rules: MotifRuleset | None = None
 
@@ -164,7 +155,8 @@ _default_rules: MotifRuleset | None = None
 def default_ruleset() -> MotifRuleset:
     global _default_rules
     if _default_rules is None:
-        _default_rules = MotifRuleset.load()
+        text = resources.files("editfx.data").joinpath("motif_rules.json").read_text("utf-8")
+        _default_rules = MotifRuleset(json.loads(text))
     return _default_rules
 
 

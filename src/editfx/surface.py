@@ -15,7 +15,6 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from .errors import SchemaError
 from .store import PromptState
@@ -88,15 +87,6 @@ class WordLists:
             content_hash=hashlib.sha256(canonical).hexdigest(),
         )
 
-    @classmethod
-    def load(cls, path: str | Path | None = None) -> "WordLists":
-        """Load word lists from a JSON file, or the bundled defaults."""
-        if path is None:
-            text = resources.files("editfx.data").joinpath("wordlists.json").read_text("utf-8")
-        else:
-            text = Path(path).read_text("utf-8")
-        return cls.from_json(json.loads(text))
-
 
 _default_lists: WordLists | None = None
 
@@ -104,7 +94,8 @@ _default_lists: WordLists | None = None
 def default_wordlists() -> WordLists:
     global _default_lists
     if _default_lists is None:
-        _default_lists = WordLists.load()
+        text = resources.files("editfx.data").joinpath("wordlists.json").read_text("utf-8")
+        _default_lists = WordLists.from_json(json.loads(text))
     return _default_lists
 
 

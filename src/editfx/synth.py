@@ -10,10 +10,8 @@ classify) sees the same treatment the outcome model used.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -99,10 +97,6 @@ class SynthConfig:
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"bad synthetic config: {exc}") from exc
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SynthConfig":
-        return cls.from_json(json.loads(Path(path).read_text("utf-8")))
 
     def to_json(self) -> dict:
         doc = asdict(self)

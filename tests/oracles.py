@@ -1,8 +1,10 @@
-"""Oracles for the tests: a named propensity model, a diff replay, a unit CSV.
+"""Oracles for the tests: a dense design, a named propensity model, a diff replay.
 
-The pipeline fits propensities as stacks (estimation.fit_stack) and
-never names coefficients; these wrap a one-population stacked fit, or
+The pipeline fits propensities as stacks (estimation.fit_stack) on a
+cell's shared design and never names coefficients; these build a
+population's own dense design, wrap a one-population stacked fit, or
 recompute a dense one, so tests can state expectations per covariate.
+population_sipw forms one weighted population's estimate on its rows.
 apply_script replays an edit script to check a diff, and units_to_csv
 writes a cell's units for external checking.
 """
@@ -14,10 +16,70 @@ from typing import IO
 import numpy as np
 from scipy.special import expit
 
-from editfx.design import CellData
+from editfx.design import CATEGORICAL_COVARIATES, NUMERIC_COVARIATES, CellData
 from editfx.errors import SchemaError
-from editfx.estimation import RIDGE_LAMBDA, StackFit, _clipped, fit_stack
+from editfx.estimation import (
+    RIDGE_LAMBDA,
+    StackFit,
+    _clipped,
+    fit_stack,
+    stabilized_weights,
+    weighted_difference,
+)
 from editfx.motifs import EditRun
+
+
+def encode(data: CellData, idx: np.ndarray | None = None) -> np.ndarray:
+    """Design matrix for the given rows as their own fitting population.
+
+    Numeric columns are z-scored within the subset (constant columns
+    become zeros); categorical variables are one-hot encoded over the
+    levels present in the subset, lexicographically first level
+    dropped.
+    """
+    numeric = data.numeric if idx is None else data.numeric[idx]
+    codes = data.cat_codes if idx is None else data.cat_codes[idx]
+    mean = numeric.mean(axis=0)
+    std = numeric.std(axis=0)
+    std = np.where(std == 0.0, 1.0, std)
+    columns = [(numeric - mean) / std]
+    for col in range(codes.shape[1]):
+        present = np.unique(codes[:, col])
+        for level in present[1:]:
+            columns.append((codes[:, col] == level).astype(np.float64)[:, None])
+    return np.hstack(columns)
+
+
+def column_names(data: CellData, idx: np.ndarray | None = None) -> list[str]:
+    """Names of the columns encode(data, idx) returns, in order."""
+    codes = data.cat_codes if idx is None else data.cat_codes[idx]
+    names = list(NUMERIC_COVARIATES)
+    for col, var in enumerate(CATEGORICAL_COVARIATES):
+        present = np.unique(codes[:, col])
+        for level in present[1:]:
+            names.append(f"{var}={data.frame.cat_levels[col][level]}")
+    return names
+
+
+def encode_with_names(
+    data: CellData, idx: np.ndarray | None = None
+) -> tuple[np.ndarray, list[str]]:
+    return encode(data, idx), column_names(data, idx)
+
+
+def population_sipw(data: CellData, weights: np.ndarray, probabilities: np.ndarray) -> float:
+    """Stabilized-IPW treated-minus-control difference over a weighted population.
+
+    The population is the rows of positive weight, each counted
+    weights[row] times, with probabilities one per cell row; the rate
+    is its treated fraction.
+    """
+    idx = np.flatnonzero(weights)
+    t = data.treatment[idx].astype(np.float64)
+    counts = np.asarray(weights, dtype=np.float64)[idx]
+    rate = float(np.average(t, weights=counts))
+    wv = stabilized_weights(t, probabilities[idx], marginal_rate=rate)
+    return weighted_difference(t, data.outcome[idx], counts * wv.weights)
 
 
 @dataclass(frozen=True)
@@ -47,7 +109,7 @@ def fit_propensity(data: CellData, idx: np.ndarray | None = None) -> PropensityM
     weights = np.ones(data.n) if idx is None else np.bincount(idx, minlength=data.n)
     fit = fit_stack(data, weights[None])
     beta = coefficients(fit, 0)
-    names = data.column_names(idx)
+    names = column_names(data, idx)
     return PropensityModel(
         intercept=float(beta[0]),
         coefficients={name: float(b) for name, b in zip(names, beta[1:])},
@@ -100,7 +162,7 @@ def units_to_csv(data: CellData, stream: IO[str]) -> None:
     The fitting population for z-scores and dummy levels is the cell's
     full row set.
     """
-    matrix, names = data.encode_with_names()
+    matrix, names = encode_with_names(data)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["pair_id", "treatment", "outcome", *names, "block_id"])
     for k, row in enumerate(data.rows):

@@ -35,7 +35,14 @@ from editfx.surface import extract
 from editfx.synth import TREATED_SPAN, SynthConfig, generate
 
 from conftest import effect_corpus, make_record
-from oracles import PropensityModel, apply_script, fit_propensity, predict_probabilities
+from oracles import (
+    PropensityModel,
+    apply_script,
+    encode,
+    encode_with_names,
+    fit_propensity,
+    predict_probabilities,
+)
 from test_inference import brute_force_bh
 from test_motifs import AUDIT_SENTENCE, mkspan
 
@@ -159,7 +166,7 @@ def test_criterion_03_weight_contracts(capsys):
             for cell in family.cells:
                 data = cell.data
                 model = fit_propensity(data)
-                probs = predict_probabilities(model, data.encode())
+                probs = predict_probabilities(model, encode(data))
                 wv = stabilized_weights(data.treatment, probs)
                 checked += 1
                 if not (np.all(wv.weights > 0.0) and np.all(wv.weights <= 10.0)):
@@ -173,14 +180,14 @@ def test_criterion_03_weight_contracts(capsys):
         )
         data = cell.data
         model = fit_propensity(data)
-        wv = stabilized_weights(data.treatment, predict_probabilities(model, data.encode()))
+        wv = stabilized_weights(data.treatment, predict_probabilities(model, encode(data)))
         treated = data.treatment.astype(bool)
         mean_t = float(wv.raw[treated].mean())
         mean_c = float(wv.raw[~treated].mean())
         means_ok = 0.9 <= mean_t <= 1.1 and 0.9 <= mean_c <= 1.1
 
         pbar = float(data.treatment.mean())
-        _, names = data.encode_with_names()
+        _, names = encode_with_names(data)
         constant = PropensityModel(
             intercept=float(logit(pbar)),
             coefficients={name: 0.0 for name in names},
@@ -189,7 +196,7 @@ def test_criterion_03_weight_contracts(capsys):
             iterations=1,
         )
         est = estimate_cell(
-            cell, probabilities=predict_probabilities(constant, data.encode()), rate=pbar
+            cell, probabilities=predict_probabilities(constant, encode(data)), rate=pbar
         )
         reduction = abs(est.acmgd_sipw - est.acmgd_naive)
         reduction_ok = reduction < 1e-12

@@ -23,7 +23,7 @@ from editfx.cli import main
 from editfx.design import PreparedCorpus
 from editfx.robustness import construct_validity
 from editfx.store import ingest, serialize
-from editfx.surface import WordLists
+from editfx.surface import FEATURE_ORDER, WordLists
 from editfx.synth import SynthConfig, generate
 
 from conftest import effect_corpus
@@ -272,7 +272,7 @@ class TestReportCommand:
         argv = ["report", "--input", str(corpus), "--out", str(out), "--resamples", "20"]
         assert main([*argv, "--wordlists", str(lists_path)]) == 0
         written = json.loads((out / "provenance.json").read_text("utf-8"))["construct_validity"]
-        expected = construct_validity(PreparedCorpus(records, WordLists.load(lists_path)))
+        expected = construct_validity(PreparedCorpus(records, WordLists.from_json(lists)))
         assert written["pairs"] == [
             {**dataclasses.asdict(r), "validated": r.validated} for r in expected
         ]
@@ -416,6 +416,58 @@ class TestRunConfig:
         assert "workers must be >= 1" in capsys.readouterr().err
 
 
+def bad_ruleset_regex(path):
+    rules = json.loads(resources.files("editfx.data").joinpath("motif_rules.json").read_text())
+    rules["labels"]["meta_instruction"] = [{"kind": "regex", "pattern": "("}]
+    path.write_text(json.dumps(rules), encoding="utf-8")
+
+
+class TestUserFiles:
+    @pytest.mark.parametrize(
+        "flag, content, message",
+        [
+            ("--wordlists", '{"step_words": ["First"]}', "entry 'First' must be lowercase"),
+            ("--ruleset", "not json", "ruleset file is not valid JSON"),
+            ("--ruleset", bad_ruleset_regex, "is invalid: missing ), unterminated subpattern"),
+            ("--config", "[1, 2]", "must hold a JSON object"),
+            ("--estimates", "{", "estimates file is not valid JSON"),
+            ("--estimates", "{}", "holds no 'estimates' list"),
+            ("--inference", '{"results": 3}', "holds no 'results' list"),
+        ],
+        ids=[
+            "wordlists-uppercase",
+            "ruleset-not-json",
+            "ruleset-bad-regex",
+            "config-not-object",
+            "estimates-not-json",
+            "estimates-empty",
+            "inference-no-results",
+        ],
+    )
+    def test_bad_file_fails_with_exit_1_and_no_output(
+        self, corpus_path, tmp_path, capsys, flag, content, message
+    ):
+        bad = tmp_path / "bad.json"
+        if callable(content):
+            content(bad)
+        else:
+            bad.write_text(content, encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        if flag in ("--estimates", "--inference"):
+            estimates = tmp_path / "estimates.json"
+            estimates.write_text('{"estimates": []}', encoding="utf-8")
+            argv = ["report", "--estimates", str(estimates), flag, str(bad), "--out", str(out)]
+        else:
+            argv = ["report", "--input", str(corpus_path), flag, str(bad), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert str(bad) in err
+        assert list(out.iterdir()) == []
+
+
 class TestStageCache:
     def test_cached_stages_reproduce_estimates(self, corpus_path, tmp_path):
         cache = tmp_path / "cache"
@@ -520,6 +572,70 @@ class TestStageCache:
         with pytest.warns(UserWarning, match="built from other inputs"):
             argv = ["estimate", "--input", str(corpus_path), "--out", str(tmp_path / "x")]
             assert main([*argv, "--cache-dir", str(cache)]) == 0
+
+    @pytest.mark.parametrize(
+        "stage, spoil",
+        [
+            ("features", ""),
+            ("features", "[1, 2]"),
+            ("features", lambda doc: doc.pop("pair_id")),
+            ("features", lambda doc: doc["before"].update(word_count="many")),
+            ("features", lambda doc: doc["after"].pop(FEATURE_ORDER[0])),
+            ("motifs", lambda doc: doc.pop("record_labels")),
+            ("motifs", lambda doc: doc.update(record_labels="x")),
+            ("motifs.keys", None),
+        ],
+        ids=[
+            "blank-line",
+            "not-an-object",
+            "no-pair-id",
+            "feature-not-a-number",
+            "feature-missing",
+            "no-record-labels",
+            "labels-not-a-list",
+            "keys-unparsable",
+        ],
+    )
+    def test_malformed_cache_is_ignored(self, stage_cache, tmp_path, stage, spoil):
+        # spoil is a line to append, a change to the first line's document,
+        # or None to make the sidecar unparsable.
+        corpus_path, cache, fresh = stage_cache
+        cache = Path(shutil.copytree(cache, tmp_path / "cache"))
+        if spoil is None:
+            (cache / f"{stage}.json").write_text("{", encoding="utf-8")
+        else:
+            path = cache / f"{stage}.jsonl"
+            lines = path.read_text("utf-8").splitlines()
+            if callable(spoil):
+                doc = json.loads(lines[0])
+                spoil(doc)
+                lines[0] = json.dumps(doc)
+            else:
+                lines.append(spoil)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["report", "--input", str(corpus_path), "--resamples", "8", "--cache-dir"]
+        with pytest.warns(UserWarning, match="is malformed; recomputing"):
+            assert main([*argv, str(cache), "--out", str(tmp_path / "stale")]) == 0
+        stale = {p.name: p.read_bytes() for p in sorted((tmp_path / "stale").iterdir())}
+        provenance = json.loads(stale.pop("provenance.json"))
+        assert provenance.pop("stale_caches") == [
+            {"stage": stage.split(".")[0], "reason": "is malformed"}
+        ]
+        fresh = dict(fresh)
+        assert provenance == json.loads(fresh.pop("provenance.json"))
+        assert stale == fresh
+
+
+@pytest.fixture(scope="module")
+def stage_cache(corpus_path, tmp_path_factory):
+    """(corpus, a stage cache of both stages, a fresh report's files by name)."""
+    root = tmp_path_factory.mktemp("stage_cache")
+    cache, fresh = root / "cache", root / "fresh"
+    assert main(["features", "--input", str(corpus_path), "--out", str(cache)]) == 0
+    assert main(["motifs", "--input", str(corpus_path), "--out", str(cache)]) == 0
+    argv = ["report", "--input", str(corpus_path), "--resamples", "8", "--out", str(fresh)]
+    assert main(argv) == 0
+    return corpus_path, cache, {p.name: p.read_bytes() for p in sorted(fresh.iterdir())}
 
 
 def demo_corpus(path):

@@ -24,7 +24,7 @@ from editfx.design import (
 from editfx.errors import ConfigError, SchemaError
 
 from conftest import GROW, make_record
-from oracles import units_to_csv
+from oracles import encode_with_names, units_to_csv
 
 # imported dataclasses, not test classes
 TestCell.__test__ = False
@@ -529,7 +529,7 @@ class TestCellData:
 
     def test_encode_zscores_and_constant_columns(self):
         data = make_data(self.make_units())
-        matrix, names = data.encode_with_names()
+        matrix, names = encode_with_names(data)
         assert names[: len(NUMERIC_COVARIATES)] == list(NUMERIC_COVARIATES)
         word_col = matrix[:, names.index("p1_word_count")]
         assert word_col.mean() == pytest.approx(0.0, abs=1e-12)
@@ -539,7 +539,7 @@ class TestCellData:
 
     def test_encode_one_hot_drops_first_level(self):
         data = make_data(self.make_units())
-        matrix, names = data.encode_with_names()
+        matrix, names = encode_with_names(data)
         assert "dataset=ds_b" in names
         assert "dataset=ds_c" in names
         assert "dataset=ds_a" not in names
@@ -550,7 +550,7 @@ class TestCellData:
     def test_encode_subset_uses_subset_levels(self):
         data = make_data(self.make_units())
         idx = np.array([0, 1, 3, 4])  # only ds_a and ds_b rows
-        matrix, names = data.encode_with_names(idx)
+        matrix, names = encode_with_names(data, idx)
         assert matrix.shape[0] == 4
         assert "dataset=ds_b" in names
         assert "dataset=ds_c" not in names

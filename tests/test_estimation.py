@@ -19,7 +19,7 @@ from editfx.estimation import (
     estimate_all,
     estimate_cell,
     irls_logistic,
-    sipw,
+    sipw_stack,
     stabilized_weights,
     weighted_difference,
 )
@@ -30,8 +30,11 @@ from editfx.synth import SynthConfig, generate
 from oracles import (
     PropensityModel,
     coefficients,
+    encode,
+    encode_with_names,
     fit_propensity,
     penalized_gradient,
+    population_sipw,
     predict_probabilities,
 )
 from test_design import make_cells, make_data, make_unit
@@ -65,7 +68,7 @@ def reference_irls(matrix, y):
     rate = float(np.mean(y))
     beta = np.zeros(p)
     beta[0] = np.log(rate / (1.0 - rate)) if 0.0 < rate < 1.0 else 0.0
-    objective = estimation._penalized_loglik(design, y, beta)
+    objective = estimation._penalized_loglik(design @ beta, y, beta)
     converged = False
     iterations = 0
     for iterations in range(1, estimation.MAX_ITERATIONS + 1):
@@ -81,13 +84,13 @@ def reference_irls(matrix, y):
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            new_objective = estimation._penalized_loglik(design, y, candidate)
+            new_objective = estimation._penalized_loglik(design @ candidate, y, candidate)
             if new_objective >= objective - 1e-12 * max(1.0, abs(objective)):
                 break
             scale *= 0.5
         else:
             candidate = beta + scale * step
-            new_objective = estimation._penalized_loglik(design, y, candidate)
+            new_objective = estimation._penalized_loglik(design @ candidate, y, candidate)
         beta, objective = candidate, new_objective
         if float(np.max(np.abs(scale * step))) < estimation.COEF_TOLERANCE:
             converged = True
@@ -98,7 +101,7 @@ def reference_irls(matrix, y):
 def dense_sipw(data, idx):
     """(beta, SIPW estimate, design) on the rows idx concatenated, fitted by reference_irls."""
     t = data.treatment[idx].astype(np.float64)
-    matrix = data.encode(idx)
+    matrix = encode(data, idx)
     beta = reference_irls(matrix, t)[0]
     probabilities = np.clip(expit(beta[0] + matrix @ beta[1:]), PROB_CLIP, 1.0 - PROB_CLIP)
     weights = stabilized_weights(t, probabilities).weights
@@ -257,10 +260,10 @@ class TestIrls:
         real = estimation._penalized_loglik
         calls = []
 
-        def rejecting(design, y, beta, weights=None):
+        def rejecting(eta, y, beta, weights=None):
             # One population: the stacked loop's one row, or the reference's vector.
             calls.append(beta.reshape(-1).copy())
-            return -np.inf if 2 <= len(calls) <= 31 else real(design, y, beta, weights)
+            return -np.inf if 2 <= len(calls) <= 31 else real(eta, y, beta, weights)
 
         monkeypatch.setattr(estimation, "_penalized_loglik", rejecting)
         monkeypatch.setattr(estimation, "MAX_ITERATIONS", max_iterations)
@@ -341,7 +344,7 @@ class TestCountWeightedFit:
         assume(idx.size > 0 and t.min() != t.max())
         ref_beta, ref_estimate, matrix = dense_sipw(data, idx)
         beta = coefficients(estimation.fit_stack(data, [counts]), 0)
-        assert sipw(data, weights)[0] == pytest.approx(ref_estimate, rel=0, abs=1e-12)
+        assert sipw_stack(data, [counts])[0][0] == pytest.approx(ref_estimate, rel=0, abs=1e-12)
         # Both fits stop once a Newton step is below COEF_TOLERANCE; along
         # near-collinear dummies round-off alone moves beta by ~1e-12.
         np.testing.assert_allclose(beta, ref_beta, rtol=0, atol=estimation.COEF_TOLERANCE)
@@ -391,7 +394,7 @@ def assert_stack_matches_dense(data, populations, fit=None, rows=None, beta=True
     for r in range(len(populations)) if rows is None else rows:
         idx = np.repeat(np.arange(data.n), populations[r].astype(int))
         ref_beta, ref_estimate, _ = dense_sipw(data, idx)
-        estimate = sipw(data, populations[r], probabilities=fit.probabilities(r)[0])[0]
+        estimate = population_sipw(data, populations[r], fit.probabilities(r))
         assert estimate == pytest.approx(ref_estimate, rel=0, abs=1e-12)
         if beta:
             np.testing.assert_allclose(
@@ -429,10 +432,10 @@ class TestStackedFit:
         real = estimation._penalized_loglik
         seen = []
 
-        def rejecting(design, y, beta, weights=None):
+        def rejecting(eta, y, beta, weights=None):
             # The target's objective calls 2 to 31 are rejected: its first
             # step exhausts every halving. Only the target counts 3 * 12 * 3.
-            value = np.array(real(design, y, beta, weights), dtype=np.float64)
+            value = np.array(real(eta, y, beta, weights), dtype=np.float64)
             mine = np.sum(weights, axis=-1) == target.sum() if weights is not None else True
             if np.any(mine):
                 seen.append(1)
@@ -453,7 +456,7 @@ class TestStackedFit:
         seen.clear()
         monkeypatch.setattr(estimation, "_penalized_loglik", rejecting)
         ref_beta, ref_converged, ref_iterations = reference_irls(
-            data.encode(idx), data.treatment[idx].astype(np.float64)
+            encode(data, idx), data.treatment[idx].astype(np.float64)
         )
         assert (fit.converged[1], fit.iterations[1]) == (ref_converged, ref_iterations)
         np.testing.assert_allclose(
@@ -627,7 +630,7 @@ class TestPropensityModel:
         assert "p1_word_count" in model.coefficients
         assert model.coefficients["p1_word_count"] > 0.3
         data = cell.data
-        probs = predict_probabilities(model, data.encode())
+        probs = predict_probabilities(model, encode(data))
         assert np.all((probs > 0.0) & (probs < 1.0))
 
     def test_single_arm_raises_positivity(self):
@@ -753,7 +756,7 @@ class TestEstimateCell:
         cell = make_cell(n=300, seed=6)
         data = cell.data
         pbar = float(data.treatment.mean())
-        _, names = data.encode_with_names()
+        _, names = encode_with_names(data)
         constant = PropensityModel(
             intercept=float(logit(pbar)),
             coefficients={name: 0.0 for name in names},
@@ -762,7 +765,7 @@ class TestEstimateCell:
             iterations=1,
         )
         est = estimate_cell(
-            cell, probabilities=predict_probabilities(constant, data.encode()), rate=pbar
+            cell, probabilities=predict_probabilities(constant, encode(data)), rate=pbar
         )
         assert abs(est.acmgd_sipw - est.acmgd_naive) < 1e-12
 
@@ -829,7 +832,7 @@ class TestEstimateAll:
             np.concatenate([logical.data.rows, math.data.rows]),
             np.concatenate([logical.data.treatment, math.data.treatment]),
         )
-        probabilities = predict_probabilities(fit_propensity(pooled), pooled.encode())
+        probabilities = predict_probabilities(fit_propensity(pooled), encode(pooled))
         rate = float(pooled.treatment.mean())
         rows = {"logical": slice(0, 150), "math": slice(150, 270)}
         assert [e.task_group for e in bundle.estimates] == ["logical", "math"]
@@ -862,7 +865,7 @@ class TestEstimateAll:
         bundle = estimate_all([family], scope="pooled")
         assert len(fits) == len(predictions) == 1 and predictions[0] is fits[0]
         # Each cell's slice of that one prediction, as the per-cell calls gave it.
-        full = real_probabilities(fits[0])[0]
+        full = real_probabilities(fits[0])
         bounds = {"logical": slice(0, 150), "math": slice(150, 270)}
         for cell, est in zip((logical, math), bundle.estimates):
             rate = float(np.mean(np.r_[logical.data.treatment, math.data.treatment]))

@@ -9,7 +9,7 @@ from scipy.stats import norm
 import editfx.estimation as estimation
 from editfx.design import TestCell, TestFamily, TreatmentSpec
 from editfx.errors import ConfigError, DegenerateCellError, PositivityError, UnstableCellError
-from editfx.estimation import sipw, stabilized_weights, weighted_difference
+from editfx.estimation import stabilized_weights, weighted_difference
 from editfx.inference import (
     TIER_BH,
     TIER_NONE,
@@ -24,7 +24,7 @@ from editfx.inference import (
 )
 from editfx.report import RunConfig
 
-from oracles import fit_propensity, predict_probabilities
+from oracles import encode, fit_propensity, predict_probabilities
 from test_design import make_data
 from test_estimation import dense_sipw, make_cell, make_unit
 
@@ -110,7 +110,7 @@ def memo_free_bootstrap(cell, cfg, recipe, mode="block"):
     iid mode); refits use the dense oracle.
     """
     data = cell.data
-    point_weights = sipw(data)[1].weights
+    point_weights = cell.point_fit[1].weights
     estimates = []
     discarded = 0
     for drawn in drawn_sequences(cell, cfg, mode):
@@ -291,7 +291,7 @@ class TestBlockBootstrap:
         cfg = dict(resamples=40, seed=9, refit=refit)
         result = block_bootstrap(cell, **cfg)
         data = cell.data
-        full = predict_probabilities(fit_propensity(data), data.encode())
+        full = predict_probabilities(fit_propensity(data), encode(data))
         point_weights = stabilized_weights(data.treatment, full).weights
         n_blocks = len(data.blocks)
         expected = []
@@ -303,7 +303,7 @@ class TestBlockBootstrap:
                 continue
             if refit:
                 model = fit_propensity(data, idx)
-                probabilities = predict_probabilities(model, data.encode(idx))
+                probabilities = predict_probabilities(model, encode(data, idx))
                 weights = stabilized_weights(t, probabilities).weights
             else:
                 weights = point_weights[idx]

@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 import warnings
+from importlib import resources
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from editfx.cli import _from_file
 from editfx.errors import ConfigError, SchemaError
 from editfx.motifs import (
     MIN_SPAN_TOKENS,
@@ -490,7 +492,9 @@ class TestClassify:
 
     def test_classify_delegates_to_ruleset(self):
         span = mkspan("Make sure to verify the final answer carefully.")
-        rules = MotifRuleset.load()
+        rules = MotifRuleset(
+            json.loads(resources.files("editfx.data").joinpath("motif_rules.json").read_text())
+        )
         assert rules.match(span) == classify(span, rules) == frozenset({"meta_instruction"})
 
     def test_phrase_needs_word_boundary(self):
@@ -694,7 +698,7 @@ class TestRuleset:
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(self.base_doc()), encoding="utf-8")
-        rules = MotifRuleset.load(path)
+        rules = _from_file(str(path), "ruleset file", MotifRuleset)
         assert rules.version == "t"
         labels = classify(mkspan("first do this then that"), rules)
         assert labels == frozenset({"step_by_step"})

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from editfx.cli import _from_file
 from editfx.errors import SchemaError
 from editfx.store import PromptState
 from editfx.surface import (
@@ -299,7 +300,7 @@ class TestWordLists:
     def test_override_file_load(self, tmp_path):
         path = tmp_path / "lists.json"
         path.write_text(json.dumps({"version": "x", "step_words": ["foo"]}), "utf-8")
-        lists = WordLists.load(path)
+        lists = _from_file(str(path), "word-list file", WordLists.from_json)
         assert lists.step_words == frozenset(["foo"])
         assert vec("foo bar", lists=lists)["step_word_density"] == pytest.approx(0.5)
 

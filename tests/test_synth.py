@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from editfx.cli import _from_file
 from editfx.errors import ConfigError
 from editfx.store import ANNOTATION_FEATURES, ingest, serialize
 from editfx.surface import tokenize
@@ -51,7 +52,7 @@ class TestSynthConfig:
         assert SynthConfig.from_json(doc) == cfg
         path = tmp_path / "cfg.json"
         path.write_text(__import__("json").dumps(doc), encoding="utf-8")
-        assert SynthConfig.from_file(path) == cfg
+        assert _from_file(str(path), "config file", SynthConfig.from_json) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
