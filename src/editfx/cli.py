@@ -5,7 +5,9 @@ bundle. Every analysis command takes its settings from one RunConfig
 (defaults < --config file < flags); estimate, infer and receptivity are
 views over report.Pipeline. Stage outputs (features/motifs JSONL) are
 cached, keyed on what they were computed from, so later stages can
-resume without recomputation. Exit codes: 0 success, 1 validation
+resume without recomputation. Each command imports its own stage
+modules when it runs, so `--version`, `--help`, argument errors and
+`validate` start without numpy. Exit codes: 0 success, 1 validation
 failure, 2 internal error.
 """
 
@@ -34,22 +36,16 @@ import re  # noqa: E402
 import warnings  # noqa: E402
 from dataclasses import asdict, fields  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import TYPE_CHECKING  # noqa: E402
 
-from . import __version__, report as report_mod  # noqa: E402
-from .design import PreparedCorpus, TreatmentSpec  # noqa: E402
+from . import __version__  # noqa: E402
 from .errors import ConfigError, EditfxError  # noqa: E402
-from .motifs import (  # noqa: E402
-    MOTIF_LABELS,
-    MotifRuleset,
-    audit_sample,
-    cooccurrence_matrix,
-    default_ruleset,
-)
-from .report import Pipeline, RunConfig  # noqa: E402
-from .robustness import SignReversalSpec, ceiling, loo_stability  # noqa: E402
+from .motifs import MOTIF_LABELS  # noqa: E402
 from .store import ingest, serialize  # noqa: E402
-from .surface import FEATURE_ORDER, WordLists, default_wordlists  # noqa: E402
-from .surface import delta as surface_delta  # noqa: E402
+
+if TYPE_CHECKING:
+    from .design import PreparedCorpus
+    from .report import RunConfig
 
 
 def _read_json(path: str, what: str):
@@ -71,15 +67,39 @@ def _from_file(path: str, what: str, build):
         raise ConfigError(f"{what} {path} is invalid: {exc}") from exc
 
 
-def _artifact(path: str, what: str, key: str) -> None:
-    """Check that a render-only input holds a JSON object with a `key` list."""
+def _artifact(path: str, what: str, key: str, numbers: tuple[str, ...]) -> None:
+    """Check that a render-only input holds a JSON object with a `key` list of table rows.
+
+    Each row must name its cell (a known view, a feature and a
+    task_group, strings) and hold `numbers`, the values the tables
+    print, so that a bad row fails before any output is written.
+    """
+    from .design import VIEWS
+
     doc = _read_json(path, what)
     if not (isinstance(doc, dict) and isinstance(doc.get(key), list)):
         raise ConfigError(f"{what} {path} holds no '{key}' list")
+    names = ("view", "feature", "task_group")
+    for index, row in enumerate(doc[key]):
+        where = f"{what} {path}: {key} row {index}"
+        if not isinstance(row, dict):
+            raise ConfigError(f"{where} is not a JSON object")
+        missing = [name for name in (*names, *numbers) if name not in row]
+        if missing:
+            raise ConfigError(f"{where} has no {', '.join(map(repr, missing))}")
+        if not all(isinstance(row[name], str) for name in names):
+            raise ConfigError(f"{where}: view, feature and task_group must be strings")
+        if row["view"] not in VIEWS:
+            raise ConfigError(f"{where}: unknown view {row['view']!r}")
+        for name in numbers:
+            if type(row[name]) not in (int, float):
+                raise ConfigError(f"{where}: {name} must be a number")
 
 
 def _load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Defaults, overlaid by the JSON config file, overlaid by flags."""
+    from .report import RunConfig
+
     values = {}
     if path is not None:
         doc = _read_json(path, "config file")
@@ -98,6 +118,10 @@ def _load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
 
 def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
     """Run config and prepared corpus for a command with the common flags."""
+    from .design import PreparedCorpus
+    from .motifs import MotifRuleset, default_ruleset
+    from .surface import WordLists, default_wordlists
+
     records, _ = ingest(args.input, strict=True)
     cfg = _load_run_config(args.config, args)
     wordlists = default_wordlists()
@@ -151,15 +175,19 @@ def _keyer(*settings):
 
 def _write_stage(path: Path, records, line, key) -> None:
     """One JSON line per record, plus a sidecar of each record's cache key."""
+    from .report import write_json
+
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for record in records:
             fh.write(json.dumps(line(record), sort_keys=True))
             fh.write("\n")
-    report_mod.write_json(path.with_suffix(".keys.json"), {r.pair_id: key(r) for r in records})
+    write_json(path.with_suffix(".keys.json"), {r.pair_id: key(r) for r in records})
 
 
 def _feature_sides(doc: dict) -> tuple[dict, dict]:
     """A feature cache line's (before, after) vectors, each a number for every feature."""
+    from .surface import FEATURE_ORDER
+
     sides = doc["before"], doc["after"]
     if not all(isinstance(side[name], (int, float)) for side in sides for name in FEATURE_ORDER):
         raise TypeError("a feature value is not a number")
@@ -223,6 +251,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    from .surface import delta as surface_delta
+
     _, prepared = _analysis(args)
     records = prepared.records
     out = _out(args)
@@ -243,6 +273,9 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_motifs(args) -> int:
+    from .motifs import audit_sample, cooccurrence_matrix
+    from .report import csv_text, write_text
+
     cfg, prepared = _analysis(args)
     records = prepared.records
     out = _out(args)
@@ -255,23 +288,21 @@ def _cmd_motifs(args) -> int:
         [*pair, count, *(f"{matrix[rate][pair]:.3f}" for rate in rates)]
         for pair, count in sorted(matrix["counts"].items())
     )
-    report_mod.write_text(
-        out / "motif_cooccurrence.csv",
-        report_mod.csv_text(["label_a", "label_b", "count", *rates], lines),
-    )
+    header = ["label_a", "label_b", "count", *rates]
+    write_text(out / "motif_cooccurrence.csv", csv_text(header, lines))
     if args.audit_label:
         sample = audit_sample(
             records, args.audit_label, k=args.audit_k, seed=cfg.seed, results=results
         )
-        report_mod.write_text(
-            out / f"audit_{args.audit_label}.csv",
-            report_mod.csv_text(["pair_id", "span_text"], sample),
-        )
+        audit = csv_text(["pair_id", "span_text"], sample)
+        write_text(out / f"audit_{args.audit_label}.csv", audit)
     print(f"wrote {out / 'motifs.jsonl'} ({len(records)} records)")
     return 0
 
 
 def _cmd_estimate(args) -> int:
+    from .report import Pipeline
+
     cfg, prepared = _analysis(args)
     doc = Pipeline(prepared, cfg).write_estimates(_out(args))
     print(f"estimated {len(doc['estimates'])} cells, skipped {len(doc['skipped'])}")
@@ -279,6 +310,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    from .report import Pipeline
+
     cfg, prepared = _analysis(args)
     doc = Pipeline(prepared, cfg).write_inference(_out(args))
     print(f"tested {len(doc['results'])} cells, skipped {len(doc['skipped'])}")
@@ -286,6 +319,10 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_loo(args) -> int:
+    from .design import TreatmentSpec
+    from .report import loo_to_csv, write_text
+    from .robustness import SignReversalSpec, loo_stability
+
     _, prepared = _analysis(args)
     signs = (args.sign_a, args.sign_b)
     if None in signs:  # one sign alone is not enough: take both from the baseline
@@ -298,30 +335,35 @@ def _cmd_loo(args) -> int:
         baseline_sign_b=signs[1],
     )
     loo = loo_stability(prepared, reversal)
-    report_mod.write_text(_out(args) / "loo.csv", report_mod.loo_to_csv(loo))
+    write_text(_out(args) / "loo.csv", loo_to_csv(loo))
     print(f"stable {loo.stable_count}/{loo.total}")
     return 0
 
 
 def _cmd_ceiling(args) -> int:
+    from .report import write_json
+    from .robustness import ceiling
+
     cfg, prepared = _analysis(args)
     doc = ceiling(prepared.records, seed=cfg.seed).to_json()
-    report_mod.write_json(_out(args) / "ceiling.json", doc)
+    write_json(_out(args) / "ceiling.json", doc)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
 
 def _cmd_receptivity(args) -> int:
+    from .report import Pipeline, receptivity_section, write_json
+
     cfg, prepared = _analysis(args)
     estimates = Pipeline(prepared, cfg, views=("annotation",)).estimates
-    doc = report_mod.receptivity_section(prepared.records, estimates["estimates"])
-    report_mod.write_json(_out(args) / "receptivity.json", doc)
+    doc = receptivity_section(prepared.records, estimates["estimates"])
+    write_json(_out(args) / "receptivity.json", doc)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
 
 def _cmd_synth(args) -> int:
-    # synth alone needs scipy (for ndtr), so it is imported only here.
+    from .report import write_json
     from .synth import SynthConfig, generate
 
     cfg = SynthConfig()
@@ -332,27 +374,29 @@ def _cmd_synth(args) -> int:
     records, truth = generate(cfg)
     out = _out(args)
     serialize(records, out / "corpus.jsonl")
-    report_mod.write_json(out / "ground_truth.json", truth.to_json())
+    write_json(out / "ground_truth.json", truth.to_json())
     print(f"wrote {out / 'corpus.jsonl'} ({len(records)} records)")
     return 0
 
 
 def _cmd_report(args) -> int:
+    from .report import render_from_artifacts, run_report
+
     out = Path(args.out)
     if args.estimates:
         if args.input:
             raise EditfxError("report takes either --input or --estimates, not both")
-        _artifact(args.estimates, "estimates file", "estimates")
+        _artifact(args.estimates, "estimates file", "estimates", ("acmgd_sipw",))
         if args.inference:
-            _artifact(args.inference, "inference file", "results")
+            _artifact(args.inference, "inference file", "results", ("p_value", "q_value"))
         cfg = _load_run_config(args.config, args)
-        report_mod.render_from_artifacts(args.estimates, args.inference, out, alpha=cfg.alpha)
+        render_from_artifacts(args.estimates, args.inference, out, alpha=cfg.alpha)
         print(f"rendered tables into {out}")
         return 0
     if not args.input:
         raise EditfxError("report needs either --input or --estimates")
     cfg, prepared = _analysis(args)
-    report_mod.run_report(prepared, out, **asdict(cfg))
+    run_report(prepared, out, **asdict(cfg))
     print(f"wrote report bundle into {out}")
     return 0
 

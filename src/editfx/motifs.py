@@ -21,8 +21,6 @@ from importlib import resources
 from itertools import combinations, islice
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConfigError, SchemaError
 from .store import ComparisonRecord
 from .surface import _TOKEN, tokenize
@@ -354,6 +352,8 @@ def audit_sample(
     diff (as `PreparedCorpus.motif_results` gives), so the spans follow
     the run's ruleset and demo setting.
     """
+    import numpy as np  # here alone, so the CLI's import of MOTIF_LABELS loads no numpy
+
     if label not in MOTIF_LABELS:
         raise ConfigError(f"unknown motif label '{label}'")
     if k < 1:

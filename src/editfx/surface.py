@@ -73,6 +73,8 @@ class WordLists:
         lists = {}
         for name in ("step_words", "reasoning_words", "metacog_words", "imperative_verbs"):
             entries = doc.get(name, [])
+            if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
+                raise ValueError(f"{name} must be a list of strings")
             for entry in entries:
                 if not entry or entry != entry.lower():
                     raise ValueError(f"word list entry '{entry}' must be lowercase and nonempty")

@@ -427,21 +427,47 @@ class TestUserFiles:
         "flag, content, message",
         [
             ("--wordlists", '{"step_words": ["First"]}', "entry 'First' must be lowercase"),
+            ("--wordlists", '{"step_words": "first"}', "step_words must be a list of strings"),
             ("--ruleset", "not json", "ruleset file is not valid JSON"),
             ("--ruleset", bad_ruleset_regex, "is invalid: missing ), unterminated subpattern"),
             ("--config", "[1, 2]", "must hold a JSON object"),
             ("--estimates", "{", "estimates file is not valid JSON"),
             ("--estimates", "{}", "holds no 'estimates' list"),
             ("--inference", '{"results": 3}', "holds no 'results' list"),
+            ("--estimates", '{"estimates": [{}]}', "estimates row 0 has no 'view'"),
+            (
+                "--estimates",
+                '{"estimates": [{"view": "surface", "feature": "word_count", "task_group": "math",'
+                ' "acmgd_sipw": "0.1"}]}',
+                "estimates row 0: acmgd_sipw must be a number",
+            ),
+            (
+                "--estimates",
+                '{"estimates": [{"view": "annotation", "feature": "clarity", "task_group": "math",'
+                ' "acmgd_sipw": 0.1}, {"view": "zzz", "feature": "a", "task_group": "math",'
+                ' "acmgd_sipw": 0.1}]}',
+                "estimates row 1: unknown view 'zzz'",
+            ),
+            (
+                "--inference",
+                '{"results": [{"view": "surface", "feature": "word_count", "task_group": "math",'
+                ' "p_value": 0.1}]}',
+                "results row 0 has no 'q_value'",
+            ),
         ],
         ids=[
             "wordlists-uppercase",
+            "wordlists-string",
             "ruleset-not-json",
             "ruleset-bad-regex",
             "config-not-object",
             "estimates-not-json",
             "estimates-empty",
             "inference-no-results",
+            "estimates-row-without-keys",
+            "estimates-row-not-number",
+            "estimates-row-unknown-view",
+            "inference-row-without-q",
         ],
     )
     def test_bad_file_fails_with_exit_1_and_no_output(
@@ -743,6 +769,49 @@ class TestExitCodes:
             )
             assert result.returncode == 0, (name, result.stderr)
         assert all((tmp_path / name / "estimates.json").is_file() for name in ("default", "pooled"))
+
+    def test_commands_without_analysis_start_without_numpy(self, corpus_path, tmp_path):
+        # Stage modules are imported by the command that runs them: the
+        # import, --version, --help, an argument error and validate load
+        # no numpy; report loads it and still succeeds.
+        program = (
+            "import contextlib, io, json, sys\n"
+            "from editfx.cli import main\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        code = 0 if argv is None else main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'numpy']]))\n"
+        )
+        runs = {
+            "import": (None, 0),
+            "version": (["--version"], 0),
+            "help": (["--help"], 0),
+            "argument-error": (["report", "--scope", "bogus"], 2),
+            "validate": (["validate", "--input", str(corpus_path)], 0),
+            "report": (
+                ["report", "--input", str(corpus_path), "--resamples", "8", "--out", str(tmp_path)],
+                0,
+            ),
+        }
+        src = str(Path(editfx.__file__).parents[1])
+        loaded = {}
+        for name, (argv, expected) in runs.items():
+            result = subprocess.run(
+                [sys.executable, "-c", program, json.dumps(argv)],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert result.returncode == 0, (name, result.stderr)
+            code, loaded[name] = json.loads(result.stdout)
+            assert code == expected, name
+        assert loaded.pop("report")
+        assert loaded == {name: [] for name in loaded}
 
     def test_numpy_loaded_first_gets_a_note(self, corpus_path):
         # The BLAS pins take effect only if the CLI loads numpy; a caller

@@ -297,6 +297,11 @@ class TestWordLists:
         with pytest.raises(ValueError):
             WordLists.from_json({"metacog_words": [""]})
 
+    @pytest.mark.parametrize("value", ["first", ["first", 1], {"first": 1}])
+    def test_rejects_lists_that_are_not_lists_of_strings(self, value):
+        with pytest.raises(ValueError, match="step_words must be a list of strings"):
+            WordLists.from_json({"step_words": value})
+
     def test_override_file_load(self, tmp_path):
         path = tmp_path / "lists.json"
         path.write_text(json.dumps({"version": "x", "step_words": ["foo"]}), "utf-8")
