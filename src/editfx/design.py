@@ -139,6 +139,9 @@ class CellData:
     and one-hot levels are always derived from that population, so a
     resample is self-contained. Every population is fitted on the one
     `shared_design`, mapped to its own z-scores (see estimation).
+    `refits` maps a block resample's block counts (as bytes) to its
+    refitted (estimate, converged), so cells that share this CellData
+    fit each block multiset once (see inference.block_bootstrap).
     """
 
     def __init__(self, frame: UnitFrame, rows, treatment):
@@ -156,10 +159,20 @@ class CellData:
         self.cat_codes = frame.cat_codes[rows]
         present, self.block_codes = np.unique(frame.block_codes[rows], return_inverse=True)
         self.blocks = [frame.blocks[k] for k in present]
+        self.refits: dict[bytes, tuple[float, bool]] = {}
 
     @property
     def n(self) -> int:
         return self.rows.size
+
+    @cached_property
+    def point_fit(self):
+        """The SIPW fit on every row once, made once: (estimate, WeightVector, converged)."""
+        from .estimation import fit_stack, sipw  # estimation imports this module
+
+        fit = fit_stack(self, np.ones((1, self.n)))
+        estimate, wv = sipw(self, fit.probabilities())
+        return estimate, wv, bool(fit.converged[0])
 
     @property
     def shared_design(self) -> SharedDesign:
@@ -212,14 +225,11 @@ class TestCell:
     def cell_id(self) -> str:
         return f"{self.spec.view}:{self.spec.feature_name}:{self.task_group}"
 
-    @cached_property
+    @property
     def point_fit(self):
-        """The cell-scope SIPW fit, made once: (estimate, WeightVector, converged)."""
-        from .estimation import fit_stack, sipw  # estimation imports this module
-
-        fit = fit_stack(self.data, np.ones((1, self.data.n)))
-        estimate, wv = sipw(self.data, fit.probabilities())
-        return estimate, wv, bool(fit.converged[0])
+        """The cell-scope SIPW fit, (estimate, WeightVector, converged): its data's, made
+        once per CellData, so cells that share their rows and treatments share it."""
+        return self.data.point_fit
 
     @property
     def units(self) -> np.recarray:
@@ -430,13 +440,16 @@ def enumerate_families(
     min_cell units or fewer than min_arm units in either arm; all-treated
     and all-control cells fall out of the arm rule. Families that lose
     every cell are dropped with a warning. Family m is the surviving
-    count, which is what BH correction later divides by.
+    count, which is what BH correction later divides by. Cells with the
+    same rows and treatments, in any view, share one CellData, and so
+    its fits.
     """
     # The frame and the surface view read the surface stage, and the motif
     # view reads motif treatments unless they were injected: one pass
     # computes what is missing, tokenizing each text once.
     prepared.prepare_text(motifs="motif" in views and prepared._motif is None)
     frame = prepared.frame
+    shared: dict[tuple[bytes, bytes], CellData] = {}
     families = []
     for view in views:
         cells, excluded = [], []
@@ -457,7 +470,11 @@ def enumerate_families(
                         f"arms treated={n_treated} control={n_control} below minimum {min_arm}"
                     )
                 else:
-                    data = CellData(frame, rows[in_group], treatment[in_group])
+                    cell_rows, cell_treatment = rows[in_group], treatment[in_group]
+                    key = (cell_rows.tobytes(), cell_treatment.tobytes())
+                    data = shared.get(key)
+                    if data is None:
+                        data = shared[key] = CellData(frame, cell_rows, cell_treatment)
                     cells.append(TestCell(spec=spec, task_group=group, data=data))
                     continue
                 excluded.append((spec.cell_id, group, reason))

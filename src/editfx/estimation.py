@@ -109,14 +109,18 @@ class _Rows:
     segment and of every population's padding, in order, and `run` their
     design runs (the number of runs for padding), so one reduceat sums
     every segment of a stack. Every sum that feeds a population's Newton
-    steps (a product with the design, a sum over runs, a total) is a
-    reduceat or a BLAS call over exactly its own rows, so its
-    coefficients do not depend on the stack it is fitted in; only the
-    objective, which just accepts or halves a step, adds its padding's
-    zeros too. dense_t holds the slots' design columns (populations x
-    columns x m) and dense is its transpose; when every population
-    counts every row, the slots are the design rows themselves and both
-    are the design's own, broadcast.
+    steps or its estimate (a product with the design, the linear
+    predictor, a sum over runs, a total, sipw_stack's weighted
+    difference) is a reduceat or a BLAS call over exactly its own rows,
+    so neither its coefficients nor its estimate depend on the stack it
+    is fitted in. Only the objective, which just accepts or halves a
+    step, adds its padding's zeros too: its last bit can move with the
+    stack's width, which changes a fit only if a step's objective lands
+    within that bit of its acceptance floor. dense_t holds the slots'
+    design columns (populations x columns x m) and dense is its
+    transpose; when every population counts every row (and the slots are
+    not copied anyway, see _own_rows), the slots are the design rows
+    themselves and both are the design's own, broadcast.
     """
 
     def __init__(self, design: SharedDesign, own, starts, run, dense_t: np.ndarray):
@@ -219,7 +223,7 @@ def _placed_sums(values: np.ndarray, starts, places, size: int) -> np.ndarray:
     return out[:-1]
 
 
-def _own_rows(design: SharedDesign, counts: np.ndarray, atoms: np.ndarray):
+def _own_rows(design: SharedDesign, counts: np.ndarray, atoms: np.ndarray, copy=False):
     """The populations' slots (see _Rows), their weights there, and a gather into them.
 
     An atom is a stretch of one design run whose rows share one weight:
@@ -228,7 +232,7 @@ def _own_rows(design: SharedDesign, counts: np.ndarray, atoms: np.ndarray):
     design-order array (..., design rows) onto the slots (populations x
     ... x m), copying each population's maximal stretches of counted
     atoms whole; it returns the array itself when every population
-    counts every row.
+    counts every row, unless copy is set.
     """
     size = np.diff(atoms, append=design.n)
     drawn = counts > 0
@@ -245,7 +249,7 @@ def _own_rows(design: SharedDesign, counts: np.ndarray, atoms: np.ndarray):
     order = np.argsort(starts)
     run = np.concatenate([run, np.full(len(padded), len(design.starts))])[order]
     copies = []
-    if not drawn.all():
+    if copy or not drawn.all():
         before = np.zeros_like(drawn)
         before[:, 1:] = drawn[:, :-1]
         after = np.zeros_like(drawn)
@@ -317,15 +321,22 @@ class _Stack:
 
 # Every kernel below makes one BLAS call per population (a stacked matmul
 # or solve). A sum over rows runs over exactly a population's own rows:
-# a stacked matmul per group of populations with as many own rows. On the
+# a stacked matmul per group of populations with as many own rows. The
+# linear predictor is one product per group too: a BLAS kernel can round
+# an output row differently in the tail of a product's rows (OpenBLAS's
+# default x86-64 kernels do, the CLI's pinned one does not), and a product
+# over a stack's slots would end at its widest population's rows. On the
 # design's own rows a stack of one repeats the products of a single dense
 # fit bit for bit.
 
 
 def _linear(rows: _Rows, gamma: np.ndarray) -> np.ndarray:
-    """Each row of gamma's linear predictor on its population's slots."""
+    """Each row of gamma's linear predictor on its population's slots, 0 on padding."""
     design = rows.design
-    eta = np.matmul(rows.dense, gamma[:, : design.n_dense, None])[:, :, 0]
+    eta = np.empty((rows.count, rows.m))
+    for a, b, n in rows.groups:
+        eta[a:b, :n] = np.matmul(rows.dense[a:b, :n], gamma[a:b, : design.n_dense, None])[:, :, 0]
+        eta[a:b, n:] = 0.0
     if design.p > design.n_dense:
         eta += rows.by_run(np.matmul(design.levels, gamma[:, design.n_dense :, None])[:, :, 0])
     return eta
@@ -657,9 +668,10 @@ def _stacks(own: np.ndarray):
     yield start, len(own)
 
 
-def _fit_stacks(data: CellData, design: SharedDesign, weights, columns, finish):
+def _fit_stacks(data: CellData, design: SharedDesign, weights, columns, finish, copy=False):
     """Fit the populations stack by stack (see fit_stack). finish(fitted) gives arrays with
-    one row per population of a stack; returns each, over all populations, in their order."""
+    one row per population of a stack; returns each, over all populations, in their order.
+    copy lays every stack out on copied slots (see _own_rows)."""
     order = design.rows if columns is None else np.asarray(columns)[design.rows]
     edge = np.diff(order, prepend=-1) != 0
     edge[design.starts] = True
@@ -671,7 +683,9 @@ def _fit_stacks(data: CellData, design: SharedDesign, weights, columns, finish):
     # little of its slots is padding. One stack at a time: each is built,
     # fitted and finished before the next is built.
     rank = np.argsort(-own, kind="stable")
-    fits = [_fit(design, counts[rank[a:b]], atoms, y, finish) for a, b in _stacks(own[rank])]
+    fits = [
+        _fit(design, counts[rank[a:b]], atoms, y, finish, copy) for a, b in _stacks(own[rank])
+    ]
     results = []
     for part in zip(*fits):
         stacked = np.concatenate(part)
@@ -694,8 +708,8 @@ class _Fitted:
     iterations: np.ndarray
 
 
-def _fit(design: SharedDesign, counts: np.ndarray, atoms: np.ndarray, y: np.ndarray, finish):
-    rows, w, own = _own_rows(design, counts, atoms)
+def _fit(design: SharedDesign, counts: np.ndarray, atoms: np.ndarray, y: np.ndarray, finish, copy):
+    rows, w, own = _own_rows(design, counts, atoms, copy)
     t = _each(own(y), len(w))
     arms = [np.any((w > 0) & (t == arm), axis=1) for arm in (0.0, 1.0)]
     if not np.all(arms[0] & arms[1]):
@@ -737,8 +751,12 @@ def sipw_stack(
     Populations are given as for fit_stack, and each needs both arms;
     each is weighted with its own treated fraction as the rate, as sipw
     does. Probabilities, weights and the weighted difference are formed
-    on each stack's slots, so on each population's own rows. Returns
-    (estimates, converged), one entry per population.
+    on each stack's slots, and every total runs over a population's own
+    rows (_Rows.sums), so an estimate depends neither on the other
+    populations of its stack nor on CHUNK_ROW_WEIGHTS. Every population
+    takes copied slots, even one that counts every row, so the whole
+    cell as a population is laid out alike alone or in a stack (see
+    _own_rows). Returns (estimates, converged), one entry per population.
     """
 
     def finish(fitted: _Fitted):
@@ -746,10 +764,10 @@ def sipw_stack(
         rate = (stack.rows.sums(w * t) / stack.rows.sums(w))[:, None]
         capped = stabilized_weights(t, _clipped(stack.linear(fitted.beta)), rate).weights
         outcome = fitted.own(data.outcome[design.rows])
-        return weighted_difference(t, outcome, w * capped), fitted.converged
+        return weighted_difference(t, outcome, w * capped, stack.rows.sums), fitted.converged
 
     design = data.shared_design
-    estimates, converged = _fit_stacks(data, design, weights, columns, finish)
+    estimates, converged = _fit_stacks(data, design, weights, columns, finish, copy=True)
     return estimates, converged
 
 
@@ -777,17 +795,23 @@ def stabilized_weights(
     return WeightVector(weights=weights, raw=raw, cap_hits=int(np.sum(raw > WEIGHT_CAP)))
 
 
-def weighted_difference(treatment: np.ndarray, outcome: np.ndarray, weights: np.ndarray):
-    """Weighted treated-minus-control mean outcome; one per row when weights is 2-D."""
+def weighted_difference(
+    treatment: np.ndarray, outcome: np.ndarray, weights: np.ndarray, sums=None
+):
+    """Weighted treated-minus-control mean outcome; one per row when weights is 2-D.
+
+    sums(values) totals each row; np.sum over the last axis by default.
+    """
     t = np.asarray(treatment, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    treated_sum = np.sum(w * t, axis=-1)
-    control_sum = np.sum(w * (1.0 - t), axis=-1)
+    total = (lambda values: np.sum(values, axis=-1)) if sums is None else sums
+    treated_sum = total(w * t)
+    control_sum = total(w * (1.0 - t))
     if np.any(treated_sum <= 0.0) or np.any(control_sum <= 0.0):
         raise DegenerateCellError("zero weight mass in one arm")
-    treated_mean = np.sum(w * t * y, axis=-1) / treated_sum
-    difference = treated_mean - np.sum(w * (1.0 - t) * y, axis=-1) / control_sum
+    treated_mean = total(w * t * y) / treated_sum
+    difference = treated_mean - total(w * (1.0 - t) * y) / control_sum
     return difference if difference.ndim else float(difference)
 
 

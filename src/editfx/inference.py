@@ -197,6 +197,10 @@ def block_bootstrap(
     counts the multisets drawn (every draw in iid mode). All draws are
     made first; the refits of the multisets not discarded are then one
     stacked fit, and `nonconverged` counts those that hit MAX_ITERATIONS.
+    A block multiset's refit is kept in the memo `cell.data.refits`, so
+    cells that share their CellData (the same rows and treatments) fit
+    it once: a refit does not depend on the other populations of its
+    stack, so it is the same whichever cell made it.
     """
     if recipe not in ("sipw", "naive"):
         raise ConfigError("recipe must be 'sipw' or 'naive'")
@@ -244,9 +248,19 @@ def block_bootstrap(
         value[kept] = [
             weighted_difference(t, data.outcome, population[k][columns] * weights) for k in kept
         ]
-    elif kept.size:
-        value[kept], converged = sipw_stack(data, population[kept], columns)
-        nonconverged = int(np.sum(~converged))
+    else:
+        # A block multiset's refit depends on the cell's data alone, so cells
+        # that share it share its memo, and only the multisets missing there
+        # are fitted; iid resamples are fitted afresh.
+        memo = data.refits if mode == "block" else {}
+        keys = [population[k].tobytes() for k in kept]
+        missing = [i for i, key in enumerate(keys) if key not in memo]
+        if missing:
+            fitted, converged = sipw_stack(data, population[kept[missing]], columns)
+            memo.update(zip([keys[i] for i in missing], zip(fitted.tolist(), converged.tolist())))
+        outcomes = [memo[key] for key in keys]
+        value[kept] = [estimate for estimate, _ in outcomes]
+        nonconverged = sum(not converged for _, converged in outcomes)
     estimates = value[draws[np.isin(draws, kept)]]
     valid = len(estimates)
     discarded = resamples - valid

@@ -9,7 +9,6 @@ into the weighted estimates.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -17,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import permutations
-from pathlib import Path
 
 import numpy as np
 
@@ -427,7 +425,7 @@ def construct_validity(
 
     Surface vectors come from the prepared corpus, so they use the run's
     word lists. Prompt states are pooled across before and after sides and
-    deduplicated by exact text hash, since consecutive revision pairs
+    deduplicated by exact text, since consecutive revision pairs
     share states and double counting would inflate n. A pair whose ranks
     are constant on either side gets rho=None with the reason as its note,
     and the other pairs are still computed.
@@ -442,9 +440,7 @@ def construct_validity(
         ):
             if annotations is None:
                 continue
-            key = hashlib.sha256(
-                (state.instruction_text + "\x00" + state.demo_text()).encode("utf-8")
-            ).hexdigest()
+            key = state.instruction_text + "\x00" + state.demo_text()
             if key not in states:
                 states[key] = (prepared.surface_pair(record)[side], dict(annotations))
             else:

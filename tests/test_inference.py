@@ -1,13 +1,20 @@
 """Block bootstrap, BH-FDR step-up, and tier assignment."""
 
 import hashlib
+import itertools
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import editfx.estimation as estimation
-from editfx.design import TestCell, TestFamily, TreatmentSpec
+import editfx.inference as inference
+from editfx.design import PreparedCorpus, TestCell, TestFamily, TreatmentSpec, enumerate_families
 from editfx.errors import ConfigError, DegenerateCellError, PositivityError, UnstableCellError
 from editfx.estimation import stabilized_weights, weighted_difference
 from editfx.inference import (
@@ -23,12 +30,15 @@ from editfx.inference import (
     tier_of,
 )
 from editfx.report import RunConfig
+from editfx.synth import SynthConfig, generate
 
 from oracles import encode, fit_propensity, predict_probabilities
 from test_design import make_data
 from test_estimation import dense_sipw, make_cell, make_unit
 
 TestFamily.__test__ = False
+
+TESTS = Path(__file__).resolve().parent
 
 
 def brute_force_bh(p, alpha):
@@ -522,6 +532,122 @@ class TestBoundedDraws:
     def test_high_outside_the_replicated_range_raises(self, high):
         with pytest.raises(ValueError, match="high"):
             _bounded_draws(0, high, 4, 3)
+
+
+def synth_families(n=120, seed=7):
+    """Fresh families of a synth corpus: its surface features and the
+    meta-instruction motif move together, so many cells share their data."""
+    records, _ = generate(SynthConfig(n=n, seed=seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return enumerate_families(PreparedCorpus(records))
+
+
+def kept_multisets(cell, seed, resamples):
+    """The block counts of each resample that keeps both arms, one generator per draw."""
+    data = cell.data
+    size = len(data.blocks)
+    kept = set()
+    for drawn in drawn_sequences(cell, dict(seed=seed, resamples=resamples)):
+        arms = data.treatment[np.isin(data.block_codes, drawn)]
+        if arms.min() < arms.max():
+            kept.add(np.bincount(drawn, minlength=size).tobytes())
+    return kept
+
+
+def cell_seed(cell, master_seed):
+    return derive_cell_seed(master_seed, cell.spec.view, cell.spec.feature_name, cell.task_group)
+
+
+def refit_mismatches():
+    """(multisets, differing) over the distinct cell data of synth_families(): every
+    multiset of 4 blocks that keeps both arms, the whole cell among them, fitted alone
+    and in one stack with the others; differing counts the (estimate, converged) pairs
+    that are not bit-identical."""
+    fitted = differing = 0
+    for data in {id(c.data): c.data for f in synth_families() for c in f.cells}.values():
+        size = len(data.blocks)
+        combos = itertools.combinations_with_replacement(range(size), size)
+        counts = np.array([np.bincount(c, minlength=size) for c in combos], dtype=float)
+        has = [np.bincount(data.block_codes, weights=data.treatment == a) > 0 for a in (0, 1)]
+        counts = counts[np.any((counts > 0) & has[0], 1) & np.any((counts > 0) & has[1], 1)]
+        assert np.any(np.all(counts == 1.0, axis=1))
+        stacked, converged = estimation.sipw_stack(data, counts, data.block_codes)
+        for k, row in enumerate(counts):
+            single, ok = estimation.sipw_stack(data, row[None], data.block_codes)
+            differing += (single[0], ok[0]) != (stacked[k], converged[k])
+        fitted += len(counts)
+    return fitted, differing
+
+
+class TestSharedCellData:
+    def test_each_cell_data_and_multiset_is_fitted_once(self, monkeypatch):
+        families = synth_families()
+        cells = [cell for family in families for cell in family.cells]
+        datas = {id(cell.data) for cell in cells}
+        assert len(datas) < len(cells)
+        expected = set()
+        for cell in cells:
+            keys = kept_multisets(cell, cell_seed(cell, 7), 60)
+            expected |= {(id(cell.data), key) for key in keys}
+        # Every population of every stacked fit passes _newton once; the
+        # refits are the rows of the weights given to sipw_stack.
+        fits, refits = [], []
+        real_newton, real_stack = estimation._newton, inference.sipw_stack
+
+        def stack(data, weights, columns=None):
+            refits.extend((id(data), row.tobytes()) for row in np.asarray(weights))
+            return real_stack(data, weights, columns)
+
+        monkeypatch.setattr(
+            estimation, "_newton", lambda *args: fits.append(len(args[2])) or real_newton(*args)
+        )
+        monkeypatch.setattr(inference, "sipw_stack", stack)
+        results, skipped = infer_all(families, master_seed=7, resamples=60)
+        assert len(results) == len(cells) and skipped == []
+        assert len(refits) == len(set(refits)) and set(refits) == expected
+        # One point fit per distinct CellData, one refit per distinct pair.
+        assert sum(fits) == len(datas) + len(expected)
+        assert sum(res.distinct_resamples for res in results) > len(expected)
+
+    @pytest.mark.parametrize("chunk", [2**12, 2**14, 2**16])
+    def test_refits_do_not_depend_on_a_sibling_or_the_stack_budget(self, monkeypatch, chunk):
+        def run(sibling_first, budget):
+            monkeypatch.setattr(estimation, "CHUNK_ROW_WEIGHTS", budget)
+            families = synth_families()
+            cells = [cell for family in families for cell in family.cells]
+            sibling, cell = [c for c in cells if c.data is cells[0].data][:2]
+            if sibling_first:
+                block_bootstrap(sibling, seed=cell_seed(sibling, 7), resamples=60)
+            res = block_bootstrap(cell, seed=cell_seed(cell, 7), resamples=60)
+            kept = [kept_multisets(c, cell_seed(c, 7), 60) for c in (sibling, cell)]
+            return res, kept
+
+        alone, _ = run(False, 2**14)
+        res, (before, mine) = run(True, chunk)
+        # The cell reuses some of the sibling's refits and fits the rest itself.
+        assert before & mine and mine - before
+        assert np.array_equal(res.resample_estimates, alone.resample_estimates)
+        assert res.nonconverged == alone.nonconverged
+        assert res.distinct_resamples == alone.distinct_resamples
+
+    def test_a_refit_alone_equals_it_in_a_stack(self):
+        fitted, differing = refit_mismatches()
+        assert fitted > 0 and differing == 0
+
+    def test_a_refit_alone_equals_it_in_a_stack_on_the_default_blas_kernel(self):
+        # The CLI pins one OpenBLAS kernel on x86-64; without the pin a
+        # kernel may round the tail rows of a product differently, which a
+        # product over a stack's padded slots would expose.
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join([str(TESTS), str(TESTS.parent / "src")])
+        code = "from test_inference import refit_mismatches; print(*refit_mismatches())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        fitted, differing = map(int, proc.stdout.split())
+        assert fitted > 0 and differing == 0
 
 
 class TestInferFamilies:

@@ -583,7 +583,11 @@ class TestPipeline:
         estimates = pipeline.estimates["estimates"]
         results = pipeline.inference["results"]
         assert pipeline.inference["skipped"] == []
-        assert len(whole_cell_fits) == len(results) == len(estimates) > 0
+        # Cells with the same rows and treatments share one CellData and its fit.
+        datas = {id(cell.data) for family in pipeline.families for cell in family.cells}
+        assert len(whole_cell_fits) == len(datas) == len({id(d) for d in whole_cell_fits})
+        assert {id(d) for d in whole_cell_fits} == datas
+        assert len(results) == len(estimates) >= len(datas) > 0
 
     def test_prepared_corpus_must_match_config(self, small_corpus, tmp_path):
         prepared = PreparedCorpus(small_corpus, include_demos=True)

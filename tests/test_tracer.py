@@ -15,6 +15,8 @@ from editfx.cli import main
 from editfx.store import serialize
 from editfx.synth import SynthConfig, generate
 
+from test_inference import cell_seed, kept_multisets
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -51,10 +53,11 @@ def test_traced_report_counts_units_and_keeps_the_bundle(tmp_path, monkeypatch):
     assert all(row["discarded"] == 0 for row in inference["results"])
     # The plain run counts the populations each stacked fit under
     # infer_all takes (the rows of its weights).
-    fits, inferring = [], []
+    fits, inferring, families = [], [], []
     real_infer, real_newton = report.infer_all, estimation._newton
 
     def infer_all(*args, **kwargs):
+        families.extend(args[0])
         inferring.append(True)
         try:
             return real_infer(*args, **kwargs)
@@ -69,6 +72,14 @@ def test_traced_report_counts_units_and_keeps_the_bundle(tmp_path, monkeypatch):
     monkeypatch.setattr(report, "infer_all", infer_all)
     monkeypatch.setattr(estimation, "_newton", newton)
     assert main([*report_args, "--out", str(tmp_path / "plain")]) == 0
+    # Cells with the same rows and treatments share their refits: one per
+    # distinct (cell data, kept multiset) pair.
+    pairs = {
+        (id(cell.data), key)
+        for family in families
+        for cell in family.cells
+        for key in kept_multisets(cell, cell_seed(cell, 7), 20)
+    }
     distinct = sum(row["distinct_resamples"] for row in inference["results"])
-    assert sum(fits) == distinct <= extra["distinct_draws"]
+    assert sum(fits) == len(pairs) <= distinct <= extra["distinct_draws"]
     assert bundle_bytes(tmp_path / "traced") == bundle_bytes(tmp_path / "plain")
