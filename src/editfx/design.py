@@ -139,9 +139,8 @@ class CellData:
     and one-hot levels are always derived from that population, so a
     resample is self-contained. Every population is fitted on the one
     `shared_design`, mapped to its own z-scores (see estimation).
-    `refits` maps a block resample's block counts (as bytes) to its
-    refitted (estimate, converged), so cells that share this CellData
-    fit each block multiset once (see inference.block_bootstrap).
+    Cells with the same rows and treatments share one CellData, and so
+    its point fit and its bootstrap (see `contents`).
     """
 
     def __init__(self, frame: UnitFrame, rows, treatment):
@@ -159,7 +158,6 @@ class CellData:
         self.cat_codes = frame.cat_codes[rows]
         present, self.block_codes = np.unique(frame.block_codes[rows], return_inverse=True)
         self.blocks = [frame.blocks[k] for k in present]
-        self.refits: dict[bytes, tuple[float, bool]] = {}
 
     @property
     def n(self) -> int:
@@ -252,6 +250,21 @@ class TestFamily:
     @property
     def m(self) -> int:
         return len(self.cells)
+
+
+def contents(families: list[TestFamily]) -> dict[str, TestCell]:
+    """Each cell's content, by cell_id: the first cell in family order with its CellData.
+
+    Cells that share a CellData are one test under several names; the
+    content's first cell names it and seeds its bootstrap (see
+    inference.infer_all).
+    """
+    first: dict[CellData, TestCell] = {}
+    return {
+        cell.cell_id: first.setdefault(cell.data, cell)
+        for family in families
+        for cell in family.cells
+    }
 
 
 def map_cells(fn: Callable, cells: list[TestCell], skip: tuple) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import TestCell, TestFamily, map_cells
+from .design import TestCell, TestFamily, contents, map_cells
 from .errors import ConfigError, PositivityError, UnstableCellError
 from .estimation import sipw_stack, weighted_difference
 
@@ -64,7 +64,10 @@ class InferenceResult:
 
 
 def derive_cell_seed(master_seed: int, view: str, feature: str, group: str) -> int:
-    """Stable per-cell seed so results do not depend on scheduling order."""
+    """Stable seed of one cell identity, so results do not depend on scheduling order.
+
+    infer_all seeds each content's bootstrap with its first cell's seed.
+    """
     digest = hashlib.sha256(f"{master_seed}|{view}|{feature}|{group}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -197,10 +200,8 @@ def block_bootstrap(
     counts the multisets drawn (every draw in iid mode). All draws are
     made first; the refits of the multisets not discarded are then one
     stacked fit, and `nonconverged` counts those that hit MAX_ITERATIONS.
-    A block multiset's refit is kept in the memo `cell.data.refits`, so
-    cells that share their CellData (the same rows and treatments) fit
-    it once: a refit does not depend on the other populations of its
-    stack, so it is the same whichever cell made it.
+    The result depends on the cell's data, the seed and the settings
+    alone, not on the cell's name.
     """
     if recipe not in ("sipw", "naive"):
         raise ConfigError("recipe must be 'sipw' or 'naive'")
@@ -248,19 +249,9 @@ def block_bootstrap(
         value[kept] = [
             weighted_difference(t, data.outcome, population[k][columns] * weights) for k in kept
         ]
-    else:
-        # A block multiset's refit depends on the cell's data alone, so cells
-        # that share it share its memo, and only the multisets missing there
-        # are fitted; iid resamples are fitted afresh.
-        memo = data.refits if mode == "block" else {}
-        keys = [population[k].tobytes() for k in kept]
-        missing = [i for i, key in enumerate(keys) if key not in memo]
-        if missing:
-            fitted, converged = sipw_stack(data, population[kept[missing]], columns)
-            memo.update(zip([keys[i] for i in missing], zip(fitted.tolist(), converged.tolist())))
-        outcomes = [memo[key] for key in keys]
-        value[kept] = [estimate for estimate, _ in outcomes]
-        nonconverged = sum(not converged for _, converged in outcomes)
+    elif kept.size:
+        value[kept], converged = sipw_stack(data, population[kept], columns)
+        nonconverged = int(np.count_nonzero(~converged))
     estimates = value[draws[np.isin(draws, kept)]]
     valid = len(estimates)
     discarded = resamples - valid
@@ -335,11 +326,15 @@ def infer_all(
     refit: bool = True,
     percentile_p: bool = False,
 ) -> tuple[list[InferenceResult], list[tuple[str, str]]]:
-    """Bootstrap every cell, then BH-correct within each family, never across.
+    """Bootstrap every content once, then BH-correct within each family, never across.
 
-    Cells run in family order. A cell whose bootstrap is unstable is
-    skipped and does not count toward its family's m. Per-cell seeds
-    derive from the master seed and the cell identity alone.
+    Cells that share a CellData (the same rows and treatments) are one
+    content (see design.contents): its bootstrap runs once, seeded from
+    the master seed and the identity of its first cell in family order,
+    and every cell of the content takes that result, so they report the
+    same se and p. A content whose bootstrap is unstable is skipped for
+    each of its cells, with one message, and they do not count toward
+    their families' m.
     """
 
     def one(cell: TestCell) -> BootstrapResult:
@@ -349,12 +344,20 @@ def infer_all(
             cell, resamples=resamples, seed=seed, refit=refit, percentile_p=percentile_p
         )
 
+    content = contents(families)
+    firsts = {cell.cell_id: cell for cell in content.values()}
+    skip = (ConfigError, UnstableCellError, PositivityError)
+    booted = dict(zip(firsts, map_cells(one, list(firsts.values()), skip)))
     results: list[InferenceResult] = []
     skipped: list[tuple[str, str]] = []
     for family in families:
-        outcomes = map_cells(one, family.cells, (ConfigError, UnstableCellError, PositivityError))
-        tested = [(c, r) for c, r in zip(family.cells, outcomes) if isinstance(r, BootstrapResult)]
-        skipped += [r for r in outcomes if not isinstance(r, BootstrapResult)]
+        tested = []
+        for cell in family.cells:
+            outcome = booted[content[cell.cell_id].cell_id]
+            if isinstance(outcome, BootstrapResult):
+                tested.append((cell, outcome))
+            else:
+                skipped.append((cell.cell_id, outcome[1]))
         if not tested:
             continue
         q_values, _ = bh_fdr([res.p_value for _, res in tested], alpha=alpha)

@@ -23,6 +23,7 @@ from .design import (
     VIEWS,
     PreparedCorpus,
     TreatmentSpec,
+    contents,
     enumerate_families,
     view_features,
 )
@@ -157,10 +158,14 @@ def _ordered_groups(groups) -> list[str]:
     return ordered
 
 
-def estimates_to_json(bundle: EstimateBundle) -> dict:
+def estimates_to_json(bundle: EstimateBundle, content: dict[str, str]) -> dict:
+    """The estimates document; `content` maps each cell_id to its content's (design.contents)."""
     return {
         "estimates": [
-            {name: getattr(e, name) for name in ESTIMATE_COLUMNS + FIT_HEALTH_COLUMNS}
+            {
+                **{name: getattr(e, name) for name in ESTIMATE_COLUMNS + FIT_HEALTH_COLUMNS},
+                "content": content[e.cell_id],
+            }
             for e in bundle.estimates
         ],
         "skipped": [list(item) for item in bundle.skipped],
@@ -173,11 +178,18 @@ def estimates_to_csv(rows: list[dict]) -> str:
     return csv_text(ESTIMATE_COLUMNS, lines)
 
 
-def inference_to_json(results: list[InferenceResult], skipped, alpha: float) -> dict:
+def inference_to_json(
+    results: list[InferenceResult], skipped, alpha: float, content: dict[str, str]
+) -> dict:
+    """The inference document; `content` maps each cell_id to the cell_id whose seed
+    its bootstrap used, its content's (design.contents)."""
     return {
         "alpha": alpha,
         "results": [
-            {name: getattr(r, name) for name in INFERENCE_COLUMNS + HEALTH_COLUMNS}
+            {
+                **{name: getattr(r, name) for name in INFERENCE_COLUMNS + HEALTH_COLUMNS},
+                "content": content[r.cell_id],
+            }
             for r in results
         ],
         "skipped": [list(item) for item in skipped],
@@ -381,8 +393,14 @@ class Pipeline:
             )
 
     @cached_property
+    def content_ids(self) -> dict[str, str]:
+        """Each cell's content, by cell_id: the cell_id of its content's first cell."""
+        return {cell_id: first.cell_id for cell_id, first in contents(self.families).items()}
+
+    @cached_property
     def estimates(self) -> dict:
-        return estimates_to_json(estimate_all(self.families, scope=self.cfg.scope))
+        bundle = estimate_all(self.families, scope=self.cfg.scope)
+        return estimates_to_json(bundle, self.content_ids)
 
     @cached_property
     def inference(self) -> dict:
@@ -395,7 +413,7 @@ class Pipeline:
             refit=cfg.refit,
             percentile_p=cfg.percentile_p,
         )
-        return inference_to_json(results, skipped, cfg.alpha)
+        return inference_to_json(results, skipped, cfg.alpha, self.content_ids)
 
     def write_estimates(self, out: Path) -> dict:
         doc = self.estimates
@@ -470,6 +488,7 @@ def run_report(prepared: PreparedCorpus, out_dir: str | Path, **settings) -> dic
     write_json(out / "receptivity.json", receptivity_doc)
 
     validity_doc = _validity_section(prepared, cfg.seed)
+    content_ids = pipeline.content_ids
 
     provenance = {
         "artifact": {"name": "editfx", "version": __version__},
@@ -487,6 +506,8 @@ def run_report(prepared: PreparedCorpus, out_dir: str | Path, **settings) -> dic
             {
                 "name": family.name,
                 "m": family.m,
+                "cells": family.m,
+                "contents": len({content_ids[cell.cell_id] for cell in family.cells}),
                 "excluded": [list(item) for item in family.excluded],
             }
             for family in families
@@ -495,7 +516,11 @@ def run_report(prepared: PreparedCorpus, out_dir: str | Path, **settings) -> dic
             "skipped": estimates_doc["skipped"],
             "family_confounding": estimates_doc["family_confounding"],
         },
-        "inference": {"skipped": inference_doc["skipped"]},
+        "inference": {
+            "skipped": inference_doc["skipped"],
+            "cells": len(content_ids),
+            "contents": len(set(content_ids.values())),
+        },
         "loo": {
             "selection": loo_note,
             "stable_count": loo_report.stable_count if loo_report else 0,

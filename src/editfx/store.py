@@ -387,28 +387,3 @@ def serialize(records: Iterable[ComparisonRecord], path: str | Path) -> None:
         for rec in records:
             fh.write(json.dumps(rec.to_json(), ensure_ascii=False, sort_keys=True))
             fh.write("\n")
-
-
-def partition(
-    records: list[ComparisonRecord], by: str
-) -> dict[str | tuple[str, str], list[ComparisonRecord]]:
-    """Split records into disjoint buckets by dataset, task_group, or block.
-
-    Keys are returned in sorted order. An empty dimension value lands in the
-    "" bucket with a warning.
-    """
-    if not records:
-        raise ValueError("partition requires at least one record")
-    if by not in ("dataset", "task_group", "block"):
-        raise ValueError(f"unknown partition dimension '{by}'")
-
-    buckets: dict[Any, list[ComparisonRecord]] = {}
-    for rec in records:
-        if by == "block":
-            key: Any = rec.block_id
-        else:
-            key = getattr(rec, by)
-        if key == "" or key == ("", ""):
-            log.warning("record %s has empty %s value", rec.pair_id, by)
-        buckets.setdefault(key, []).append(rec)
-    return {k: buckets[k] for k in sorted(buckets)}

@@ -5,18 +5,20 @@ cell's shared design and never names coefficients; these build a
 population's own dense design, wrap a one-population stacked fit, or
 recompute a dense one, so tests can state expectations per covariate.
 population_sipw forms one weighted population's estimate on its rows.
-apply_script replays an edit script to check a diff, and units_to_csv
-writes a cell's units for external checking.
+apply_script replays an edit script to check a diff, units_to_csv
+writes a cell's units for external checking, and partition buckets
+records by one of their dimensions. content_seeds and block_multisets
+replay which bootstrap each cell content gets and what it draws.
 """
 
 import csv
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Any
 
 import numpy as np
 from scipy.special import expit
 
-from editfx.design import CATEGORICAL_COVARIATES, NUMERIC_COVARIATES, CellData
+from editfx.design import CATEGORICAL_COVARIATES, NUMERIC_COVARIATES, CellData, TestFamily
 from editfx.errors import SchemaError
 from editfx.estimation import (
     RIDGE_LAMBDA,
@@ -26,7 +28,9 @@ from editfx.estimation import (
     stabilized_weights,
     weighted_difference,
 )
+from editfx.inference import derive_cell_seed
 from editfx.motifs import EditRun
+from editfx.store import ComparisonRecord, log
 
 
 def encode(data: CellData, idx: np.ndarray | None = None) -> np.ndarray:
@@ -175,3 +179,59 @@ def units_to_csv(data: CellData, stream: IO[str]) -> None:
                 "|".join(data.blocks[data.block_codes[k]]),
             ]
         )
+
+
+def partition(
+    records: list[ComparisonRecord], by: str
+) -> dict[str | tuple[str, str], list[ComparisonRecord]]:
+    """Split records into disjoint buckets by dataset, task_group, or block.
+
+    Keys are returned in sorted order. An empty dimension value lands in the
+    "" bucket with a warning.
+    """
+    if not records:
+        raise ValueError("partition requires at least one record")
+    if by not in ("dataset", "task_group", "block"):
+        raise ValueError(f"unknown partition dimension '{by}'")
+
+    buckets: dict[Any, list[ComparisonRecord]] = {}
+    for rec in records:
+        if by == "block":
+            key: Any = rec.block_id
+        else:
+            key = getattr(rec, by)
+        if key == "" or key == ("", ""):
+            log.warning("record %s has empty %s value", rec.pair_id, by)
+        buckets.setdefault(key, []).append(rec)
+    return {k: buckets[k] for k in sorted(buckets)}
+
+
+def content_seeds(families: list[TestFamily], master_seed: int) -> dict[CellData, int]:
+    """Each distinct CellData's bootstrap seed: the seed of its first cell, in the
+    families' order and then each family's cell order."""
+    seeds: dict[CellData, int] = {}
+    for family in families:
+        for cell in family.cells:
+            if cell.data not in seeds:
+                spec = cell.spec
+                seeds[cell.data] = derive_cell_seed(
+                    master_seed, spec.view, spec.feature_name, cell.task_group
+                )
+    return seeds
+
+
+def block_multisets(data: CellData, seed: int, resamples: int) -> dict[bytes, bool]:
+    """The block counts of each distinct resample, one generator per draw, in the
+    order first drawn, and whether that resample keeps both arms."""
+    size = len(data.blocks)
+    found = {}
+    for r in range(resamples):
+        drawn = np.random.default_rng([seed, r]).integers(0, size, size=size)
+        arms = data.treatment[np.isin(data.block_codes, drawn)]
+        found[np.bincount(drawn, minlength=size).tobytes()] = bool(arms.min() < arms.max())
+    return found
+
+
+def kept_multisets(data: CellData, seed: int, resamples: int) -> set[bytes]:
+    """The block counts of each resample that keeps both arms, one generator per draw."""
+    return {key for key, kept in block_multisets(data, seed, resamples).items() if kept}

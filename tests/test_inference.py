@@ -29,10 +29,16 @@ from editfx.inference import (
     infer_all,
     tier_of,
 )
-from editfx.report import RunConfig
+from editfx.report import HEALTH_COLUMNS, Pipeline, RunConfig
 from editfx.synth import SynthConfig, generate
 
-from oracles import encode, fit_propensity, predict_probabilities
+from oracles import (
+    content_seeds,
+    encode,
+    fit_propensity,
+    kept_multisets,
+    predict_probabilities,
+)
 from test_design import make_data
 from test_estimation import dense_sipw, make_cell, make_unit
 
@@ -543,16 +549,10 @@ def synth_families(n=120, seed=7):
         return enumerate_families(PreparedCorpus(records))
 
 
-def kept_multisets(cell, seed, resamples):
-    """The block counts of each resample that keeps both arms, one generator per draw."""
-    data = cell.data
-    size = len(data.blocks)
-    kept = set()
-    for drawn in drawn_sequences(cell, dict(seed=seed, resamples=resamples)):
-        arms = data.treatment[np.isin(data.block_codes, drawn)]
-        if arms.min() < arms.max():
-            kept.add(np.bincount(drawn, minlength=size).tobytes())
-    return kept
+def synth_pipeline(n=120, seed=7, resamples=60):
+    """synth_families()'s corpus as a report pipeline run with this seed."""
+    records, _ = generate(SynthConfig(n=n, seed=seed))
+    return Pipeline(PreparedCorpus(records), RunConfig(seed=seed, resamples=resamples))
 
 
 def cell_seed(cell, master_seed):
@@ -584,12 +584,12 @@ class TestSharedCellData:
     def test_each_cell_data_and_multiset_is_fitted_once(self, monkeypatch):
         families = synth_families()
         cells = [cell for family in families for cell in family.cells]
-        datas = {id(cell.data) for cell in cells}
-        assert len(datas) < len(cells)
-        expected = set()
-        for cell in cells:
-            keys = kept_multisets(cell, cell_seed(cell, 7), 60)
-            expected |= {(id(cell.data), key) for key in keys}
+        seeds = content_seeds(families, 7)
+        assert len(seeds) < len(cells)
+        # Each CellData is bootstrapped once, with its first cell's seed.
+        expected = {
+            (id(data), key) for data, seed in seeds.items() for key in kept_multisets(data, seed, 60)
+        }
         # Every population of every stacked fit passes _newton once; the
         # refits are the rows of the weights given to sipw_stack.
         fits, refits = [], []
@@ -607,7 +607,7 @@ class TestSharedCellData:
         assert len(results) == len(cells) and skipped == []
         assert len(refits) == len(set(refits)) and set(refits) == expected
         # One point fit per distinct CellData, one refit per distinct pair.
-        assert sum(fits) == len(datas) + len(expected)
+        assert sum(fits) == len(seeds) + len(expected)
         assert sum(res.distinct_resamples for res in results) > len(expected)
 
     @pytest.mark.parametrize("chunk", [2**12, 2**14, 2**16])
@@ -619,14 +619,10 @@ class TestSharedCellData:
             sibling, cell = [c for c in cells if c.data is cells[0].data][:2]
             if sibling_first:
                 block_bootstrap(sibling, seed=cell_seed(sibling, 7), resamples=60)
-            res = block_bootstrap(cell, seed=cell_seed(cell, 7), resamples=60)
-            kept = [kept_multisets(c, cell_seed(c, 7), 60) for c in (sibling, cell)]
-            return res, kept
+            return block_bootstrap(cell, seed=cell_seed(cell, 7), resamples=60)
 
-        alone, _ = run(False, 2**14)
-        res, (before, mine) = run(True, chunk)
-        # The cell reuses some of the sibling's refits and fits the rest itself.
-        assert before & mine and mine - before
+        alone = run(False, 2**14)
+        res = run(True, chunk)
         assert np.array_equal(res.resample_estimates, alone.resample_estimates)
         assert res.nonconverged == alone.nonconverged
         assert res.distinct_resamples == alone.distinct_resamples
@@ -648,6 +644,66 @@ class TestSharedCellData:
         assert proc.returncode == 0, proc.stderr
         fitted, differing = map(int, proc.stdout.split())
         assert fitted > 0 and differing == 0
+
+
+class TestContentBootstrap:
+    """Cells with the same rows and treatments are one content: one bootstrap,
+    seeded by its first cell in family order, whose result every twin reports."""
+
+    NAMES = ("view", "feature", "task_group")
+
+    def test_one_bootstrap_per_distinct_cell_data(self, monkeypatch):
+        families = synth_families()
+        seeds = content_seeds(families, 7)
+        calls = []
+        real = inference.block_bootstrap
+
+        def bootstrap(cell, **kwargs):
+            calls.append((cell.data, kwargs["seed"]))
+            return real(cell, **kwargs)
+
+        monkeypatch.setattr(inference, "block_bootstrap", bootstrap)
+        results, skipped = infer_all(families, master_seed=7, resamples=60)
+        assert skipped == [] and len(results) == sum(f.m for f in families) > len(seeds)
+        assert calls == list(seeds.items())
+
+    def test_first_cells_match_a_direct_bootstrap(self):
+        pipeline = synth_pipeline()
+        rows = {":".join(row[n] for n in self.NAMES): row for row in pipeline.inference["results"]}
+        firsts = {}
+        for family in pipeline.families:
+            for cell in family.cells:
+                firsts.setdefault(cell.data, cell)
+        for cell in firsts.values():
+            spec = cell.spec
+            seed = derive_cell_seed(7, spec.view, spec.feature_name, cell.task_group)
+            res = block_bootstrap(cell, seed=seed, resamples=60)
+            row = rows[cell.cell_id]
+            for name in ("estimate", "se", "p_value", "valid_resamples", *HEALTH_COLUMNS):
+                assert row[name] == getattr(res, name), name
+            assert row["content"] == cell.cell_id
+        assert sum(row["content"] == cell_id for cell_id, row in rows.items()) == len(firsts)
+
+    def test_twins_report_their_first_cells_row(self):
+        pipeline = synth_pipeline()
+        rows = {":".join(row[n] for n in self.NAMES): row for row in pipeline.inference["results"]}
+        firsts, twins = {}, 0
+        for family in pipeline.families:
+            for cell in family.cells:
+                first = firsts.setdefault(cell.data, cell)
+                row, first_row = rows[cell.cell_id], rows[first.cell_id]
+                # q and so the tier come from BH within the row's own family.
+                own = {*self.NAMES, "content"}
+                if cell.spec.view != first.spec.view:
+                    own |= {"q_value", "tier"}
+                assert {k: v for k, v in row.items() if k not in own} == {
+                    k: v for k, v in first_row.items() if k not in own
+                }
+                twins += cell is not first
+        assert twins > 0
+        for family in pipeline.families:
+            for cell in family.cells:
+                assert rows[cell.cell_id]["content"] == firsts[cell.data].cell_id
 
 
 class TestInferFamilies:
@@ -694,3 +750,33 @@ class TestInferFamilies:
                 assert results[0].q_value == results[0].p_value  # m=1 after the skip
                 break
         assert found
+
+    def test_unstable_content_is_skipped_for_every_twin(self):
+        bad = aligned_block_cell()
+        twin = TestCell(
+            spec=TreatmentSpec(view="motif", feature_name="meta_instruction"),
+            task_group="math",
+            data=bad.data,
+        )
+        good = TestCell(
+            spec=TreatmentSpec(view="motif", feature_name="meta_instruction"),
+            task_group="logical",
+            data=make_cell(n=120, seed=35, task_group="logical").data,
+        )
+        families = [
+            TestFamily(name="surface", cells=[make_cell(n=120, seed=34, task_group="logical"), bad]),
+            TestFamily(name="motif", cells=[good, twin]),
+        ]
+        for master_seed in range(30):
+            results, skipped = infer_all(families, master_seed=master_seed, resamples=16)
+            if skipped:
+                break
+        else:
+            pytest.fail("no master seed makes the aligned cell unstable")
+        assert [cell_id for cell_id, _ in skipped] == [bad.cell_id, twin.cell_id]
+        assert skipped[0][1] == skipped[1][1]
+        assert [r.cell_id for r in results] == [
+            "surface:word_count:logical",
+            "motif:meta_instruction:logical",
+        ]
+        assert all(r.q_value == r.p_value for r in results)  # m=1 in each family

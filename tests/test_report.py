@@ -91,6 +91,12 @@ class TestWriters:
 
 
 class TestEstimateSerialization:
+    # Two cells with the same content, named by its first cell.
+    CONTENT = {
+        "surface:word_count:math": "surface:word_count:logical",
+        "surface:word_count:logical": "surface:word_count:logical",
+    }
+
     def bundle(self):
         estimates = [
             CellEstimate(
@@ -107,7 +113,7 @@ class TestEstimateSerialization:
         )
 
     def test_json_shape(self):
-        doc = estimates_to_json(self.bundle())
+        doc = estimates_to_json(self.bundle(), self.CONTENT)
         assert set(doc) == {"estimates", "skipped", "family_confounding"}
         first = doc["estimates"][0]
         assert first == {
@@ -124,12 +130,13 @@ class TestEstimateSerialization:
             "ess_treated": 11.5,
             "ess_control": 14.25,
             "max_raw_weight": 10.5,
+            "content": "surface:word_count:logical",
         }
         assert doc["skipped"] == [["surface:char_count:math", "propensity model needs both arms"]]
         assert list(doc["family_confounding"]) == ["motif", "surface"]
 
     def test_csv_rounds_to_three_decimals(self):
-        rows = estimates_to_json(self.bundle())["estimates"]
+        rows = estimates_to_json(self.bundle(), self.CONTENT)["estimates"]
         text = estimates_to_csv(rows)
         lines = text.splitlines()
         assert lines[0] == (
@@ -150,8 +157,10 @@ class TestInferenceSerialization:
                 "surface", "word_count", "math", 0.05, 0.01, 0.001, 0.004, TIER_BH, 200, 8, 150, 3
             )
         ]
-        doc = inference_to_json(results, [("surface:char_count:math", "unstable")], alpha=0.1)
+        content = {"surface:word_count:math": "surface:char_count:math"}
+        doc = inference_to_json(results, [("surface:char_count:math", "unstable")], 0.1, content)
         assert doc["alpha"] == 0.1
+        assert doc["results"][0]["content"] == "surface:char_count:math"
         assert doc["results"][0]["q_value"] == 0.004
         assert doc["results"][0]["tier"] == TIER_BH
         assert doc["skipped"] == [["surface:char_count:math", "unstable"]]
@@ -467,8 +476,30 @@ class TestRunReport:
         assert provenance["corpus"]["record_count"] == 400
         family_names = [f["name"] for f in provenance["families"]]
         assert "surface" in family_names and "motif" in family_names
+        for family in provenance["families"]:
+            assert 1 <= family["contents"] <= family["cells"] == family["m"]
         assert "note" in provenance["construct_validity"]
         assert provenance["outputs"] == sorted(provenance["outputs"])
+
+    def test_provenance_counts_cells_and_contents(self, tmp_path):
+        # The default synth corpus at seed 7: in each task group, 7 surface
+        # features and the meta-instruction motif have the same rows and
+        # treatments, so 16 tested cells hold 2 contents.
+        records, _ = generate(SynthConfig(seed=7))
+        out = tmp_path / "bundle"
+        provenance = run_report(PreparedCorpus(records), out, seed=7, resamples=8)
+        counts = {f["name"]: (f["cells"], f["contents"]) for f in provenance["families"]}
+        assert counts == {"surface": (14, 2), "motif": (2, 2)}
+        assert (provenance["inference"]["cells"], provenance["inference"]["contents"]) == (16, 2)
+        estimates = json.loads((out / "estimates.json").read_text("utf-8"))["estimates"]
+        results = json.loads((out / "inference.json").read_text("utf-8"))["results"]
+        for rows in (estimates, results):
+            named = {":".join((r["view"], r["feature"], r["task_group"])): r for r in rows}
+            assert {r["content"] for r in rows} == {
+                "surface:char_count:logical",
+                "surface:char_count:math",
+            }
+            assert all(named[r["content"]]["content"] == r["content"] for r in rows)
 
     def test_artifact_formats(self, tmp_path, small_corpus):
         out = tmp_path / "bundle"
@@ -490,7 +521,10 @@ class TestRunReport:
                 "ess_treated",
                 "ess_control",
                 "max_raw_weight",
+                "content",
             }
+        inference_doc = json.loads((out / "inference.json").read_text("utf-8"))
+        assert all("content" in row for row in inference_doc["results"])
         inference_lines = (out / "inference.csv").read_text("utf-8").splitlines()
         assert inference_lines[0] == f"# {LEGEND}"
         receptivity_doc = json.loads((out / "receptivity.json").read_text("utf-8"))

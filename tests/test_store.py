@@ -14,11 +14,11 @@ from editfx.store import (
     headroom,
     ingest,
     parse_record,
-    partition,
     serialize,
 )
 
 from conftest import make_record
+from oracles import partition
 
 
 def base_doc(**overrides):

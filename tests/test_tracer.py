@@ -12,10 +12,11 @@ from pathlib import Path
 
 from editfx import estimation, report
 from editfx.cli import main
+from editfx.inference import derive_cell_seed
 from editfx.store import serialize
 from editfx.synth import SynthConfig, generate
 
-from test_inference import cell_seed, kept_multisets
+from oracles import block_multisets, content_seeds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,14 +73,25 @@ def test_traced_report_counts_units_and_keeps_the_bundle(tmp_path, monkeypatch):
     monkeypatch.setattr(report, "infer_all", infer_all)
     monkeypatch.setattr(estimation, "_newton", newton)
     assert main([*report_args, "--out", str(tmp_path / "plain")]) == 0
-    # Cells with the same rows and treatments share their refits: one per
-    # distinct (cell data, kept multiset) pair.
-    pairs = {
-        (id(cell.data), key)
-        for family in families
-        for cell in family.cells
-        for key in kept_multisets(cell, cell_seed(cell, 7), 20)
+    # Cells with the same rows and treatments share one bootstrap, seeded
+    # by their first cell: one refit per distinct (cell data, kept multiset),
+    # and each row reports its content's distinct draws.
+    drawn = {
+        data: block_multisets(data, seed, 20) for data, seed in content_seeds(families, 7).items()
     }
+    pairs = {(id(data), key) for data, found in drawn.items() for key, kept in found.items() if kept}
+    cells = [cell for family in families for cell in family.cells]
     distinct = sum(row["distinct_resamples"] for row in inference["results"])
-    assert sum(fits) == len(pairs) <= distinct <= extra["distinct_draws"]
+    assert sum(fits) == len(pairs) <= sum(map(len, drawn.values()))
+    assert distinct == sum(len(drawn[cell.data]) for cell in cells)
+    # The tracer's distinct_draws still replays every cell with its own seed.
+    per_cell = [
+        block_multisets(
+            cell.data,
+            derive_cell_seed(7, cell.spec.view, cell.spec.feature_name, cell.task_group),
+            20,
+        )
+        for cell in cells
+    ]
+    assert extra["distinct_draws"] == sum(map(len, per_cell))
     assert bundle_bytes(tmp_path / "traced") == bundle_bytes(tmp_path / "plain")
