@@ -2,8 +2,8 @@
 
 Subcommands run individual pipeline stages or compose the full report
 bundle. Every analysis command takes its settings from one RunConfig
-(defaults < --config file < flags); estimate, infer and receptivity are
-views over report.Pipeline. Stage outputs (features/motifs JSONL) are
+(defaults < --config file < flags); estimate, infer, loo and receptivity
+are views over report.Pipeline. Stage outputs (features/motifs JSONL) are
 cached, keyed on what they were computed from, so later stages can
 resume without recomputation. Each command imports its own stage
 modules when it runs, so `--version`, `--help`, argument errors and
@@ -320,10 +320,9 @@ def _cmd_infer(args) -> int:
 
 def _cmd_loo(args) -> int:
     from .design import TreatmentSpec
-    from .report import loo_to_csv, write_text
+    from .report import Pipeline, loo_to_csv, write_text
     from .robustness import SignReversalSpec, loo_stability
 
-    _, prepared = _analysis(args)
     signs = (args.sign_a, args.sign_b)
     if None in signs:  # one sign alone is not enough: take both from the baseline
         signs = (None, None)
@@ -334,7 +333,8 @@ def _cmd_loo(args) -> int:
         baseline_sign_a=signs[0],
         baseline_sign_b=signs[1],
     )
-    loo = loo_stability(prepared, reversal)
+    cfg, prepared = _analysis(args)
+    loo = loo_stability(Pipeline(prepared, cfg, views=(args.view,)).families, reversal)
     write_text(_out(args) / "loo.csv", loo_to_csv(loo))
     print(f"stable {loo.stable_count}/{loo.total}")
     return 0

@@ -455,7 +455,7 @@ def run_report(prepared: PreparedCorpus, out_dir: str | Path, **settings) -> dic
     if reversal is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            loo_report = loo_stability(prepared, reversal)
+            loo_report = loo_stability(families, reversal)
         loo_note = (
             f"{reversal.spec.view}:{reversal.spec.feature_name} "
             f"{reversal.group_a} vs {reversal.group_b}"

@@ -22,9 +22,8 @@ import numpy as np
 from . import surface as surface_mod
 from .design import (
     CATEGORICAL_COVARIATES,
-    CellData,
     PreparedCorpus,
-    TestCell,
+    TestFamily,
     TreatmentSpec,
     build_units,
 )
@@ -174,6 +173,8 @@ class SignReversalSpec:
     baseline_sign_b: str | None
 
     def __post_init__(self):
+        if self.group_a == self.group_b:
+            raise ConfigError(f"a sign reversal needs two groups, got '{self.group_a}' twice")
         signs = {self.baseline_sign_a, self.baseline_sign_b}
         if signs != {"+", "-"} and signs != {None}:
             raise ConfigError("baseline signs must be one '+' and one '-'")
@@ -212,59 +213,48 @@ def sign_of(value: float) -> str:
     return "0"
 
 
-def baseline_cells(
-    prepared: PreparedCorpus, spec: TreatmentSpec, groups: tuple[str, str]
-) -> tuple[list[TestCell], list[float]]:
-    """Each reversal group's cell over the whole corpus, and its SIPW estimate.
-
-    Raises ConfigError for a group with no records and DegenerateCellError
-    for a group whose cell has an empty arm.
-    """
-    frame = prepared.frame
-    for group in groups:
-        if group not in frame.groups:
-            raise ConfigError(f"reversal references task group '{group}' with no records")
-    rows, treatment = build_units(prepared, spec)
-    in_group = [frame.group_codes[rows] == frame.groups.index(group) for group in groups]
-    if any(np.unique(treatment[mask]).size != 2 for mask in in_group):
-        raise DegenerateCellError("baseline cell for the reversal has an empty arm")
-    cells = [
-        TestCell(spec=spec, task_group=group, data=CellData(frame, rows[mask], treatment[mask]))
-        for group, mask in zip(groups, in_group)
-    ]
-    return cells, [cell.point_fit[0] for cell in cells]
-
-
-def loo_stability(prepared: PreparedCorpus, reversal: SignReversalSpec) -> LooReport:
+def loo_stability(families: list[TestFamily], reversal: SignReversalSpec) -> LooReport:
     """Re-estimate a sign reversal with each dataset held out in turn.
 
-    Each split refits the propensity model on the baseline cells' rows
-    outside the held-out dataset, as their own population; a unit
-    depends only on its own record, so these are the units the
-    remaining records would give. A split whose exclusion empties a
-    group or an arm is skipped with a note rather than scored. A corpus
-    whose reversal groups draw on a single dataset produces total=0 and
-    a warning. Signs left as None take the baseline estimates' signs.
+    The reversal's two cells are the run's tested cells, found by
+    cell_id in `families`; a cell that was not tested raises
+    ConfigError with the reason it was excluded. The baselines are the
+    cells' point fits. Each split refits the propensity model on a
+    cell's rows outside the held-out dataset, as their own population; a
+    unit depends only on its own record, so these are the units the
+    remaining records would give. A split whose exclusion empties a cell
+    or an arm is skipped with a note rather than scored. Reversal cells
+    that draw on a single dataset produce total=0 and a warning. Signs
+    left as None take the baseline estimates' signs.
     """
-    groups = (reversal.group_a, reversal.group_b)
-    cells, (baseline_a, baseline_b) = baseline_cells(prepared, reversal.spec, groups)
+    spec = reversal.spec
+    tested = {cell.cell_id: cell for family in families for cell in family.cells}
+    excluded = {f"{c}:{group}": reason for f in families for c, group, reason in f.excluded}
+    cells = []
+    for cell_id in (f"{spec.cell_id}:{group}" for group in (reversal.group_a, reversal.group_b)):
+        if cell_id not in tested:
+            reason = excluded.get(cell_id, "no records")
+            if not any(family.name == spec.view for family in families):
+                reason = f"family '{spec.view}' has no testable cells"
+            raise ConfigError(f"reversal cell {cell_id} is not tested: {reason}")
+        cells.append(tested[cell_id])
+    baseline_a, baseline_b = (cell.point_fit[0] for cell in cells)
     if reversal.baseline_sign_a is None:
         reversal = replace(
             reversal, baseline_sign_a=sign_of(baseline_a), baseline_sign_b=sign_of(baseline_b)
         )
-    frame = prepared.frame
     column = CATEGORICAL_COVARIATES.index("dataset")
-    dataset_codes = frame.cat_codes[:, column]
-    in_groups = [frame.group_codes == frame.groups.index(group) for group in groups]
+    dataset_codes = [cell.data.cat_codes[:, column] for cell in cells]
+    levels = cells[0].data.frame.cat_levels[column]
     held_out: list[str] = []
     kept: list[list[np.ndarray]] = [[], []]
     skipped: list[tuple[str, str]] = []
-    for code in np.unique(dataset_codes[in_groups[0] | in_groups[1]]):
-        dataset = frame.cat_levels[column][code]
-        if not all(np.any(in_group & (dataset_codes != code)) for in_group in in_groups):
+    for code in np.unique(np.concatenate(dataset_codes)):
+        dataset = levels[code]
+        masks = [codes != code for codes in dataset_codes]
+        if not all(np.any(mask) for mask in masks):
             skipped.append((dataset, "exclusion empties a reversal group"))
             continue
-        masks = [cell.data.cat_codes[:, column] != code for cell in cells]
         if any(np.unique(cell.data.treatment[mask]).size != 2 for cell, mask in zip(cells, masks)):
             skipped.append((dataset, "exclusion empties a treatment arm"))
             continue

@@ -194,6 +194,13 @@ def _parse_prompt_state(doc: Any, label: str) -> PromptState:
     )
 
 
+def _number(value: Any, label: str) -> float:
+    """A JSON number as a float; a bool or a string is not a number."""
+    if type(value) not in (int, float):
+        raise IngestError(f"field '{label}' must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_annotations(doc: Any, label: str) -> dict[str, float]:
     if not isinstance(doc, dict):
         raise IngestError(f"field '{label}' must be an object")
@@ -201,7 +208,7 @@ def _parse_annotations(doc: Any, label: str) -> dict[str, float]:
     for name, value in doc.items():
         if name not in ANNOTATION_FEATURES:
             raise IngestError(f"unknown annotation feature '{name}' in '{label}'")
-        score = float(value)
+        score = _number(value, f"{label}.{name}")
         if not (1.0 <= score <= 10.0):
             raise IngestError(
                 f"annotation score {name}={score} outside [1,10] in '{label}'"
@@ -252,15 +259,15 @@ def parse_record(doc: dict[str, Any]) -> ComparisonRecord:
     for name in ("accuracy_before", "accuracy_after"):
         if name not in doc:
             raise IngestError(f"missing required field '{name}'")
-    acc_before = float(doc["accuracy_before"])
-    acc_after = float(doc["accuracy_after"])
+    acc_before = _number(doc["accuracy_before"], "accuracy_before")
+    acc_after = _number(doc["accuracy_after"], "accuracy_after")
     for name, acc in (("accuracy_before", acc_before), ("accuracy_after", acc_after)):
         if not (0.0 <= acc <= 1.0):
             raise IngestError(f"accuracy outside [0,1]: {name}={acc}")
 
     computed_gain = acc_after - acc_before
     if "gain" in doc and doc["gain"] is not None:
-        gain = float(doc["gain"])
+        gain = _number(doc["gain"], "gain")
         if not math.isfinite(gain):
             raise IngestError(f"gain {gain} is not finite")
         if abs(gain - computed_gain) > GAIN_TOLERANCE:

@@ -397,7 +397,9 @@ def test_criterion_08_leave_one_out(capsys):
             baseline_sign_a="+",
             baseline_sign_b="-",
         )
-        report = loo_stability(PreparedCorpus(effect_corpus(layout)), reversal)
+        surface = ("surface",)
+        families = enumerate_families(PreparedCorpus(effect_corpus(layout)), views=surface)
+        report = loo_stability(families, reversal)
         flagged = [s.excluded_dataset for s in report.splits if not s.stable]
         contaminated_ok = (
             report.total == 6 and report.stable_count == 5 and flagged == ["m4"]
@@ -410,7 +412,8 @@ def test_criterion_08_leave_one_out(capsys):
             ("solo", "logical", False, 0.0, 6),
         ]
         with pytest.warns(UserWarning, match="no evaluable leave-one-out splits"):
-            solo_report = loo_stability(PreparedCorpus(effect_corpus(solo_layout)), reversal)
+            solo = enumerate_families(PreparedCorpus(effect_corpus(solo_layout)), views=surface)
+            solo_report = loo_stability(solo, reversal)
         solo_ok = solo_report.total == 0 and len(solo_report.skipped) == 1
 
         c["ok"] = contaminated_ok and solo_ok

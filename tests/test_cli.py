@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import editfx
-from editfx import robustness
+from editfx import estimation, robustness
 from editfx.cli import main
 from editfx.design import PreparedCorpus
 from editfx.robustness import construct_validity
@@ -195,15 +195,17 @@ class TestLoo:
     def test_auto_signs_build_the_baseline_once(
         self, reversal_corpus_path, tmp_path, capsys, monkeypatch
     ):
-        calls = {"baseline_cells": 0, "build_units": 0}
-        for name in calls:
-            original = getattr(robustness, name)
+        # The baselines are the tested cells' point fits, and each cell's
+        # splits are one stack: one of each per reversal cell.
+        calls = {"fit_stack": 0, "sipw_stack": 0}
+        for module, name in ((estimation, "fit_stack"), (robustness, "sipw_stack")):
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(robustness, name, counted)
+            monkeypatch.setattr(module, name, counted)
         argv = [
             "loo",
             "--input",
@@ -221,7 +223,43 @@ class TestLoo:
         ]
         assert main(argv) == 0
         assert capsys.readouterr().out.strip() == "stable 4/4"
-        assert calls == {"baseline_cells": 1, "build_units": 1}
+        assert calls == {"fit_stack": 2, "sipw_stack": 2}
+
+    @pytest.mark.parametrize("signs", [[], ["--sign-a", "+", "--sign-b", "-"]])
+    def test_one_group_twice_fails(self, reversal_corpus_path, tmp_path, capsys, signs):
+        argv = ["loo", "--input", str(reversal_corpus_path), "--out", str(tmp_path / "loo")]
+        argv += ["--view", "surface", "--feature", "word_count"]
+        argv += ["--group-a", "math", "--group-b", "math", *signs]
+        assert main(argv) == 1
+        assert "a sign reversal needs two groups, got 'math' twice" in capsys.readouterr().err
+        assert not (tmp_path / "loo").exists()
+
+    def test_min_cell_applies_to_the_reversal_cells(self, tmp_path, capsys):
+        # math has 24 units and logical 40: --min-cell 30 excludes the math
+        # cell, and --min-cell 50 every cell of the surface family.
+        layout = [
+            (dataset, group, treated, effect if treated else 0.0, count)
+            for dataset, group, effect, count in (
+                ("m1", "math", 0.2, 6),
+                ("m2", "math", 0.2, 6),
+                ("l1", "logical", -0.2, 10),
+                ("l2", "logical", -0.2, 10),
+            )
+            for treated in (True, False)
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        serialize(effect_corpus(layout), corpus)
+        argv = ["loo", "--input", str(corpus), "--out", str(tmp_path / "loo")]
+        argv += ["--view", "surface", "--feature", "word_count"]
+        argv += ["--group-a", "math", "--group-b", "logical"]
+        assert main([*argv, "--min-cell", "20"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--min-cell", "30"]) == 1
+        err = capsys.readouterr().err
+        assert "reversal cell surface:word_count:math is not tested: n=24 below minimum 30" in err
+        assert main([*argv, "--min-cell", "50"]) == 1
+        err = capsys.readouterr().err
+        assert "surface:word_count:math is not tested: family 'surface' has no testable" in err
 
     def test_auto_signs_that_agree_fail(self, tmp_path, capsys):
         layout = [

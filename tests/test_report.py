@@ -561,6 +561,22 @@ class TestRunReport:
         assert len(states) == 175
         assert calls == {"extract": len(states), "record_motifs": len(records), "UnitFrame": 1}
 
+    def test_loo_adds_no_point_fit(self, tmp_path, monkeypatch):
+        # The reversal's baselines are its tested cells' point fits, so a
+        # run fits each distinct content once, leave-one-out included.
+        records, _ = generate(SynthConfig(n=120, seed=0, annotate=True))
+        calls = []
+        original = estimation.fit_stack
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "fit_stack", counted)
+        provenance = run_report(PreparedCorpus(records), tmp_path / "bundle", seed=3, resamples=8)
+        assert provenance["loo"]["total"] > 0
+        assert len(calls) == len(set(calls)) == provenance["inference"]["contents"]
+
     def test_annotation_view_does_not_diff(self, monkeypatch):
         # The annotation view and the frame read no motif diffs, so a run
         # of that view alone never computes them.

@@ -10,7 +10,7 @@ from scipy.special import stdtr
 from scipy.stats import rankdata, spearmanr
 
 from editfx import surface
-from editfx.design import PreparedCorpus, TreatmentSpec
+from editfx.design import PreparedCorpus, TreatmentSpec, enumerate_families
 from editfx.errors import ConfigError, DegenerateCellError
 from editfx.robustness import (
     FINGERPRINT_THRESHOLD,
@@ -35,6 +35,11 @@ from editfx.surface import FEATURE_ORDER
 from conftest import GROW, effect_corpus, make_record
 
 WORD_SPEC = TreatmentSpec(view="surface", feature_name="word_count")
+
+
+def surface_families(records):
+    """The surface family a run over these records tests, at default cell minimums."""
+    return enumerate_families(PreparedCorpus(records), views=("surface",))
 
 
 def exact_spearman_p(x, y):
@@ -253,7 +258,7 @@ class TestLooStability:
         )
 
     def test_contaminated_dataset_is_the_only_unstable_split(self):
-        report = loo_stability(PreparedCorpus(self.contaminated_corpus()), self.reversal())
+        report = loo_stability(surface_families(self.contaminated_corpus()), self.reversal())
         assert report.baseline_a > 0.0
         assert report.baseline_b < 0.0
         assert report.total == 6
@@ -273,7 +278,7 @@ class TestLooStability:
         ]
         records = effect_corpus(layout)
         with pytest.warns(UserWarning, match="no evaluable leave-one-out splits"):
-            report = loo_stability(PreparedCorpus(records), self.reversal())
+            report = loo_stability(surface_families(records), self.reversal())
         assert report.total == 0
         assert report.stable_count == 0
         assert report.skipped == [("solo", "exclusion empties a reversal group")]
@@ -289,7 +294,7 @@ class TestLooStability:
             ("l2", "logical", False, 0.0, 6),
         ]
         records = effect_corpus(layout)
-        report = loo_stability(PreparedCorpus(records), self.reversal())
+        report = loo_stability(surface_families(records), self.reversal())
         assert ("m2", "exclusion empties a treatment arm") in report.skipped
         assert all(s.excluded_dataset != "m2" for s in report.splits)
 
@@ -303,7 +308,21 @@ class TestLooStability:
             baseline_sign_b="-",
         )
         with pytest.raises(ConfigError):
-            loo_stability(PreparedCorpus(records), reversal)
+            loo_stability(surface_families(records), reversal)
+
+    def test_untested_cell_gives_its_reason(self):
+        reversal = dataclasses.replace(self.reversal(), group_b="multihop")
+        families = surface_families(self.contaminated_corpus())
+        with pytest.raises(ConfigError, match="multihop is not tested: no records"):
+            loo_stability(families, reversal)
+        # math has 72 units and logical 32.
+        families = enumerate_families(
+            PreparedCorpus(self.contaminated_corpus()), min_cell=40, views=("surface",)
+        )
+        with pytest.raises(ConfigError, match="logical is not tested: n=32 below minimum 40"):
+            loo_stability(families, self.reversal())
+        with pytest.raises(ConfigError, match="family 'surface' has no testable cells"):
+            loo_stability([], self.reversal())
 
     def test_reversal_spec_requires_opposite_signs(self):
         with pytest.raises(ConfigError):

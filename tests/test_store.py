@@ -57,6 +57,13 @@ class TestParseRecord:
         with pytest.raises(IngestError, match="outside"):
             parse_record(base_doc(accuracy_before=-0.1))
 
+    def test_accuracies_and_gain_are_json_numbers(self):
+        record = parse_record(base_doc(accuracy_before=0, accuracy_after=1, gain=1))
+        assert (record.accuracy_before, record.gain) == (0.0, 1.0)
+        for name, value in [("accuracy_before", True), ("accuracy_after", "0.8"), ("gain", "0.1")]:
+            with pytest.raises(IngestError, match=f"field '{name}' must be a number"):
+                parse_record(base_doc(**{name: value}))
+
     def test_missing_required_fields(self):
         for name in ("pair_id", "framework", "backbone", "dataset", "step_index",
                      "before", "after", "accuracy_before", "accuracy_after"):
@@ -109,6 +116,10 @@ class TestParseRecord:
             parse_record(base_doc(annotations_after={"Clarity": 11}))
         with pytest.raises(IngestError, match="outside"):
             parse_record(base_doc(annotations_after={"Clarity": 0.5}))
+        with pytest.raises(IngestError, match="'annotations_before.Clarity' must be a number"):
+            parse_record(base_doc(annotations_before={"Clarity": True}))
+        with pytest.raises(IngestError, match="'annotations_after.Demos' must be a number"):
+            parse_record(base_doc(annotations_after={"Demos": "5"}))
 
     def test_partial_annotation_dicts_allowed(self):
         record = parse_record(base_doc(annotations_before={"Clarity": 5}))
@@ -152,6 +163,11 @@ class TestIngest:
             {"note\udfff": 1},
             # a raw byte that is not UTF-8, put into the instruction text
             pytest.param(b"\xff", id="bad6"),
+            # JSON booleans and strings are not numbers
+            {"accuracy_before": True},
+            {"accuracy_after": "0.8"},
+            {"gain": False},
+            {"gain": "0.1"},
         ],
     )
     def test_invalid_numbers_name_the_line_or_are_skipped(self, tmp_path, bad):
