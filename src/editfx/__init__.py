@@ -9,3 +9,12 @@ benchmark with known ground truth.
 """
 
 __version__ = "0.1.0"
+
+# The four inserted-span motif categories. They live here, not in the
+# motif stage, so the CLI can offer them without loading that stage.
+MOTIF_LABELS = (
+    "chain_of_thought",
+    "meta_instruction",
+    "step_by_step",
+    "clarity_constraint",
+)

@@ -5,10 +5,11 @@ bundle. Every analysis command takes its settings from one RunConfig
 (defaults < --config file < flags); estimate, infer, loo and receptivity
 are views over report.Pipeline. Stage outputs (features/motifs JSONL) are
 cached, keyed on what they were computed from, so later stages can
-resume without recomputation. Each command imports its own stage
-modules when it runs, so `--version`, `--help`, argument errors and
-`validate` start without numpy. Exit codes: 0 success, 1 validation
-failure, 2 internal error.
+resume without recomputation. Each command imports what it runs when
+it runs: `--version`, `--help` and argument errors load no editfx
+module but the package, this one and `errors`, and `validate` adds
+`store` alone.
+Exit codes: 0 success, 1 validation failure, 2 internal error.
 """
 
 from __future__ import annotations
@@ -30,18 +31,14 @@ if platform.machine().lower() in ("x86_64", "amd64"):
     os.environ["OPENBLAS_CORETYPE"] = "Prescott"
 
 import argparse  # noqa: E402
-import hashlib  # noqa: E402
 import json  # noqa: E402
 import re  # noqa: E402
 import warnings  # noqa: E402
-from dataclasses import asdict, fields  # noqa: E402
 from pathlib import Path  # noqa: E402
 from typing import TYPE_CHECKING  # noqa: E402
 
-from . import __version__  # noqa: E402
+from . import MOTIF_LABELS, __version__  # noqa: E402
 from .errors import ConfigError, EditfxError  # noqa: E402
-from .motifs import MOTIF_LABELS  # noqa: E402
-from .store import ingest, serialize  # noqa: E402
 
 if TYPE_CHECKING:
     from .design import PreparedCorpus
@@ -98,6 +95,8 @@ def _artifact(path: str, what: str, key: str, numbers: tuple[str, ...]) -> None:
 
 def _load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Defaults, overlaid by the JSON config file, overlaid by flags."""
+    from dataclasses import fields
+
     from .report import RunConfig
 
     values = {}
@@ -120,6 +119,7 @@ def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
     """Run config and prepared corpus for a command with the common flags."""
     from .design import PreparedCorpus
     from .motifs import MotifRuleset, default_ruleset
+    from .store import ingest
     from .surface import WordLists, default_wordlists
 
     records, _ = ingest(args.input, strict=True)
@@ -164,6 +164,7 @@ def _keyer(*settings):
     are its word-list hash alone; the motif stage's are its ruleset hash
     and whether demos are diffed.
     """
+    import hashlib
 
     def key(record) -> str:
         states = [record.before.to_json(), record.after.to_json()]
@@ -243,6 +244,8 @@ def _out(args) -> Path:
 
 
 def _cmd_validate(args) -> int:
+    from .store import ingest
+
     records, stats = ingest(args.input, strict=not args.lenient)
     print(json.dumps(stats.to_json(), indent=2, sort_keys=True))
     if args.lenient and stats.skipped_count and args.fail_on_skip:
@@ -364,6 +367,7 @@ def _cmd_receptivity(args) -> int:
 
 def _cmd_synth(args) -> int:
     from .report import write_json
+    from .store import serialize
     from .synth import SynthConfig, generate
 
     cfg = SynthConfig()
@@ -380,6 +384,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from dataclasses import asdict
+
     from .report import render_from_artifacts, run_report
 
     out = Path(args.out)

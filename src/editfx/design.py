@@ -388,6 +388,15 @@ class PreparedCorpus:
         return self._motif
 
     @cached_property
+    def annotated(self) -> list[tuple[int, dict, dict]]:
+        """(row, before, after) annotation vectors of each record that has both, in row order."""
+        return [
+            (row, r.annotations_before, r.annotations_after)
+            for row, r in enumerate(self.records)
+            if r.annotations_before and r.annotations_after
+        ]
+
+    @cached_property
     def frame(self) -> UnitFrame:
         """Every record's unit, packed once; covariates come from the before state."""
         records = self.records
@@ -435,9 +444,11 @@ def build_units(prepared: PreparedCorpus, spec: TreatmentSpec) -> tuple[np.ndarr
         before, after = prepared.surface_arrays()
         k = FEATURE_ORDER.index(feature)
         return np.arange(len(records)), (after[:, k] - before[:, k] > 0).astype(np.int8)
-    pairs = [(r.annotations_before or {}, r.annotations_after or {}) for r in records]
-    rows = [row for row, (old, new) in enumerate(pairs) if feature in old and feature in new]
-    treatment = [pairs[row][1][feature] - pairs[row][0][feature] > 0 for row in rows]
+    kept = [
+        (row, old, new) for row, old, new in prepared.annotated if feature in old and feature in new
+    ]
+    rows = [row for row, _, _ in kept]
+    treatment = [new[feature] - old[feature] > 0 for _, old, new in kept]
     return np.asarray(rows, dtype=np.intp), np.asarray(treatment, dtype=np.int8)
 
 
@@ -451,9 +462,11 @@ def enumerate_families(
 
     A cell is excluded (and logged on its family) when it has fewer than
     min_cell units or fewer than min_arm units in either arm; all-treated
-    and all-control cells fall out of the arm rule. Families that lose
-    every cell are dropped with a warning. Family m is the surviving
-    count, which is what BH correction later divides by. Cells with the
+    and all-control cells fall out of the arm rule. A family that loses
+    every cell is kept with m = 0 and its exclusions, with a warning; a
+    view with no units at all (the annotation view of an unannotated
+    corpus) gives no family. Family m is the surviving count, which is
+    what BH correction later divides by. Cells with the
     same rows and treatments, in any view, share one CellData, and so
     its fits.
     """
@@ -491,10 +504,10 @@ def enumerate_families(
                     cells.append(TestCell(spec=spec, task_group=group, data=data))
                     continue
                 excluded.append((spec.cell_id, group, reason))
-        if cells:
+        if not cells:
+            warnings.warn(f"family '{view}' has no testable cells", stacklevel=2)
+        if cells or excluded:
             families.append(TestFamily(name=view, cells=cells, excluded=excluded))
-        else:
-            warnings.warn(f"family '{view}' has no testable cells; dropped", stacklevel=2)
     return families
 
 

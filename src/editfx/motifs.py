@@ -21,16 +21,12 @@ from importlib import resources
 from itertools import combinations, islice
 from typing import Callable
 
+import numpy as np
+
+from . import MOTIF_LABELS
 from .errors import ConfigError, SchemaError
 from .store import ComparisonRecord
 from .surface import _TOKEN, tokenize
-
-MOTIF_LABELS = (
-    "chain_of_thought",
-    "meta_instruction",
-    "step_by_step",
-    "clarity_constraint",
-)
 
 MIN_SPAN_TOKENS = 4
 
@@ -352,8 +348,6 @@ def audit_sample(
     diff (as `PreparedCorpus.motif_results` gives), so the spans follow
     the run's ruleset and demo setting.
     """
-    import numpy as np  # here alone, so the CLI's import of MOTIF_LABELS loads no numpy
-
     if label not in MOTIF_LABELS:
         raise ConfigError(f"unknown motif label '{label}'")
     if k < 1:

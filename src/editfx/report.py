@@ -393,20 +393,25 @@ class Pipeline:
             )
 
     @cached_property
+    def tested(self):
+        """The families with a cell to test: the ones estimated, inferred and tabled."""
+        return [family for family in self.families if family.cells]
+
+    @cached_property
     def content_ids(self) -> dict[str, str]:
         """Each cell's content, by cell_id: the cell_id of its content's first cell."""
         return {cell_id: first.cell_id for cell_id, first in contents(self.families).items()}
 
     @cached_property
     def estimates(self) -> dict:
-        bundle = estimate_all(self.families, scope=self.cfg.scope)
+        bundle = estimate_all(self.tested, scope=self.cfg.scope)
         return estimates_to_json(bundle, self.content_ids)
 
     @cached_property
     def inference(self) -> dict:
         cfg = self.cfg
         results, skipped = infer_all(
-            self.families,
+            self.tested,
             master_seed=cfg.seed,
             resamples=cfg.resamples,
             alpha=cfg.alpha,
@@ -446,7 +451,7 @@ def run_report(prepared: PreparedCorpus, out_dir: str | Path, **settings) -> dic
     inference_doc = pipeline.write_inference(out)
     families = pipeline.families
     family_files = _write_tables(
-        out, [f.name for f in families], estimate_rows, inference_doc["results"], cfg.alpha
+        out, [f.name for f in pipeline.tested], estimate_rows, inference_doc["results"], cfg.alpha
     )
 
     reversal = choose_reversal(estimate_rows)

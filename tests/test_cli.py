@@ -18,9 +18,10 @@ from pathlib import Path
 import pytest
 
 import editfx
-from editfx import estimation, robustness
+from editfx import estimation, motifs, robustness
 from editfx.cli import main
 from editfx.design import PreparedCorpus
+from editfx.report import BUNDLE_FILES
 from editfx.robustness import construct_validity
 from editfx.store import ingest, serialize
 from editfx.surface import FEATURE_ORDER, WordLists
@@ -236,7 +237,8 @@ class TestLoo:
 
     def test_min_cell_applies_to_the_reversal_cells(self, tmp_path, capsys):
         # math has 24 units and logical 40: --min-cell 30 excludes the math
-        # cell, and --min-cell 50 every cell of the surface family.
+        # cell, and --min-cell 50 every cell of the surface family, which
+        # keeps each cell's own reason.
         layout = [
             (dataset, group, treated, effect if treated else 0.0, count)
             for dataset, group, effect, count in (
@@ -259,7 +261,7 @@ class TestLoo:
         assert "reversal cell surface:word_count:math is not tested: n=24 below minimum 30" in err
         assert main([*argv, "--min-cell", "50"]) == 1
         err = capsys.readouterr().err
-        assert "surface:word_count:math is not tested: family 'surface' has no testable" in err
+        assert "reversal cell surface:word_count:math is not tested: n=24 below minimum 50" in err
 
     def test_auto_signs_that_agree_fail(self, tmp_path, capsys):
         layout = [
@@ -347,6 +349,25 @@ class TestReportCommand:
         assert (rendered / "table_surface.csv").read_bytes() == (
             bundle / "table_surface.csv"
         ).read_bytes()
+
+    def test_family_losing_every_cell_keeps_its_exclusions(self, corpus_path, tmp_path):
+        # No cell reaches --min-cell: each family is listed untested, with
+        # its reasons, and gets no table; the unannotated corpus's
+        # annotation view has no units, so it is not listed.
+        out = tmp_path / "bundle"
+        argv = ["report", "--input", str(corpus_path), "--out", str(out), "--resamples", "8"]
+        assert main([*argv, "--min-cell", "5000"]) == 0
+        provenance = json.loads((out / "provenance.json").read_text("utf-8"))
+        families = provenance["families"]
+        assert [family["name"] for family in families] == ["surface", "motif"]
+        for family in families:
+            assert (family["m"], family["cells"], family["contents"]) == (0, 0, 0)
+            assert family["excluded"]
+            assert all(reason.endswith("below minimum 5000") for *_, reason in family["excluded"])
+        assert provenance["outputs"] == sorted(BUNDLE_FILES)
+        assert sorted(path.name for path in out.iterdir()) == sorted(BUNDLE_FILES)
+        assert json.loads((out / "estimates.json").read_text("utf-8"))["estimates"] == []
+        assert json.loads((out / "inference.json").read_text("utf-8"))["results"] == []
 
     def test_requires_input_or_estimates(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "x")]) == 1
@@ -769,7 +790,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("editfx.cli.ingest", boom)
+        monkeypatch.setattr("editfx.store.ingest", boom)
         assert main(["validate", "--input", str(corpus_path)]) == 2
         assert capsys.readouterr().err.startswith("internal error: RuntimeError: boom")
 
@@ -810,8 +831,11 @@ class TestExitCodes:
 
     def test_commands_without_analysis_start_without_numpy(self, corpus_path, tmp_path):
         # Stage modules are imported by the command that runs them: the
-        # import, --version, --help, an argument error and validate load
-        # no numpy; report loads it and still succeeds.
+        # import, --version, --help and an argument error load no editfx
+        # module but the parser's, nor dataclasses, hashlib or logging
+        # unless the bare interpreter has them; validate loads store but
+        # no text stage and no numpy; report loads numpy and succeeds.
+        watched = ("dataclasses", "hashlib", "logging")
         program = (
             "import contextlib, io, json, sys\n"
             "from editfx.cli import main\n"
@@ -822,7 +846,10 @@ class TestExitCodes:
             "        code = 0 if argv is None else main(argv)\n"
             "    except SystemExit as exc:\n"
             "        code = exc.code\n"
-            "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'numpy']]))\n"
+            f"watched = {watched!r}\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m.split('.')[0] in ('numpy', 'editfx') or m in watched]\n"
+            "print(json.dumps([code, loaded]))\n"
         )
         runs = {
             "import": (None, 0),
@@ -836,6 +863,14 @@ class TestExitCodes:
             ),
         }
         src = str(Path(editfx.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        bare = subprocess.run(
+            [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        ).stdout.split()
         loaded = {}
         for name, (argv, expected) in runs.items():
             result = subprocess.run(
@@ -843,13 +878,32 @@ class TestExitCodes:
                 capture_output=True,
                 text=True,
                 timeout=120,
-                env={**os.environ, "PYTHONPATH": src},
+                env=env,
             )
             assert result.returncode == 0, (name, result.stderr)
-            code, loaded[name] = json.loads(result.stdout)
+            code, found = json.loads(result.stdout)
+            loaded[name] = set(found)
             assert code == expected, name
-        assert loaded.pop("report")
-        assert loaded == {name: [] for name in loaded}
+        assert "numpy" in loaded.pop("report")
+        validate = loaded.pop("validate")
+        assert "editfx.store" in validate
+        assert not validate & {"editfx.motifs", "editfx.surface", "numpy"}
+        parser_only = {"editfx", "editfx.cli", "editfx.errors"} | (set(watched) & set(bare))
+        assert loaded == {name: parser_only for name in loaded}
+
+    def test_motif_labels_without_the_motif_stage(self, corpus_path, tmp_path, capsys):
+        # One definition, in the package: the motif stage and the parser share it.
+        assert motifs.MOTIF_LABELS is editfx.MOTIF_LABELS
+        with pytest.raises(SystemExit) as excinfo:
+            main(["motifs", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert all(label in out for label in editfx.MOTIF_LABELS)
+        argv = ["motifs", "--input", str(corpus_path), "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--audit-label", "bogus"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_numpy_loaded_first_gets_a_note(self, corpus_path):
         # The BLAS pins take effect only if the CLI loads numpy; a caller

@@ -410,7 +410,7 @@ class TestEnumerateFamilies:
         records = self.make_corpus()
         with pytest.warns(UserWarning):
             families = enumerate_families(PreparedCorpus(records), views=VIEWS)
-        assert [f.name for f in families] == ["surface"]
+        assert [f.name for f in families] == ["surface", "motif"]
         family = families[0]
         cell_ids = [c.cell_id for c in family.cells]
         assert "surface:word_count:math" in cell_ids
@@ -424,11 +424,26 @@ class TestEnumerateFamilies:
             "arms treated=0 control=20 below minimum 3",
         ) in family.excluded
 
-    def test_empty_families_warn_and_drop(self):
+    def test_family_losing_every_cell_keeps_its_exclusions(self):
+        # Every motif cell is excluded: the family stays, with m = 0 and its
+        # reasons. The annotation view of an unannotated corpus has no units
+        # to exclude, so it gives no family.
         records = self.make_corpus()
-        with pytest.warns(UserWarning, match="family 'motif' has no testable cells"):
-            families = enumerate_families(PreparedCorpus(records), views=("motif",))
-        assert families == []
+        with pytest.warns(UserWarning) as caught:
+            families = enumerate_families(PreparedCorpus(records), views=("annotation", "motif"))
+        assert [str(w.message) for w in caught] == [
+            "family 'annotation' has no testable cells",
+            "family 'motif' has no testable cells",
+        ]
+        [family] = families
+        assert (family.name, family.m, family.cells) == ("motif", 0, [])
+        assert len(family.excluded) == 8
+        assert ("motif:step_by_step", "sequential", "n=5 below minimum 10") in family.excluded
+        assert (
+            "motif:step_by_step",
+            "math",
+            "arms treated=0 control=20 below minimum 3",
+        ) in family.excluded
 
     def test_min_arm_boundary(self):
         base = "table value record input"
