@@ -112,17 +112,15 @@ class SharedDesign:
     `rows` are the cell rows in design order. Rows come in runs that
     start at `starts`; every row of run r takes `levels[r]` as its
     one-hot columns, so each product with those columns is a sum over
-    runs instead of over rows. `scale` is the std each numeric column
-    was divided by and `variable` the categorical variable of each
-    one-hot column; both are None for a bare matrix.
+    runs instead of over rows. `variable` is the categorical variable of
+    each one-hot column; None for a bare matrix.
     """
 
-    def __init__(self, rows, dense, starts, levels, scale=None, variable=None):
+    def __init__(self, rows, dense, starts, levels, variable=None):
         self.rows = rows
         self.dense = dense
         self.starts = starts
         self.levels = levels
-        self.scale = scale
         self.variable = variable
         self.dense_t = np.ascontiguousarray(dense.T)
         self.n, self.n_dense = dense.shape
@@ -202,7 +200,6 @@ class CellData:
             np.hstack([np.ones((self.n, 1)), (numeric - mean) / scale]),
             starts,
             levels.astype(np.float64),
-            scale=scale,
             variable=np.repeat(np.arange(len(present)), [lv.size for lv in present]),
         )
 

@@ -72,109 +72,6 @@ def derive_cell_seed(master_seed: int, view: str, feature: str, group: str) -> i
     return int.from_bytes(digest[:8], "big")
 
 
-# numpy's SeedSequence hash constants (pool of 4 words) and PCG64's
-# 128-bit LCG multiplier, as numpy.random.default_rng uses them.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_M32 = 0xFFFFFFFF
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's running hash of uint32 words: each call advances the constant."""
-    const = init
-
-    def hash_word(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _M32
-        value = value * np.uint32(const)
-        return value ^ value >> 16
-
-    return hash_word
-
-
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """One PCG64 step, state * multiplier + inc mod 2**128, on uint64 limbs."""
-    a0, a1 = lo & _M32, lo >> 32
-    p00, p01 = a0 * (_PCG_LO & _M32), a0 * (_PCG_LO >> 32)
-    p10, p11 = a1 * (_PCG_LO & _M32), a1 * (_PCG_LO >> 32)
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    low = mid << 32 | p00 & _M32
-    high = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * _PCG_HI + hi * _PCG_LO
-    new_lo = low + inc_lo
-    return high + inc_hi + (new_lo < low), new_lo
-
-
-def _bounded_draws(seed: int, high: int, size: int, resamples: int) -> np.ndarray:
-    """Row r is np.random.default_rng([seed, r]).integers(0, high, size=size), bit for bit.
-
-    Every row is computed at once: numpy's SeedSequence pool and
-    generate_state, PCG64 seeding and XSL-RR output, its 32-bit halves
-    taken low first, and Lemire's bounded multiply. A row in which
-    Lemire's method would reject a value, and so draw again, is redrawn
-    with numpy itself (about size * high / 2**32 of rows). Needs
-    1 <= high < 2**32.
-    """
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    if not 1 <= high <= _M32:
-        raise ValueError("high must lie in [1, 2**32)")
-    # SeedSequence entropy: the seed's 32-bit words, low first, then r.
-    words, rest = [], seed
-    while True:
-        words.append(rest & _M32)
-        rest >>= 32
-        if not rest:
-            break
-    entropy = [np.full(resamples, w, dtype=np.uint32) for w in words]
-    entropy.append(np.arange(resamples, dtype=np.uint32))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        value = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return value ^ value >> 16
-
-    # Hash the first 4 words into the pool, mix each pool word into the
-    # others, then fold in the words beyond the pool.
-    zero = np.zeros(resamples, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): 8 hashed words read as little-endian
-    # pairs; PCG64 takes the first two as its initial state and the last
-    # two as its stream, high word first.
-    state_hash = _hasher(_INIT_B, _MULT_B)
-    state = [state_hash(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (state[2 * j] | state[2 * j + 1] << 32 for j in range(4))
-
-    # From state 0 one step gives inc; add the initial state, step again.
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    lo = inc_lo + seed_lo
-    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    # Each step's XSL-RR output serves two 32-bit values, low half first.
-    outputs = np.empty((resamples, -(-size // 2), 2), dtype=np.uint64)
-    for k in range(outputs.shape[1]):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        value, rot = hi ^ lo, hi >> 58
-        value = value >> rot | value << (-rot & 63)
-        outputs[:, k, 0], outputs[:, k, 1] = value & _M32, value >> 32
-    # Lemire: a value is the high word of value * high; a low word below
-    # (2**32 - high) % high is rejected, which shifts the rest of its row.
-    scaled = outputs.reshape(resamples, -1)[:, :size] * high
-    drawn = (scaled >> 32).astype(np.int64)
-    for r in np.flatnonzero(np.any(scaled & _M32 < (2**32 - high) % high, axis=1)):
-        drawn[r] = np.random.default_rng([seed, int(r)]).integers(0, high, size=size)
-    return drawn
-
-
 def block_bootstrap(
     cell: TestCell,
     *,
@@ -226,7 +123,9 @@ def block_bootstrap(
     # population[k][columns[i]] is how often row i is counted in it.
     columns = data.block_codes if mode == "block" else np.arange(data.n)
     size = n_blocks if mode == "block" else data.n
-    drawn = _bounded_draws(seed, size, size, resamples)
+    drawn = np.array(
+        [np.random.default_rng([seed, r]).integers(0, size, size=size) for r in range(resamples)]
+    )
     drawn += np.arange(resamples)[:, None] * size
     counts = np.bincount(drawn.ravel(), minlength=resamples * size).reshape(resamples, size)
     population, draws = counts, np.arange(resamples)

@@ -416,9 +416,11 @@ def construct_validity(
     Surface vectors come from the prepared corpus, so they use the run's
     word lists. Prompt states are pooled across before and after sides and
     deduplicated by exact text, since consecutive revision pairs
-    share states and double counting would inflate n. A pair whose ranks
-    are constant on either side gets rho=None with the reason as its note,
-    and the other pairs are still computed.
+    share states and double counting would inflate n. A pair with fewer
+    than 3 states, or whose ranks are constant on either side, gets
+    rho=None with the reason as its note, and the other pairs are still
+    computed; ConfigError, with the first pair's note, when no pair has 3
+    states.
     """
     if pairs is None:
         pairs = default_validity_pairs()
@@ -446,15 +448,14 @@ def construct_validity(
             if annotation_feature in annotations:
                 xs.append(annotations[annotation_feature])
                 ys.append(vector[surface_feature])
-        if len(xs) < 3:
-            raise ConfigError(
-                f"pair ({annotation_feature}, {surface_feature}) has fewer than 3 states"
-            )
         rho, p_value, note = None, None, None
-        try:
-            rho, p_value = spearman(xs, ys, seed=seed)
-        except DegenerateCellError as exc:
-            note = str(exc)
+        if len(xs) < 3:
+            note = f"pair ({annotation_feature}, {surface_feature}) has fewer than 3 states"
+        else:
+            try:
+                rho, p_value = spearman(xs, ys, seed=seed)
+            except DegenerateCellError as exc:
+                note = str(exc)
         results.append(
             ValidityResult(
                 annotation_feature=annotation_feature,
@@ -465,6 +466,8 @@ def construct_validity(
                 note=note,
             )
         )
+    if results and all(r.n < 3 for r in results):
+        raise ConfigError(results[0].note)
     return results
 
 

@@ -440,6 +440,28 @@ class TestConstructValidity:
         assert monotone.note is None
         assert monotone.validated
 
+    def test_pairs_without_states_listed_beside_computed_pair(self):
+        # Annotated for Metacognition only: the other default pairs lack states.
+        results = construct_validity(PreparedCorpus(self.graded_records()))
+        by_pair = {(r.annotation_feature, r.surface_feature): r for r in results}
+        assert len(results) == len(default_validity_pairs())
+        monotone = by_pair["Metacognition", "metacog_word_density"]
+        assert monotone.rho == pytest.approx(1.0)
+        assert monotone.validated
+        short = by_pair["Intrinsic_load", "word_count"]
+        assert short.rho is None and short.p_value is None
+        assert short.n == 0
+        assert short.note == "pair (Intrinsic_load, word_count) has fewer than 3 states"
+        assert not short.validated
+
+    def test_no_pair_with_three_states_rejected(self):
+        # Two annotated states: the first pair's note is the error.
+        records = [
+            dataclasses.replace(r, annotations_after=None) for r in self.graded_records()[:2]
+        ]
+        with pytest.raises(ConfigError, match=r"^pair \(Metacognition, metacog_word_density\) "):
+            construct_validity(PreparedCorpus(records))
+
     def test_unknown_surface_feature_rejected(self):
         with pytest.raises(ConfigError):
             construct_validity(
