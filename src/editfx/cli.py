@@ -2,10 +2,11 @@
 
 Subcommands run individual pipeline stages or compose the full report
 bundle. Every analysis command takes its settings from one RunConfig
-(defaults < --config file < flags); estimate, infer, loo and receptivity
-are views over report.Pipeline. Stage outputs (features/motifs JSONL) are
-cached, keyed on what they were computed from, so later stages can
-resume without recomputation. Each command imports what it runs when
+(defaults < --config file < flags); estimate, infer, loo, ceiling and
+receptivity are views over report.Pipeline, and all but loo write their
+files with the writer of the report bundle. Stage outputs
+(features/motifs JSONL) are cached, keyed on what they were computed
+from, so later stages can resume without recomputation. Each command imports what it runs when
 it runs: `--version`, `--help` and argument errors load no editfx
 module but the package, this one and `errors`, and `validate` adds
 `store` alone.
@@ -303,27 +304,33 @@ def _cmd_motifs(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    from .report import Pipeline
+def _pipeline(args, views: tuple[str, ...] | None = None):
+    """The command's run, a report.Pipeline over `views` (all when None)."""
+    from .report import VIEWS, Pipeline
 
     cfg, prepared = _analysis(args)
-    doc = Pipeline(prepared, cfg).write_estimates(_out(args))
+    return Pipeline(prepared, cfg, views or VIEWS)
+
+
+def _cmd_estimate(args) -> int:
+    pipeline = _pipeline(args)
+    pipeline.write(_out(args), ["estimates.json", "estimates.csv"])
+    doc = pipeline.estimates
     print(f"estimated {len(doc['estimates'])} cells, skipped {len(doc['skipped'])}")
     return 0
 
 
 def _cmd_infer(args) -> int:
-    from .report import Pipeline
-
-    cfg, prepared = _analysis(args)
-    doc = Pipeline(prepared, cfg).write_inference(_out(args))
+    pipeline = _pipeline(args)
+    pipeline.write(_out(args), ["inference.json", "inference.csv"])
+    doc = pipeline.inference
     print(f"tested {len(doc['results'])} cells, skipped {len(doc['skipped'])}")
     return 0
 
 
 def _cmd_loo(args) -> int:
     from .design import TreatmentSpec
-    from .report import Pipeline, loo_to_csv, write_text
+    from .report import loo_to_csv, write_text
     from .robustness import SignReversalSpec, loo_stability
 
     signs = (args.sign_a, args.sign_b)
@@ -336,32 +343,26 @@ def _cmd_loo(args) -> int:
         baseline_sign_a=signs[0],
         baseline_sign_b=signs[1],
     )
-    cfg, prepared = _analysis(args)
-    loo = loo_stability(Pipeline(prepared, cfg, views=(args.view,)).families, reversal)
+    loo = loo_stability(_pipeline(args, views=(args.view,)).families, reversal)
     write_text(_out(args) / "loo.csv", loo_to_csv(loo))
     print(f"stable {loo.stable_count}/{loo.total}")
     return 0
 
 
 def _cmd_ceiling(args) -> int:
-    from .report import write_json
-    from .robustness import ceiling
-
-    cfg, prepared = _analysis(args)
-    doc = ceiling(prepared.records, seed=cfg.seed).to_json()
-    write_json(_out(args) / "ceiling.json", doc)
+    pipeline = _pipeline(args)
+    doc = pipeline.ceiling
+    if "note" in doc:  # the report keeps the reason as a note; asked for alone, it is an error
+        raise ConfigError(doc["note"])
+    pipeline.write(_out(args), ["ceiling.json"])
     print(json.dumps(doc, sort_keys=True))
     return 0
 
 
 def _cmd_receptivity(args) -> int:
-    from .report import Pipeline, receptivity_section, write_json
-
-    cfg, prepared = _analysis(args)
-    estimates = Pipeline(prepared, cfg, views=("annotation",)).estimates
-    doc = receptivity_section(prepared.records, estimates["estimates"])
-    write_json(_out(args) / "receptivity.json", doc)
-    print(json.dumps(doc, sort_keys=True))
+    pipeline = _pipeline(args, views=("annotation",))
+    pipeline.write(_out(args), ["receptivity.json"])
+    print(json.dumps(pipeline.receptivity, sort_keys=True))
     return 0
 
 

@@ -279,11 +279,12 @@ class PreparedCorpus:
     """One run's corpus: its records, word lists, ruleset and demo setting.
 
     Every analysis step of a run reads this one object. Surface vectors,
-    motif diffs and the unit frame are computed at most once per record
-    no matter how many features or steps draw on them, and the two text
-    stages share one token list per text (see prepare_text). Precomputed
-    stages (for example read back from stage caches) can be injected;
-    `stale_caches` lists the stage caches a run ignored, with the reason.
+    motif diffs and the unit frame are computed at most once per record,
+    and each treatment spec's units once, no matter how many features or
+    steps draw on them; the two text stages share one token list per text
+    (see prepare_text). Precomputed stages (for example read back from
+    stage caches) can be injected; `stale_caches` lists the stage caches a
+    run ignored, with the reason.
     """
 
     def __init__(
@@ -309,6 +310,7 @@ class PreparedCorpus:
             )
         self._motif: dict[str, dict[str, int]] | None = dict(motif_cache) if motif_cache else None
         self._motif_results: dict[str, motifs_mod.MotifResult] | None = None
+        self._units: dict[TreatmentSpec, tuple[np.ndarray, np.ndarray]] = {}
 
     def prepare_text(self, surface: bool = True, motifs: bool = True) -> None:
         """Compute the requested text stages in one pass over the records.
@@ -383,6 +385,13 @@ class PreparedCorpus:
         if self._motif is None:
             self._motif = motifs_mod.motif_treatments(self.motif_results())
         return self._motif
+
+    def units(self, spec: TreatmentSpec) -> tuple[np.ndarray, np.ndarray]:
+        """build_units(self, spec), made once per spec; callers must not write to the arrays."""
+        found = self._units.get(spec)
+        if found is None:
+            found = self._units[spec] = build_units(self, spec)
+        return found
 
     @cached_property
     def annotated(self) -> list[tuple[int, dict, dict]]:
@@ -478,7 +487,7 @@ def enumerate_families(
         cells, excluded = [], []
         for feature in view_features(view):
             spec = TreatmentSpec(view=view, feature_name=feature)
-            rows, treatment = build_units(prepared, spec)
+            rows, treatment = prepared.units(spec)
             row_groups = frame.group_codes[rows]
             for code in np.unique(row_groups):
                 group = frame.groups[code]

@@ -15,7 +15,7 @@ import io
 import json
 import warnings
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
 
 from . import __version__
@@ -44,18 +44,6 @@ from .robustness import (
 from .store import ComparisonRecord, TASK_GROUPS, compute_stats
 
 LEGEND = "★ = BH-FDR q<0.05; * = uncorrected p<0.05"
-
-BUNDLE_FILES = (
-    "estimates.csv",
-    "estimates.json",
-    "inference.csv",
-    "inference.json",
-    "loo.csv",
-    "per_dataset.csv",
-    "ceiling.json",
-    "receptivity.json",
-    "provenance.json",
-)
 
 
 @dataclass(frozen=True)
@@ -98,8 +86,12 @@ def write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
+def json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def write_json(path: Path, doc) -> None:
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    write_text(path, json_text(doc))
 
 
 ESTIMATE_COLUMNS = (
@@ -267,18 +259,14 @@ def render_heatmap(view: str, estimate_rows: list[dict]) -> str:
     return csv_text(["feature", *groups], lines)
 
 
-def _write_tables(
-    out: Path, views, estimate_rows: list[dict], inference_rows: list[dict], alpha: float
-) -> list[str]:
-    """Write table_<view>.csv and heatmap_<view>.csv per view; returns the names."""
-    files = []
+def table_files(
+    views, estimate_rows: list[dict], inference_rows: list[dict], alpha: float
+) -> dict[str, str]:
+    """table_<view>.csv and heatmap_<view>.csv per view, by file name."""
+    files = {}
     for view in views:
-        write_text(
-            out / f"table_{view}.csv",
-            render_family_table(view, estimate_rows, inference_rows, alpha),
-        )
-        write_text(out / f"heatmap_{view}.csv", render_heatmap(view, estimate_rows))
-        files += [f"table_{view}.csv", f"heatmap_{view}.csv"]
+        files[f"table_{view}.csv"] = render_family_table(view, estimate_rows, inference_rows, alpha)
+        files[f"heatmap_{view}.csv"] = render_heatmap(view, estimate_rows)
     return files
 
 
@@ -364,13 +352,25 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def stage(build):
+    """A Pipeline stage, built at most once per run, with warnings silenced: the one place every
+    stage passes through. The bundle itself states what each stage skipped and why."""
+
+    def run(pipeline):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return build(pipeline)
+
+    return cached_property(wraps(build)(run))
+
+
 class Pipeline:
     """One analysis run over a corpus, staged and built lazily.
 
-    Families, the estimates document and the inference document are each
-    built at most once, from the prepared corpus and `cfg`; every analysis
-    command is a view over these stages. The corpus must diff demos
-    exactly when `cfg` says so.
+    Each stage is built at most once, from the prepared corpus and `cfg`,
+    and every bundle file is rendered from the stages by `write`: the
+    report writes them all, and each analysis command is a view that
+    writes some. The corpus must diff demos exactly when `cfg` says so.
     """
 
     def __init__(self, prepared: PreparedCorpus, cfg: RunConfig, views: tuple[str, ...] = VIEWS):
@@ -383,31 +383,29 @@ class Pipeline:
         self.prepared = prepared
         self.views = views
 
-    @cached_property
+    @stage
     def families(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = self.cfg
-            return enumerate_families(
-                self.prepared, min_cell=cfg.min_cell, min_arm=cfg.min_arm, views=self.views
-            )
+        cfg = self.cfg
+        return enumerate_families(
+            self.prepared, min_cell=cfg.min_cell, min_arm=cfg.min_arm, views=self.views
+        )
 
-    @cached_property
+    @stage
     def tested(self):
         """The families with a cell to test: the ones estimated, inferred and tabled."""
         return [family for family in self.families if family.cells]
 
-    @cached_property
+    @stage
     def content_ids(self) -> dict[str, str]:
         """Each cell's content, by cell_id: the cell_id of its content's first cell."""
         return {cell_id: first.cell_id for cell_id, first in contents(self.families).items()}
 
-    @cached_property
+    @stage
     def estimates(self) -> dict:
         bundle = estimate_all(self.tested, scope=self.cfg.scope)
         return estimates_to_json(bundle, self.content_ids)
 
-    @cached_property
+    @stage
     def inference(self) -> dict:
         cfg = self.cfg
         results, skipped = infer_all(
@@ -420,17 +418,136 @@ class Pipeline:
         )
         return inference_to_json(results, skipped, cfg.alpha, self.content_ids)
 
-    def write_estimates(self, out: Path) -> dict:
-        doc = self.estimates
-        write_json(out / "estimates.json", doc)
-        write_text(out / "estimates.csv", estimates_to_csv(doc["estimates"]))
+    @stage
+    def loo(self) -> tuple[LooReport | None, str]:
+        """The widest sign reversal (choose_reversal) with each dataset left out, and its note."""
+        reversal = choose_reversal(self.estimates["estimates"])
+        if reversal is None:
+            return None, "no feature shows opposite-sign group estimates"
+        spec = reversal.spec
+        note = f"{spec.view}:{spec.feature_name} {reversal.group_a} vs {reversal.group_b}"
+        return loo_stability(self.families, reversal), note
+
+    @stage
+    def per_dataset(self) -> list[dict]:
+        """Each motif feature's naive per-dataset CATE rows."""
+        specs = [TreatmentSpec(view="motif", feature_name=f) for f in view_features("motif")]
+        return [
+            {
+                "view": "motif",
+                "feature": spec.feature_name,
+                "dataset": dataset,
+                "cate": stats.cate if stats.defined else None,
+                "n_treated": stats.n_treated,
+                "n_control": stats.n_control,
+            }
+            for spec in specs
+            for dataset, stats in per_dataset_cate(self.prepared, spec).items()
+        ]
+
+    @stage
+    def ceiling(self) -> dict:
+        """The headroom diagnostics, or a note saying why this corpus has none."""
+        try:
+            return ceiling(self.prepared.records, seed=self.cfg.seed).to_json()
+        except (ConfigError, DegenerateCellError) as exc:
+            return {"note": str(exc)}
+
+    @stage
+    def receptivity(self) -> dict:
+        return receptivity_section(self.prepared.records, self.estimates["estimates"])
+
+    @stage
+    def validity(self) -> dict:
+        """Construct validity of each (annotation, surface) pair, or a note saying why none."""
+        try:
+            results = construct_validity(self.prepared, seed=self.cfg.seed)
+        except ConfigError as exc:
+            return {"note": str(exc)}
+        return {
+            "validated": sum(1 for r in results if r.validated),
+            "total": len(results),
+            "pairs": [{**asdict(r), "validated": r.validated} for r in results],
+        }
+
+    @stage
+    def provenance(self) -> dict:
+        """The run's inputs, settings and counts; `write` adds the files it wrote as outputs."""
+        cfg, prepared, content_ids = self.cfg, self.prepared, self.content_ids
+        loo_report, loo_note = self.loo
+        sources = {"wordlists": prepared.wordlists, "ruleset": prepared.ruleset}
+        doc = {
+            "artifact": {"name": "editfx", "version": __version__},
+            "config": {k: v for k, v in asdict(cfg).items() if k != "workers"},
+            **{k: {"version": v.version, "sha256": v.content_hash} for k, v in sources.items()},
+            "corpus": compute_stats(prepared.records).to_json(),
+            "families": [
+                {
+                    "name": family.name,
+                    "m": family.m,
+                    "cells": family.m,
+                    "contents": len({content_ids[cell.cell_id] for cell in family.cells}),
+                    "excluded": [list(item) for item in family.excluded],
+                }
+                for family in self.families
+            ],
+            "estimation": {
+                "skipped": self.estimates["skipped"],
+                "family_confounding": self.estimates["family_confounding"],
+            },
+            "inference": {
+                "skipped": self.inference["skipped"],
+                "cells": len(content_ids),
+                "contents": len(set(content_ids.values())),
+            },
+            "loo": {
+                "selection": loo_note,
+                "stable_count": loo_report.stable_count if loo_report else 0,
+                "total": loo_report.total if loo_report else 0,
+            },
+            "construct_validity": self.validity,
+            "per_dataset_note": "naive per-dataset values are diagnostics only",
+        }
+        if prepared.stale_caches:
+            doc["stale_caches"] = prepared.stale_caches
         return doc
 
-    def write_inference(self, out: Path) -> dict:
-        doc = self.inference
-        write_json(out / "inference.json", doc)
-        write_text(out / "inference.csv", inference_to_csv(doc["results"], self.cfg.alpha))
-        return doc
+    @cached_property
+    def tables(self) -> dict[str, str]:
+        """Each tested family's table and heatmap, by file name."""
+        rows = self.estimates["estimates"], self.inference["results"]
+        return table_files([family.name for family in self.tested], *rows, self.cfg.alpha)
+
+    def write(self, out_dir: str | Path, names) -> None:
+        """Render the named bundle files from the stages into `out_dir`.
+
+        provenance.json, when named, is written last and lists the names
+        as the bundle's outputs.
+        """
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        names = sorted(names)
+        for name in sorted(names, key="provenance.json".__eq__):
+            if name == "provenance.json":
+                text = json_text({**self.provenance, "outputs": names})
+            else:
+                text = RENDERERS[name](self) if name in RENDERERS else self.tables[name]
+            write_text(out / name, text)
+
+
+# The bundle's files other than provenance.json and the per-family tables,
+# each rendered from the run's stages.
+RENDERERS = {
+    "estimates.csv": lambda run: estimates_to_csv(run.estimates["estimates"]),
+    "estimates.json": lambda run: json_text(run.estimates),
+    "inference.csv": lambda run: inference_to_csv(run.inference["results"], run.cfg.alpha),
+    "inference.json": lambda run: json_text(run.inference),
+    "loo.csv": lambda run: loo_to_csv(*run.loo),
+    "per_dataset.csv": lambda run: per_dataset_to_csv(run.per_dataset),
+    "ceiling.json": lambda run: json_text(run.ceiling),
+    "receptivity.json": lambda run: json_text(run.receptivity),
+}
+BUNDLE_FILES = (*RENDERERS, "provenance.json")
 
 
 def run_report(prepared: PreparedCorpus, out_dir: str | Path, **settings) -> dict:
@@ -440,106 +557,9 @@ def run_report(prepared: PreparedCorpus, out_dir: str | Path, **settings) -> dic
     Output is a deterministic function of (prepared corpus, config); the
     worker count does not enter it.
     """
-    cfg = RunConfig(**settings)
-    pipeline = Pipeline(prepared, cfg)
-    records = prepared.records
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    estimates_doc = pipeline.write_estimates(out)
-    estimate_rows = estimates_doc["estimates"]
-    inference_doc = pipeline.write_inference(out)
-    families = pipeline.families
-    family_files = _write_tables(
-        out, [f.name for f in pipeline.tested], estimate_rows, inference_doc["results"], cfg.alpha
-    )
-
-    reversal = choose_reversal(estimate_rows)
-    loo_report = None
-    loo_note = "no feature shows opposite-sign group estimates"
-    if reversal is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            loo_report = loo_stability(families, reversal)
-        loo_note = (
-            f"{reversal.spec.view}:{reversal.spec.feature_name} "
-            f"{reversal.group_a} vs {reversal.group_b}"
-        )
-    write_text(out / "loo.csv", loo_to_csv(loo_report, loo_note))
-
-    per_dataset_rows = []
-    for feature in view_features("motif"):
-        spec = TreatmentSpec(view="motif", feature_name=feature)
-        for dataset, stats in per_dataset_cate(prepared, spec).items():
-            per_dataset_rows.append(
-                {
-                    "view": "motif",
-                    "feature": feature,
-                    "dataset": dataset,
-                    "cate": None if not stats.defined else stats.cate,
-                    "n_treated": stats.n_treated,
-                    "n_control": stats.n_control,
-                }
-            )
-    write_text(out / "per_dataset.csv", per_dataset_to_csv(per_dataset_rows))
-
-    try:
-        ceiling_doc = ceiling(records, seed=cfg.seed).to_json()
-    except (ConfigError, DegenerateCellError) as exc:
-        ceiling_doc = {"note": str(exc)}
-    write_json(out / "ceiling.json", ceiling_doc)
-
-    receptivity_doc = receptivity_section(records, estimate_rows)
-    write_json(out / "receptivity.json", receptivity_doc)
-
-    validity_doc = _validity_section(prepared, cfg.seed)
-    content_ids = pipeline.content_ids
-
-    provenance = {
-        "artifact": {"name": "editfx", "version": __version__},
-        "config": {k: v for k, v in asdict(cfg).items() if k != "workers"},
-        "wordlists": {
-            "version": prepared.wordlists.version,
-            "sha256": prepared.wordlists.content_hash,
-        },
-        "ruleset": {
-            "version": prepared.ruleset.version,
-            "sha256": prepared.ruleset.content_hash,
-        },
-        "corpus": compute_stats(records).to_json(),
-        "families": [
-            {
-                "name": family.name,
-                "m": family.m,
-                "cells": family.m,
-                "contents": len({content_ids[cell.cell_id] for cell in family.cells}),
-                "excluded": [list(item) for item in family.excluded],
-            }
-            for family in families
-        ],
-        "estimation": {
-            "skipped": estimates_doc["skipped"],
-            "family_confounding": estimates_doc["family_confounding"],
-        },
-        "inference": {
-            "skipped": inference_doc["skipped"],
-            "cells": len(content_ids),
-            "contents": len(set(content_ids.values())),
-        },
-        "loo": {
-            "selection": loo_note,
-            "stable_count": loo_report.stable_count if loo_report else 0,
-            "total": loo_report.total if loo_report else 0,
-        },
-        "construct_validity": validity_doc,
-        "per_dataset_note": "naive per-dataset values are diagnostics only",
-        "outputs": sorted([*BUNDLE_FILES, *family_files]),
-    }
-    if prepared.stale_caches:
-        provenance["stale_caches"] = prepared.stale_caches
-    write_json(out / "provenance.json", provenance)
-    verify_bundle(out)
-    return provenance
+    pipeline = Pipeline(prepared, RunConfig(**settings))
+    pipeline.write(out_dir, [*BUNDLE_FILES, *pipeline.tables])
+    return verify_bundle(out_dir)
 
 
 def receptivity_section(records: list[ComparisonRecord], estimate_rows: list[dict]) -> dict:
@@ -579,29 +599,6 @@ def receptivity_section(records: list[ComparisonRecord], estimate_rows: list[dic
     return doc
 
 
-def _validity_section(prepared: PreparedCorpus, seed: int) -> dict:
-    try:
-        results = construct_validity(prepared, seed=seed)
-    except ConfigError as exc:
-        return {"note": str(exc)}
-    return {
-        "validated": sum(1 for r in results if r.validated),
-        "total": len(results),
-        "pairs": [
-            {
-                "annotation_feature": r.annotation_feature,
-                "surface_feature": r.surface_feature,
-                "rho": r.rho,
-                "p_value": r.p_value,
-                "n": r.n,
-                "validated": r.validated,
-                "note": r.note,
-            }
-            for r in results
-        ],
-    }
-
-
 def render_from_artifacts(
     estimates_path: str | Path,
     inference_path: str | Path | None,
@@ -622,7 +619,9 @@ def render_from_artifacts(
         inference_doc = json.loads(Path(inference_path).read_text("utf-8"))
         inference_rows = inference_doc["results"]
     views = sorted({row["view"] for row in estimate_rows})
-    files = _write_tables(out, views, estimate_rows, inference_rows, alpha)
+    files = table_files(views, estimate_rows, inference_rows, alpha)
+    for name, text in files.items():
+        write_text(out / name, text)
     provenance = {
         "artifact": {"name": "editfx", "version": __version__},
         "mode": "render",

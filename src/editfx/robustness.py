@@ -13,20 +13,14 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from itertools import permutations
 
 import numpy as np
 
 from . import surface as surface_mod
-from .design import (
-    CATEGORICAL_COVARIATES,
-    PreparedCorpus,
-    TestFamily,
-    TreatmentSpec,
-    build_units,
-)
+from .design import CATEGORICAL_COVARIATES, PreparedCorpus, TestFamily, TreatmentSpec
 from .errors import ConfigError, DegenerateCellError
 from .estimation import sipw_stack
 from .store import ComparisonRecord, headroom
@@ -306,7 +300,7 @@ def per_dataset_cate(prepared: PreparedCorpus, spec: TreatmentSpec) -> dict[str,
     never aggregated into headline estimates.
     """
     frame = prepared.frame
-    rows, treatment = build_units(prepared, spec)
+    rows, treatment = prepared.units(spec)
     column = CATEGORICAL_COVARIATES.index("dataset")
     datasets = frame.cat_codes[rows, column]
     gain = frame.gain[rows]
@@ -331,11 +325,7 @@ class CeilingReport:
     partial_r2: float
 
     def to_json(self) -> dict:
-        return {
-            "spearman_rho": self.spearman_rho,
-            "spearman_p": self.spearman_p,
-            "partial_r2": self.partial_r2,
-        }
+        return asdict(self)
 
 
 def _rss(design: np.ndarray, y: np.ndarray) -> float:

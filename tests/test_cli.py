@@ -765,6 +765,7 @@ class TestPipelineViews:
             "estimate": ["estimates.json", "estimates.csv"],
             "infer": ["inference.json", "inference.csv"],
             "receptivity": ["receptivity.json"],
+            "ceiling": ["ceiling.json"],
         }
         for command, names in stages.items():
             assert main([command, *flags, "--out", str(tmp_path / command)]) == 0
@@ -776,6 +777,21 @@ class TestPipelineViews:
 
 
 class TestExitCodes:
+    def test_ceiling_of_one_task_group(self, tmp_path, capsys):
+        # Alone, the ceiling view fails on a corpus of one task group; the
+        # report keeps the same reason as ceiling.json's note.
+        records, _ = generate(SynthConfig(n=120, seed=11))
+        corpus = tmp_path / "corpus.jsonl"
+        serialize([r for r in records if r.task_group == "math"], corpus)
+        flags = ["--input", str(corpus), "--resamples", "8", "--out"]
+        message = "partial R^2 needs at least 2 task groups"
+        assert main(["ceiling", *flags, str(tmp_path / "ceiling")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "ceiling").exists()
+        assert main(["report", *flags, str(tmp_path / "report")]) == 0
+        doc = json.loads((tmp_path / "report" / "ceiling.json").read_text("utf-8"))
+        assert doc == {"note": message}
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

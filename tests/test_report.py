@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from editfx import design, estimation, motifs, surface
+from editfx import design, estimation, motifs, robustness, surface
 from editfx import report as report_mod
 from editfx.design import PreparedCorpus, TreatmentSpec
 from editfx.errors import ConfigError, SchemaError
@@ -601,8 +601,13 @@ class TestRunReport:
 
 
 class TestPipeline:
-    def test_stages_are_built_once(self, small_corpus, monkeypatch):
-        calls = {"enumerate_families": 0, "estimate_all": 0, "infer_all": 0}
+    def test_stages_are_built_once(self, monkeypatch, tmp_path):
+        # An annotated corpus, so that every stage has work: a sign reversal
+        # for leave-one-out and annotation pairs for construct validity.
+        records, _ = generate(SynthConfig(n=120, seed=0, annotate=True))
+        stages = ("enumerate_families", "estimate_all", "infer_all", "loo_stability")
+        stages += ("per_dataset_cate", "ceiling", "construct_validity")
+        calls = dict.fromkeys(stages, 0)
         for name in calls:
             original = getattr(report_mod, name)
 
@@ -611,11 +616,37 @@ class TestPipeline:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(report_mod, name, counted)
-        pipeline = Pipeline(PreparedCorpus(small_corpus), RunConfig(resamples=4))
+        built = []
+        real_build_units = design.build_units
+
+        def build_units(prepared, spec):
+            built.append(spec)
+            return real_build_units(prepared, spec)
+
+        # Every reader of a spec's units shares one build: count any binding
+        # of build_units in robustness as well as design's own.
+        monkeypatch.setattr(design, "build_units", build_units)
+        monkeypatch.setattr(robustness, "build_units", build_units, raising=False)
+        # One report calls each stage's function once (per_dataset_cate once
+        # per motif feature) and builds each spec's units once.
+        once = {**dict.fromkeys(calls, 1), "per_dataset_cate": len(design.view_features("motif"))}
+        specs = [TreatmentSpec(v, f) for v in design.VIEWS for f in design.view_features(v)]
+        run_report(PreparedCorpus(records), tmp_path / "bundle", resamples=4)
+        assert calls == once
+        assert sorted(built, key=repr) == sorted(specs, key=repr)
+
+        # A pipeline's stages are kept: reading them again builds nothing.
+        calls.update(dict.fromkeys(calls, 0))
+        built.clear()
+        pipeline = Pipeline(PreparedCorpus(records), RunConfig(resamples=4))
         for _ in range(2):
             assert pipeline.estimates["estimates"]
             assert pipeline.inference["results"]
-        assert calls == {"enumerate_families": 1, "estimate_all": 1, "infer_all": 1}
+            assert pipeline.loo[0].total > 0 and pipeline.per_dataset
+            assert "note" not in pipeline.ceiling and pipeline.validity["total"] > 0
+            assert pipeline.provenance["loo"]["total"] == pipeline.loo[0].total
+        assert calls == once
+        assert sorted(built, key=repr) == sorted(specs, key=repr)
 
     def test_each_cell_point_estimate_is_fitted_once(self, small_corpus, monkeypatch):
         whole_cell_fits = []
