@@ -33,6 +33,15 @@ NUMERIC_COVARIATES = ("p1_word_count", "p1_n_demos", "headroom", "step_index")
 CATEGORICAL_COVARIATES = ("framework", "backbone", "dataset")
 
 
+def present_codes(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative integer codes, ascending.
+
+    np.unique gives the same values, but since numpy 2.4 a call of it
+    without a return_* argument imports numpy.ma.
+    """
+    return np.flatnonzero(np.bincount(codes))
+
+
 def view_features(view: str) -> tuple[str, ...]:
     if view == "annotation":
         return ANNOTATION_FEATURES
@@ -193,7 +202,7 @@ class CellData:
         mean = np.average(numeric, axis=0)
         std = np.sqrt(np.average((numeric - mean) ** 2, axis=0))
         scale = np.where(std == 0.0, 1.0, std)
-        present = [np.unique(self.cat_codes[:, col]) for col in range(self.cat_codes.shape[1])]
+        present = [present_codes(self.cat_codes[:, col]) for col in range(self.cat_codes.shape[1])]
         levels = np.hstack([run_codes[:, [col]] == lv for col, lv in enumerate(present)])
         return SharedDesign(
             order,
@@ -212,7 +221,7 @@ class TestCell:
 
     def __post_init__(self):
         frame = self.data.frame
-        codes = np.unique(frame.group_codes[self.data.rows])
+        codes = present_codes(frame.group_codes[self.data.rows])
         if [frame.groups[k] for k in codes] != [self.task_group]:
             raise SchemaError("all units in a cell must share its task group")
 
@@ -489,7 +498,7 @@ def enumerate_families(
             spec = TreatmentSpec(view=view, feature_name=feature)
             rows, treatment = prepared.units(spec)
             row_groups = frame.group_codes[rows]
-            for code in np.unique(row_groups):
+            for code in present_codes(row_groups):
                 group = frame.groups[code]
                 in_group = row_groups == code
                 n_units = int(in_group.sum())

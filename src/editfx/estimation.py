@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import CellData, SharedDesign, TestCell, TestFamily, map_cells
+from .design import CellData, SharedDesign, TestCell, TestFamily, map_cells, present_codes
 from .errors import ConfigError, DegenerateCellError, PositivityError, SchemaError
 
 RIDGE_LAMBDA = 1e-4
@@ -644,7 +644,7 @@ def _populations(
     spread[flat] = 1.0
     present = rows.run_sums(weights) @ design.levels > 0
     levels = present.copy()
-    for variable in np.unique(design.variable):
+    for variable in present_codes(design.variable):
         columns = np.flatnonzero(design.variable == variable)
         first = columns[np.argmax(present[:, columns], axis=1)]
         levels[np.arange(len(weights)), first] = False

@@ -98,13 +98,14 @@ class MotifRuleset:
         self.version = str(doc.get("version", "unversioned"))
         canonical = json.dumps(doc, sort_keys=True).encode("utf-8")
         self.content_hash = hashlib.sha256(canonical).hexdigest()
+        # A label's phrases as one alternation, or no pattern if it has none.
         self._phrase: dict[str, list[re.Pattern]] = {}
         self._regex: dict[str, list[re.Pattern]] = {}
         self._pairs: dict[str, list[tuple[str, str, int]]] = {}
         for label, patterns in labels.items():
             if not patterns:
                 raise ConfigError(f"label '{label}' has no patterns")
-            self._phrase[label] = []
+            phrases: list[str] = []
             self._regex[label] = []
             self._pairs[label] = []
             for pat in patterns:
@@ -113,8 +114,7 @@ class MotifRuleset:
                     words = pat["text"].lower().split()
                     if not words:
                         raise ConfigError("empty phrase pattern")
-                    body = r"\ ".join(re.escape(w) for w in words)
-                    self._phrase[label].append(re.compile(rf"\b{body}\b"))
+                    phrases.append(r"\ ".join(re.escape(w) for w in words))
                 elif kind == "regex":
                     self._regex[label].append(re.compile(pat["pattern"], re.IGNORECASE))
                 elif kind == "window_pair":
@@ -124,9 +124,15 @@ class MotifRuleset:
                     self._pairs[label].append((pat["a"].lower(), pat["b"].lower(), window))
                 else:
                     raise ConfigError(f"unknown pattern kind '{kind}'")
+            self._phrase[label] = [re.compile(rf"\b(?:{'|'.join(phrases)})\b")] if phrases else []
 
     def match(self, span: InsertedSpan) -> frozenset[str]:
-        """All labels with a pattern that matches the span."""
+        """All labels with a pattern that matches the span.
+
+        A label's phrases are searched as one alternation, which matches
+        exactly where one of the phrases alone would; its regex patterns
+        are searched one by one, since they may hold groups or backrefs.
+        """
         joined = " ".join(span.tokens)
 
         def near(a: str, b: str, window: int) -> bool:
@@ -159,13 +165,13 @@ def word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun
 
     Tie-breaking is fixed: a match is taken whenever one is available at
     the current position (earliest match), and deletions are emitted
-    before insertions when both are optimal. The walk decides token by
-    token and emits each maximal run as it ends.
+    before insertions when both are optimal. The walk decides run by run:
+    a common run is kept whole (its length from _common_run), and delete
+    and insert runs are decided token by token. Each maximal run is
+    emitted as it ends.
     """
-    i = 0
     # Common prefix is always part of an optimal earliest-match alignment.
-    while i < len(before_tokens) and i < len(after_tokens) and before_tokens[i] == after_tokens[i]:
-        i += 1
+    i = _common_run(before_tokens, 0, after_tokens, 0)
     script = [EditRun("keep", tuple(before_tokens[:i]))] if i else []
     before, after = before_tokens[i:], after_tokens[i:]
     rows = _lcs_rows(before, after)
@@ -183,11 +189,11 @@ def word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun
         return bi < n and (rows[bi + 1] & mask).bit_count() == (rows[bi] & mask).bit_count()
 
     while bi < n or bj < m:
-        start = bi
-        while keeps():
-            bi, bj, mask = bi + 1, bj + 1, mask >> 1
-        if bi > start:
-            script.append(EditRun("keep", tuple(before[start:bi])))
+        if keeps():
+            # Earliest match keeps every token of the common run in turn.
+            k = _common_run(before, bi, after, bj)
+            script.append(EditRun("keep", tuple(before[bi : bi + k])))
+            bi, bj, mask = bi + k, bj + k, mask >> k
         start = bi
         while not keeps() and deletes():
             bi += 1
@@ -199,6 +205,30 @@ def word_diff(before_tokens: list[str], after_tokens: list[str]) -> list[EditRun
         if bj > start:
             script.append(EditRun("insert", tuple(after[start:bj])))
     return script
+
+
+def _common_run(a: list[str], i: int, b: list[str], j: int) -> int:
+    """Length of the longest common prefix of a[i:] and b[j:].
+
+    Slices are compared in chunks that double from 8 tokens until one
+    differs or runs out; the first difference inside that chunk is then
+    found by bisection.
+    """
+    k, step = 0, 8
+    while True:
+        chunk = a[i + k : i + k + step]
+        if chunk != b[j + k : j + k + step]:
+            break
+        k += len(chunk)
+        if len(chunk) < step:
+            return k
+        step *= 2
+    # The first difference lies in the step tokens from k on.
+    while step > 1:
+        step //= 2
+        if a[i + k : i + k + step] == b[j + k : j + k + step]:
+            k += step
+    return k
 
 
 def _lcs_rows(before: list[str], after: list[str]) -> list[int]:

@@ -20,7 +20,13 @@ from itertools import permutations
 import numpy as np
 
 from . import surface as surface_mod
-from .design import CATEGORICAL_COVARIATES, PreparedCorpus, TestFamily, TreatmentSpec
+from .design import (
+    CATEGORICAL_COVARIATES,
+    PreparedCorpus,
+    TestFamily,
+    TreatmentSpec,
+    present_codes,
+)
 from .errors import ConfigError, DegenerateCellError
 from .estimation import sipw_stack
 from .store import ComparisonRecord, headroom
@@ -243,13 +249,13 @@ def loo_stability(families: list[TestFamily], reversal: SignReversalSpec) -> Loo
     held_out: list[str] = []
     kept: list[list[np.ndarray]] = [[], []]
     skipped: list[tuple[str, str]] = []
-    for code in np.unique(np.concatenate(dataset_codes)):
+    for code in present_codes(np.concatenate(dataset_codes)):
         dataset = levels[code]
         masks = [codes != code for codes in dataset_codes]
         if not all(np.any(mask) for mask in masks):
             skipped.append((dataset, "exclusion empties a reversal group"))
             continue
-        if any(np.unique(cell.data.treatment[mask]).size != 2 for cell, mask in zip(cells, masks)):
+        if any(present_codes(c.data.treatment[m]).size != 2 for c, m in zip(cells, masks)):
             skipped.append((dataset, "exclusion empties a treatment arm"))
             continue
         held_out.append(dataset)
@@ -305,7 +311,7 @@ def per_dataset_cate(prepared: PreparedCorpus, spec: TreatmentSpec) -> dict[str,
     datasets = frame.cat_codes[rows, column]
     gain = frame.gain[rows]
     out: dict[str, DatasetCate] = {}
-    for code in np.unique(datasets):
+    for code in present_codes(datasets):
         treated = gain[(datasets == code) & (treatment == 1)]
         control = gain[(datasets == code) & (treatment == 0)]
         if treated.size and control.size:

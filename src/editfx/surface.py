@@ -15,6 +15,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 
 from .errors import SchemaError
 from .store import PromptState
@@ -53,6 +54,8 @@ _SENTENCE_SPLIT = re.compile(r"[.!?]")
 # apostrophes) is kept and runs that strip to nothing yield no token.
 # For str patterns \s is str.isspace and [^\W_] is str.isalnum.
 _TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
+# The ASCII characters that are not alphanumeric, as str.strip's set.
+_NOT_ALNUM_ASCII = "".join(c for c in map(chr, range(128)) if not c.isalnum())
 # ASCII bytes that are not letters, and not uppercase letters, by the
 # str predicates; deleting them from an ASCII text leaves what is counted.
 _NOT_ALPHA = bytes(b for b in range(128) if not chr(b).isalpha())
@@ -104,10 +107,15 @@ def default_wordlists() -> WordLists:
 def tokenize(text: str) -> list[str]:
     """Lowercased whitespace runs, each trimmed to its alphanumeric ends (_TOKEN).
 
-    Tokens are lowercased after the scan: lowercasing first can change a
-    character's class ("\u0130".lower() appends U+0307, which is not
-    alphanumeric).
+    ASCII text is lowercased first, split with str.split and trimmed with
+    str.strip: for ASCII, str.split's whitespace is the pattern's \\s and
+    lowercasing changes no character's class, so the tokens are the
+    pattern's. Other text is scanned with the pattern and lowercased token
+    by token: lowercasing first can change a character's class
+    ("\u0130".lower() appends U+0307, which is not alphanumeric).
     """
+    if text.isascii():
+        return list(filter(None, map(str.strip, text.lower().split(), repeat(_NOT_ALNUM_ASCII))))
     return [token.lower() for token in _TOKEN.findall(text)]
 
 

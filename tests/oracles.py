@@ -5,19 +5,24 @@ cell's shared design and never names coefficients; these build a
 population's own dense design, wrap a one-population stacked fit, or
 recompute a dense one, so tests can state expectations per covariate.
 population_sipw forms one weighted population's estimate on its rows.
-apply_script replays an edit script to check a diff, units_to_csv
-writes a cell's units for external checking, and partition buckets
-records by one of their dimensions. content_seeds and block_multisets
-replay which bootstrap each cell content gets and what it draws.
+pattern_tokens is the token pattern's scan, the tokenizer's oracle.
+apply_script replays an edit script to check a diff, and
+per_pattern_labels classifies a span one ruleset pattern at a time.
+units_to_csv writes a cell's units for external checking, and
+partition buckets records by one of their dimensions. content_seeds and
+block_multisets replay which bootstrap each cell content gets and what
+it draws.
 """
 
 import csv
+import re
 from dataclasses import dataclass
 from typing import IO, Any
 
 import numpy as np
 from scipy.special import expit
 
+from editfx import MOTIF_LABELS
 from editfx.design import CATEGORICAL_COVARIATES, NUMERIC_COVARIATES, CellData, TestFamily
 from editfx.errors import SchemaError
 from editfx.estimation import (
@@ -29,8 +34,9 @@ from editfx.estimation import (
     weighted_difference,
 )
 from editfx.inference import derive_cell_seed
-from editfx.motifs import EditRun
+from editfx.motifs import EditRun, InsertedSpan
 from editfx.store import ComparisonRecord, log
+from editfx.surface import _TOKEN
 
 
 def encode(data: CellData, idx: np.ndarray | None = None) -> np.ndarray:
@@ -158,6 +164,35 @@ def apply_script(script: list[EditRun], before_tokens: list[str]) -> list[str]:
     if pos != len(before_tokens):
         raise SchemaError("edit script does not consume all before tokens")
     return out
+
+
+def pattern_tokens(text: str) -> list[str]:
+    """The token pattern's matches, each lowercased: what tokenize must return."""
+    return [token.lower() for token in _TOKEN.findall(text)]
+
+
+def per_pattern_labels(doc: dict, span: InsertedSpan) -> frozenset[str]:
+    """The labels of a ruleset document with a pattern that matches the span.
+
+    Each pattern is compiled and searched on its own: a phrase as its
+    escaped words joined by single spaces between word boundaries, over
+    the span's joined tokens; a regex case-insensitively over the span
+    text; a window pair over token positions.
+    """
+    joined = " ".join(span.tokens)
+
+    def hits(pat: dict) -> bool:
+        if pat["kind"] == "phrase":
+            body = r"\ ".join(re.escape(w) for w in pat["text"].lower().split())
+            return re.search(rf"\b{body}\b", joined) is not None
+        if pat["kind"] == "regex":
+            return re.search(pat["pattern"], span.text, re.IGNORECASE) is not None
+        a, b, window = pat["a"].lower(), pat["b"].lower(), int(pat["window"])
+        pos_a = [k for k, t in enumerate(span.tokens) if t == a]
+        pos_b = [k for k, t in enumerate(span.tokens) if t == b]
+        return any(abs(ka - kb) <= window for ka in pos_a for kb in pos_b)
+
+    return frozenset(label for label in MOTIF_LABELS if any(map(hits, doc["labels"][label])))
 
 
 def units_to_csv(data: CellData, stream: IO[str]) -> None:

@@ -810,11 +810,11 @@ class TestExitCodes:
         assert main(["validate", "--input", str(corpus_path)]) == 2
         assert capsys.readouterr().err.startswith("internal error: RuntimeError: boom")
 
-    def test_cli_import_leaves_out_scipy_stats(self, corpus_path, tmp_path):
-        # Only synth needs scipy: neither the import nor a report, under its
-        # defaults or any of its non-default inference paths, loads it.
+    @staticmethod
+    def report_runs(corpus_path, tmp_path) -> list[list[str]]:
+        # A report under its defaults and each non-default inference path.
         argv = ["report", "--input", str(corpus_path), "--resamples", "8", "--out"]
-        runs = [
+        return [
             [*argv, str(tmp_path / name), *flags]
             for name, flags in [
                 ("default", []),
@@ -823,27 +823,39 @@ class TestExitCodes:
                 ("percentile", ["--percentile-p"]),
             ]
         ]
-        check = "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
-        codes = {
-            "import": f"import sys, editfx.cli; {check}",
-            "report": (
-                "import sys, editfx.cli\n"
-                f"for argv in {runs!r}:\n"
-                "    assert editfx.cli.main(argv) == 0\n"
-                f"{check}"
-            ),
-        }
+
+    @staticmethod
+    def run_then_list_modules(runs: list[list[str]], package: str):
+        # Run the reports in a fresh interpreter, then exit with the names
+        # of the loaded modules in `package`, if any.
+        loaded = f"(m for m in sys.modules if (m + '.').startswith({package + '.'!r}))"
+        program = (
+            f"import sys, editfx.cli\nfor argv in {runs!r}:\n"
+            f"    assert editfx.cli.main(argv) == 0\nsys.exit(' '.join({loaded}) or None)"
+        )
         src = str(Path(editfx.__file__).parents[1])
-        for name, code in codes.items():
-            result = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                timeout=120,
-                env={**os.environ, "PYTHONPATH": src},
-            )
-            assert result.returncode == 0, (name, result.stderr)
+        return subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    def test_cli_import_leaves_out_scipy_stats(self, corpus_path, tmp_path):
+        # Only synth needs scipy: neither the import nor a report, under its
+        # defaults or any of its non-default inference paths, loads it.
+        for runs in ([], self.report_runs(corpus_path, tmp_path)):
+            result = self.run_then_list_modules(runs, "scipy")
+            assert result.returncode == 0, (runs, result.stderr)
         assert all((tmp_path / name / "estimates.json").is_file() for name in ("default", "pooled"))
+
+    def test_report_leaves_out_numpy_ma(self, corpus_path, tmp_path):
+        # np.unique without a return_* argument imports numpy.ma (numpy 2.4);
+        # no report path calls it that way.
+        result = self.run_then_list_modules(self.report_runs(corpus_path, tmp_path), "numpy.ma")
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "percentile" / "estimates.json").is_file()
 
     def test_commands_without_analysis_start_without_numpy(self, corpus_path, tmp_path):
         # Stage modules are imported by the command that runs them: the

@@ -4,7 +4,7 @@ import json
 import tracemalloc
 import warnings
 from importlib import resources
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 from pathlib import Path
 
@@ -21,6 +21,7 @@ from editfx.motifs import (
     EditRun,
     InsertedSpan,
     MotifRuleset,
+    _common_run,
     _lcs_rows,
     audit_sample,
     classify,
@@ -34,7 +35,7 @@ from editfx.motifs import (
 from editfx.surface import tokenize
 
 from conftest import make_record, tokenize_with_offsets
-from oracles import apply_script
+from oracles import apply_script, per_pattern_labels
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -363,6 +364,33 @@ class TestTableOracle:
         assert sum(r.op == "insert" and len(r.tokens) >= MIN_SPAN_TOKENS for r in script) == 8
 
 
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 23, 24, 25, 1000])
+    def test_keep_runs_of_every_length_match_table_diff(self, length):
+        # One common run, kept whole, around the chunk sizes it is measured
+        # in; without a lead it is the common prefix. It ends at the end of
+        # both sequences, of one, or of neither.
+        for vocab, lead, ends in product([2, 1000], [False, True], ["both", "a", "b", "neither"]):
+            run = [f"k{t % vocab}" for t in range(length)]
+            before = (["b0", "k0"] if lead else []) + run + ([] if ends in ("both", "a") else ["k1"])
+            after = (["a0"] if lead else []) + run + ([] if ends in ("both", "b") else ["a1", "k0"])
+            script = word_diff(before, after)
+            assert script == table_word_diff(before, after), (vocab, lead, ends)
+            assert EditRun("keep", tuple(run)) in script
+
+    @given(
+        a=st.lists(st.sampled_from(["x", "y"]), max_size=70),
+        b=st.lists(st.sampled_from(["x", "y"]), max_size=70),
+        i=st.integers(0, 70),
+        j=st.integers(0, 70),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_common_run_matches_a_token_loop(self, a, b, i, j):
+        k = 0
+        while i + k < len(a) and j + k < len(b) and a[i + k] == b[j + k]:
+            k += 1
+        assert _common_run(a, i, b, j) == k
+
+
 class TestSpanOracle:
     @given(pair=diff_pairs(), cut=st.integers(0, 6))
     @settings(max_examples=500, deadline=None)
@@ -536,6 +564,82 @@ class TestClassify:
         assert covered == set(MOTIF_LABELS)
         assert any(len(entry["labels"]) > 1 for entry in spans)
         assert any(not entry["labels"] for entry in spans)
+
+
+def ruleset_words(doc: dict) -> list[str]:
+    # Every word of a ruleset's phrases and window pairs, and near misses.
+    words = ["ensures", "step", "1.", "3)", "pad", "the", "answer", "Thinking"]
+    for patterns in doc["labels"].values():
+        for pat in patterns:
+            if pat["kind"] == "phrase":
+                words += pat["text"].split()
+            elif pat["kind"] == "window_pair":
+                words += [pat["a"], pat["b"]]
+    return sorted(set(words))
+
+
+@st.composite
+def ruleset_spans(draw, doc: dict) -> InsertedSpan:
+    # Spans of 4 to 30 ruleset words, some in upper case.
+    word = st.sampled_from(ruleset_words(doc))
+    words = draw(st.lists(st.one_of(word, word.map(str.upper)), min_size=4, max_size=30))
+    return mkspan(" ".join(words))
+
+
+BUNDLED_RULES = json.loads(resources.files("editfx.data").joinpath("motif_rules.json").read_text())
+# A user ruleset: overlapping phrases, regex metacharacters in a phrase,
+# a regex with a group and a backreference, and a label with no phrase.
+USER_RULES = {
+    "version": "user",
+    "labels": {
+        "chain_of_thought": [
+            {"kind": "regex", "pattern": "\\bthink(ing)?\\b"},
+            {"kind": "window_pair", "a": "reason", "b": "answer", "window": 2},
+        ],
+        "meta_instruction": [
+            {"kind": "phrase", "text": "make sure"},
+            {"kind": "phrase", "text": "Make Sure To"},
+            {"kind": "phrase", "text": "c++ (always)"},
+        ],
+        "step_by_step": [
+            {"kind": "regex", "pattern": "\\b(\\w+) \\1\\b"},
+            {"kind": "phrase", "text": "first"},
+        ],
+        "clarity_constraint": [
+            {"kind": "phrase", "text": "brief"},
+            {"kind": "phrase", "text": "be brief"},
+            {"kind": "window_pair", "a": "short", "b": "answer", "window": 1},
+        ],
+    },
+}
+
+
+class TestClassifyOracle:
+    @pytest.mark.parametrize("doc", [BUNDLED_RULES, USER_RULES], ids=["bundled", "user"])
+    def test_fixture_spans_match_per_pattern_search(self, doc):
+        rules = MotifRuleset(doc)
+        entries = json.loads((FIXTURES / "motif_spans.json").read_text("utf-8"))["spans"]
+        for entry in entries:
+            span = mkspan(entry["text"])
+            assert rules.match(span) == per_pattern_labels(doc, span), entry["text"]
+
+    @pytest.mark.parametrize("doc", [BUNDLED_RULES, USER_RULES], ids=["bundled", "user"])
+    def test_spans_of_ruleset_words_match_per_pattern_search(self, doc):
+        rules = MotifRuleset(doc)
+
+        @given(span=ruleset_spans(doc))
+        @settings(max_examples=400, deadline=None)
+        def check(span):
+            assert rules.match(span) == per_pattern_labels(doc, span)
+
+        check()
+
+    def test_user_ruleset_labels(self):
+        rules = MotifRuleset(USER_RULES)
+        span = mkspan("First, think it over: make sure the the answer is brief.")
+        assert rules.match(span) == frozenset(MOTIF_LABELS)
+        span = mkspan("Reason well, then give a short answer please")
+        assert rules.match(span) == frozenset({"clarity_constraint"})
 
 
 class TestRecordMotifs:

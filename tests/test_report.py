@@ -7,6 +7,7 @@ synthetic corpus and check provenance contents and byte determinism.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from editfx.robustness import LooReport, LooSplit, SignReversalSpec
 from editfx.synth import SynthConfig, generate
 
 from conftest import make_record
+from oracles import pattern_tokens
 
 
 def est_row(view, feature, group, sipw, naive=0.0):
@@ -589,6 +591,35 @@ class TestRunReport:
         doc = Pipeline(PreparedCorpus(records), RunConfig(), views=("annotation",)).estimates
         assert {row["view"] for row in doc["estimates"]} == {"annotation"}
         assert calls == []
+
+    def test_mixed_script_bundle_matches_the_token_pattern(self, tmp_path, monkeypatch):
+        # ASCII texts take tokenize's split path and the others its pattern
+        # path; the bundle is the one the pattern alone gives.
+        records, _ = generate(SynthConfig(n=120, seed=0, annotate=True))
+        words = ["\u0130stanbul", "Stra\u00dfe", "caf\u00e9\u00a0noir", "\uff11\uff12\uff13"]
+        mixed = []
+        for k, record in enumerate(records):
+            word = words[k % len(words)]
+            if k % 3 == 0:
+                text = f"{word} {record.after.instruction_text} Make sure to v\u00e9rify it {word}!"
+                record = replace(record, after=replace(record.after, instruction_text=text))
+            if k % 4 == 0:
+                text = f"{record.before.instruction_text} ({word})"
+                record = replace(record, before=replace(record.before, instruction_text=text))
+            if k % 5 == 0:
+                demos = ({"input": f"{word} = ?", "output": "Be sure to answer \u00bd"},)
+                record = replace(record, after=replace(record.after, demos=demos))
+            mixed.append(record)
+        texts = [s.instruction_text for r in mixed for s in (r.before, r.after)]
+        assert any(t.isascii() for t in texts) and not all(t.isascii() for t in texts)
+        settings = {"seed": 3, "resamples": 8, "include_demos": True}
+        split = run_report(PreparedCorpus(mixed, include_demos=True), tmp_path / "split", **settings)
+        monkeypatch.setattr(surface, "tokenize", pattern_tokens)
+        run_report(PreparedCorpus(mixed, include_demos=True), tmp_path / "pattern", **settings)
+        for name in split["outputs"]:
+            assert (tmp_path / "split" / name).read_bytes() == (
+                tmp_path / "pattern" / name
+            ).read_bytes(), name
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, small_corpus):
         out_serial = tmp_path / "serial"

@@ -26,6 +26,7 @@ from editfx.surface import (
 )
 
 from conftest import tokenize_with_offsets
+from oracles import pattern_tokens
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -144,6 +145,65 @@ class TestTokenize:
             assert token
             assert token == token.lower()
             assert token[0].isalnum() and token[-1].isalnum()
+
+
+# ASCII characters where split, strip or lowercasing could part from the
+# pattern: every whitespace, the edges of the alphanumeric ranges, and
+# punctuation.
+ASCII_TRICKY = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x00\x7f_-'.,!?()09AZaz@[`{/:"
+ascii_text_st = st.text(
+    alphabet=st.one_of(st.sampled_from(ASCII_TRICKY), st.characters(max_codepoint=127)),
+    max_size=200,
+)
+
+
+class TestAsciiTokenize:
+    """The str.split path for ASCII text gives the pattern's tokens."""
+
+    def test_every_ascii_code_point(self):
+        # Each code point alone, between two words, and at a word's edges.
+        texts = [
+            text
+            for char in map(chr, range(128))
+            for text in (
+                char,
+                f"ab{char}cd",
+                f"Ab {char} Cd",
+                f"{char}Word",
+                f"Word{char}",
+                f"{char}Wo{char}rd{char}",
+                f"{char}{char} x{char}{char}Y {char}",
+            )
+        ]
+        assert [t for t in texts if tokenize(t) != pattern_tokens(t)] == []
+
+    @given(ascii_text_st)
+    @settings(max_examples=1000, deadline=None)
+    def test_ascii_text_matches_the_pattern(self, text):
+        assert text.isascii()
+        assert tokenize(text) == pattern_tokens(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\u0130stanbul Xy",
+            "Stra\u00dfe, STRASSE",
+            "a\u00a0b c",
+            "\uff11\uff12\uff13. \uff21bc",
+            "caf\u00e9\u0301 na\u00efve",
+            "word\u2028word \u3000(\u03a3\u0399\u03a3)",
+        ],
+    )
+    def test_non_ascii_text_keeps_the_pattern(self, text):
+        assert not text.isascii()
+        assert tokenize(text) == pattern_tokens(text)
+
+    def test_non_ascii_space_and_digits(self):
+        # U+00A0 is whitespace to the pattern; full-width digits are
+        # alphanumeric; "\u0130" is lowered after the scan.
+        assert tokenize("a\u00a0b") == ["a", "b"]
+        assert tokenize("(\uff11\uff12)") == ["\uff11\uff12"]
+        assert tokenize("\u0130!") == ["i\u0307"]
 
 
 class TestFeatures:
