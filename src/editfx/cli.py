@@ -117,13 +117,15 @@ def _load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
 
 
 def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
-    """Run config and prepared corpus for a command with the common flags."""
+    """Run config and prepared corpus for a command with the common flags.
+
+    The settings files are read and checked before the corpus is.
+    """
     from .design import PreparedCorpus
     from .motifs import MotifRuleset, default_ruleset
     from .store import ingest
     from .surface import WordLists, default_wordlists
 
-    records, _ = ingest(args.input, strict=True)
     cfg = _load_run_config(args.config, args)
     wordlists = default_wordlists()
     if args.wordlists:
@@ -131,6 +133,7 @@ def _analysis(args) -> tuple[RunConfig, PreparedCorpus]:
     ruleset = default_ruleset()
     if args.ruleset:
         ruleset = _from_file(args.ruleset, "ruleset file", MotifRuleset)
+    records, _ = ingest(args.input, strict=True)
     caches, stale = {}, []
     if args.cache_dir:
         cache = Path(args.cache_dir)
@@ -280,6 +283,8 @@ def _cmd_motifs(args) -> int:
     from .motifs import audit_sample, cooccurrence_matrix
     from .report import csv_text, write_text
 
+    if args.audit_label and args.audit_k < 1:
+        raise ConfigError(f"--audit-k must be >= 1, got {args.audit_k}")
     cfg, prepared = _analysis(args)
     records = prepared.records
     out = _out(args)
@@ -333,15 +338,14 @@ def _cmd_loo(args) -> int:
     from .report import loo_to_csv, write_text
     from .robustness import SignReversalSpec, loo_stability
 
-    signs = (args.sign_a, args.sign_b)
-    if None in signs:  # one sign alone is not enough: take both from the baseline
-        signs = (None, None)
+    if (args.sign_a is None) != (args.sign_b is None):
+        raise ConfigError("loo takes both --sign-a and --sign-b, or neither")
     reversal = SignReversalSpec(
         spec=TreatmentSpec(view=args.view, feature_name=args.feature),
         group_a=args.group_a,
         group_b=args.group_b,
-        baseline_sign_a=signs[0],
-        baseline_sign_b=signs[1],
+        baseline_sign_a=args.sign_a,
+        baseline_sign_b=args.sign_b,
     )
     loo = loo_stability(_pipeline(args, views=(args.view,)).families, reversal)
     write_text(_out(args) / "loo.csv", loo_to_csv(loo))
@@ -402,6 +406,8 @@ def _cmd_report(args) -> int:
         return 0
     if not args.input:
         raise EditfxError("report needs either --input or --estimates")
+    if args.inference:
+        raise EditfxError("report takes --inference only with --estimates")
     cfg, prepared = _analysis(args)
     run_report(prepared, out, **asdict(cfg))
     print(f"wrote report bundle into {out}")

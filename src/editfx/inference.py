@@ -39,20 +39,14 @@ class BootstrapResult:
 
 
 @dataclass(frozen=True)
-class InferenceResult:
+class InferenceResult(BootstrapResult):
+    """One tested cell: its content's bootstrap, with the cell's name, q-value and tier."""
+
     view: str
     feature: str
     task_group: str
-    estimate: float
-    se: float
-    p_value: float
     q_value: float
     tier: str
-    valid_resamples: int
-    n_blocks: int
-    distinct_resamples: int
-    discarded: int
-    nonconverged: int = 0
 
     @property
     def marker(self) -> str:
@@ -263,19 +257,12 @@ def infer_all(
         for (cell, res), q in zip(tested, q_values):
             results.append(
                 InferenceResult(
+                    **vars(res),
                     view=cell.spec.view,
                     feature=cell.spec.feature_name,
                     task_group=cell.task_group,
-                    estimate=res.estimate,
-                    se=res.se,
-                    p_value=res.p_value,
                     q_value=float(q),
                     tier=tier_of(res.p_value, float(q), alpha),
-                    valid_resamples=res.valid_resamples,
-                    n_blocks=res.n_blocks,
-                    distinct_resamples=res.distinct_resamples,
-                    discarded=res.discarded,
-                    nonconverged=res.nonconverged,
                 )
             )
     return results, skipped

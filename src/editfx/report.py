@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property, wraps
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .design import (
     enumerate_families,
     view_features,
 )
-from .errors import ConfigError, DegenerateCellError, SchemaError
+from .errors import ConfigError, DegenerateCellError, SchemaError, check_types
 from .estimation import EstimateBundle, estimate_all
 from .inference import InferenceResult, infer_all, tier_of, TIER_MARKERS
 from .robustness import (
@@ -64,14 +64,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for item in fields(self):
-            value = getattr(self, item.name)
-            kind = type(item.default)
-            allowed = (int, float) if kind is float else kind
-            if (isinstance(value, bool) and kind is not bool) or not isinstance(value, allowed):
-                raise ConfigError(
-                    f"config key '{item.name}' must be {kind.__name__}, got {value!r}"
-                )
+        check_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.scope not in ("cell", "pooled"):
@@ -406,9 +401,10 @@ class Pipeline:
         return estimates_to_json(bundle, self.content_ids)
 
     @stage
-    def inference(self) -> dict:
+    def inferred(self) -> tuple[list[InferenceResult], list[tuple[str, str]]]:
+        """infer_all's (results, skipped): each tested cell's bootstrap, q-value and tier."""
         cfg = self.cfg
-        results, skipped = infer_all(
+        return infer_all(
             self.tested,
             master_seed=cfg.seed,
             resamples=cfg.resamples,
@@ -416,7 +412,16 @@ class Pipeline:
             refit=cfg.refit,
             percentile_p=cfg.percentile_p,
         )
-        return inference_to_json(results, skipped, cfg.alpha, self.content_ids)
+
+    @stage
+    def bootstraps(self) -> dict[str, InferenceResult]:
+        """Each bootstrapped content's result, by content id: its first cell's."""
+        results, _ = self.inferred
+        return {r.cell_id: r for r in results if self.content_ids[r.cell_id] == r.cell_id}
+
+    @stage
+    def inference(self) -> dict:
+        return inference_to_json(*self.inferred, self.cfg.alpha, self.content_ids)
 
     @stage
     def loo(self) -> tuple[LooReport | None, str]:

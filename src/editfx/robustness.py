@@ -225,7 +225,8 @@ def loo_stability(families: list[TestFamily], reversal: SignReversalSpec) -> Loo
     remaining records would give. A split whose exclusion empties a cell
     or an arm is skipped with a note rather than scored. Reversal cells
     that draw on a single dataset produce total=0 and a warning. Signs
-    left as None take the baseline estimates' signs.
+    left as None take the baseline estimates' signs, which must then be
+    one '+' and one '-'.
     """
     spec = reversal.spec
     tested = {cell.cell_id: cell for family in families for cell in family.cells}
@@ -240,9 +241,14 @@ def loo_stability(families: list[TestFamily], reversal: SignReversalSpec) -> Loo
         cells.append(tested[cell_id])
     baseline_a, baseline_b = (cell.point_fit[0] for cell in cells)
     if reversal.baseline_sign_a is None:
-        reversal = replace(
-            reversal, baseline_sign_a=sign_of(baseline_a), baseline_sign_b=sign_of(baseline_b)
-        )
+        signs = sign_of(baseline_a), sign_of(baseline_b)
+        if set(signs) != {"+", "-"}:
+            raise ConfigError(
+                f"the baselines {reversal.group_a}={baseline_a:+.3f} and "
+                f"{reversal.group_b}={baseline_b:+.3f} are not a sign reversal: "
+                "baseline signs must be one '+' and one '-'"
+            )
+        reversal = replace(reversal, baseline_sign_a=signs[0], baseline_sign_b=signs[1])
     column = CATEGORICAL_COVARIATES.index("dataset")
     dataset_codes = [cell.data.cat_codes[:, column] for cell in cells]
     levels = cells[0].data.frame.cat_levels[column]

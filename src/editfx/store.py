@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -105,23 +105,16 @@ class ComparisonRecord:
         return (self.dataset, self.backbone)
 
     def to_json(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "pair_id": self.pair_id,
-            "framework": self.framework,
-            "backbone": self.backbone,
-            "dataset": self.dataset,
-            "task_group": self.task_group,
-            "step_index": self.step_index,
-            "before": self.before.to_json(),
-            "after": self.after.to_json(),
-            "accuracy_before": self.accuracy_before,
-            "accuracy_after": self.accuracy_after,
-            "gain": self.gain,
-        }
-        if self.annotations_before is not None:
-            doc["annotations_before"] = dict(self.annotations_before)
-        if self.annotations_after is not None:
-            doc["annotations_after"] = dict(self.annotations_after)
+        """Every field but extras, absent annotations left out, then the extras' keys."""
+        doc: dict[str, Any] = {}
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, PromptState):
+                value = value.to_json()
+            elif isinstance(value, dict):
+                value = dict(value)
+            if value is not None and item.name != "extras":
+                doc[item.name] = value
         doc.update(self.extras)
         return doc
 
@@ -147,23 +140,8 @@ class StoreStats:
         }
 
 
-_KNOWN_FIELDS = frozenset(
-    {
-        "pair_id",
-        "framework",
-        "backbone",
-        "dataset",
-        "task_group",
-        "step_index",
-        "before",
-        "after",
-        "accuracy_before",
-        "accuracy_after",
-        "gain",
-        "annotations_before",
-        "annotations_after",
-    }
-)
+# The keys a record's fields read; parse_record keeps every other key as an extra.
+_KNOWN_FIELDS = frozenset(item.name for item in fields(ComparisonRecord)) - {"extras"}
 
 
 def headroom(record: ComparisonRecord) -> float:

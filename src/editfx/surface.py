@@ -13,7 +13,7 @@ import json
 import re
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import repeat
 
@@ -74,7 +74,8 @@ class WordLists:
     @classmethod
     def from_json(cls, doc: dict) -> "WordLists":
         lists = {}
-        for name in ("step_words", "reasoning_words", "metacog_words", "imperative_verbs"):
+        names = [item.name for item in fields(cls) if item.name not in ("version", "content_hash")]
+        for name in names:
             entries = doc.get(name, [])
             if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
                 raise ValueError(f"{name} must be a list of strings")
@@ -84,10 +85,7 @@ class WordLists:
             lists[name] = frozenset(entries)
         canonical = json.dumps(doc, sort_keys=True).encode("utf-8")
         return cls(
-            step_words=lists["step_words"],
-            reasoning_words=lists["reasoning_words"],
-            metacog_words=lists["metacog_words"],
-            imperative_verbs=lists["imperative_verbs"],
+            **lists,
             version=str(doc.get("version", "unversioned")),
             content_hash=hashlib.sha256(canonical).hexdigest(),
         )

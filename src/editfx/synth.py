@@ -11,13 +11,13 @@ classify) sees the same treatment the outcome model used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit, ndtr
 
 from . import surface as surface_mod
-from .errors import ConfigError
+from .errors import ConfigError, check_types
 from .store import ANNOTATION_FEATURES, ComparisonRecord, PromptState, TASK_GROUPS
 
 # Neutral filler vocabulary: no overlap with motif patterns or the
@@ -59,8 +59,15 @@ class SynthConfig:
     annotate: bool = False
 
     def __post_init__(self):
+        check_types(self)
         if self.n < 10:
             raise ConfigError("n must be >= 10")
+        if len(self.gamma) != 2:
+            raise ConfigError(f"gamma must hold 2 values (intercept, slope), got {self.gamma!r}")
+        if not self.groups:
+            raise ConfigError("need at least one task group")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.datasets) * len(self.backbones) < 2:
             raise ConfigError("need at least 2 (dataset, backbone) blocks")
         if len(set(self.datasets)) != len(self.datasets):
@@ -89,9 +96,12 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SynthConfig":
+        """The config of a JSON object, whose tuple fields are JSON lists."""
         kwargs = dict(doc)
-        for name in ("gamma", "datasets", "backbones", "groups"):
+        for name in _TUPLE_FIELDS:
             if name in kwargs:
+                if not isinstance(kwargs[name], list):
+                    raise ConfigError(f"config key '{name}' must be a list, got {kwargs[name]!r}")
                 kwargs[name] = tuple(kwargs[name])
         try:
             return cls(**kwargs)
@@ -100,9 +110,12 @@ class SynthConfig:
 
     def to_json(self) -> dict:
         doc = asdict(self)
-        for name in ("gamma", "datasets", "backbones", "groups"):
+        for name in _TUPLE_FIELDS:
             doc[name] = list(doc[name])
         return doc
+
+
+_TUPLE_FIELDS = tuple(item.name for item in fields(SynthConfig) if isinstance(item.default, tuple))
 
 
 @dataclass(frozen=True)
@@ -114,13 +127,7 @@ class SynthGroundTruth:
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "tau": self.tau,
-            "expected_naive_bias": self.expected_naive_bias,
-            "implied_treatment_rate": self.implied_treatment_rate,
-            "clamp_rate": self.clamp_rate,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def _word_count_pmf(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:

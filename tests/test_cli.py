@@ -55,6 +55,24 @@ def reversal_corpus_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def plain_seed0_path(tmp_path_factory):
+    """The default synth corpus at seed 0, as `editfx synth --seed 0` writes it."""
+    records, _ = generate(SynthConfig(seed=0))
+    path = tmp_path_factory.mktemp("plain0") / "corpus.jsonl"
+    serialize(records, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def annotated12_path(tmp_path_factory):
+    """The first 12 records of the annotated synth corpus at seed 0."""
+    records, _ = generate(SynthConfig(seed=0, annotate=True))
+    path = tmp_path_factory.mktemp("annotated12") / "corpus.jsonl"
+    serialize(records[:12], path)
+    return path
+
+
 class TestValidate:
     def test_ok_corpus_prints_stats(self, corpus_path, capsys):
         assert main(["validate", "--input", str(corpus_path)]) == 0
@@ -115,6 +133,13 @@ class TestStageCommands:
         audit = (out / "audit_meta_instruction.csv").read_text("utf-8").splitlines()
         assert audit[0] == "pair_id,span_text"
         assert len(audit) == 6
+
+    def test_motifs_audit_k_is_checked_before_any_output(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "motifs"
+        argv = ["motifs", "--input", str(corpus_path), "--out", str(out)]
+        assert main([*argv, "--audit-label", "meta_instruction", "--audit-k", "0"]) == 1
+        assert "--audit-k must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_estimate_writes_artifacts(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "estimates"
@@ -277,8 +302,55 @@ class TestLoo:
         assert main(argv) == 1
         assert "baseline signs must be one '+' and one '-'" in capsys.readouterr().err
 
+    def test_auto_signs_name_both_baselines(self, plain_seed0_path, tmp_path, capsys):
+        # Both groups' meta-instruction baselines are positive on this corpus.
+        out = tmp_path / "loo"
+        argv = ["loo", "--input", str(plain_seed0_path), "--out", str(out)]
+        argv += ["--view", "motif", "--feature", "meta_instruction"]
+        argv += ["--group-a", "math", "--group-b", "logical"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "the baselines math=+0.057 and logical=+0.041 are not a sign reversal" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sign", [["--sign-a", "+"], ["--sign-b", "-"]])
+    def test_a_lone_sign_fails(self, reversal_corpus_path, tmp_path, capsys, sign):
+        out = tmp_path / "loo"
+        argv = ["loo", "--input", str(reversal_corpus_path), "--out", str(out)]
+        argv += ["--view", "surface", "--feature", "word_count"]
+        argv += ["--group-a", "math", "--group-b", "logical", *sign]
+        assert main(argv) == 1
+        assert "loo takes both --sign-a and --sign-b, or neither" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynthCommand:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"gamma": [1]}, "gamma must hold 2 values"),
+            ({"n": 12.5}, "config key 'n' must be int, got 12.5"),
+            ({"groups": []}, "need at least one task group"),
+            ({"tau": "x"}, "config key 'tau' must be float, got 'x'"),
+            ({"datasets": "abc"}, "config key 'datasets' must be a list, got 'abc'"),
+            ({"gamma": [0.0, "1"]}, "config key 'gamma' must hold float values"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_config_fails_before_any_output(self, tmp_path, capsys, doc, message):
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "synth"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_fails(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_and_seed_override(self, tmp_path):
         cfg_path = tmp_path / "synth.json"
         cfg_path.write_text(json.dumps({"n": 80, "seed": 3}), encoding="utf-8")
@@ -390,8 +462,46 @@ class TestReportCommand:
         assert main(argv) == 1
         assert "not both" in capsys.readouterr().err
 
+    def test_inference_needs_estimates(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        argv = ["report", "--input", str(corpus_path), "--out", str(out)]
+        assert main([*argv, "--inference", str(tmp_path / "missing.json")]) == 1
+        assert "report takes --inference only with --estimates" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunConfig:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--min-cell", "2", "--min-arm", "1"],
+            ["ceiling"],
+            ["motifs", "--audit-label", "meta_instruction"],
+        ],
+        ids=["report", "ceiling", "motifs"],
+    )
+    def test_negative_seed_fails_before_any_output(
+        self, annotated12_path, tmp_path, capsys, argv
+    ):
+        # On 12 records the ceiling's permutation test and the audit sample
+        # both draw with the run seed.
+        out = tmp_path / "x"
+        argv = [*argv, "--input", str(annotated12_path), "--out", str(out), "--seed", "-1"]
+        assert main(argv) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_is_checked_before_the_corpus(self, corpus_path, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"not json\n" + corpus_path.read_bytes())
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"resamples": "50"}), encoding="utf-8")
+        out = tmp_path / "x"
+        argv = ["report", "--input", str(corpus), "--out", str(out), "--config", str(cfg_path)]
+        assert main(argv) == 1
+        assert "config key 'resamples' must be int" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_config_file(self, corpus_path, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"resamples": 8, "alpha": 0.2}), encoding="utf-8")

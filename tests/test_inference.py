@@ -236,10 +236,12 @@ class TestTiers:
                 p_value=0.001,
                 q_value=0.01,
                 tier=tier,
+                resample_estimates=np.zeros(500),
                 valid_resamples=500,
                 n_blocks=8,
                 distinct_resamples=480,
                 discarded=0,
+                nonconverged=0,
             )
 
         assert result(TIER_BH).marker == "★"
@@ -669,6 +671,26 @@ class TestContentBootstrap:
         for family in pipeline.families:
             for cell in family.cells:
                 assert rows[cell.cell_id]["content"] == firsts[cell.data].cell_id
+
+    def test_the_run_keeps_each_contents_bootstrap(self):
+        pipeline = synth_pipeline()
+        firsts = {}
+        for family in pipeline.families:
+            for cell in family.cells:
+                firsts.setdefault(cell.data, cell)
+        assert sorted(pipeline.bootstraps) == sorted(cell.cell_id for cell in firsts.values())
+        for cell in firsts.values():
+            res = block_bootstrap(cell, seed=cell_seed(cell, 7), resamples=60)
+            kept = pipeline.bootstraps[cell.cell_id].resample_estimates
+            np.testing.assert_array_equal(kept, res.resample_estimates)
+        # Every twin's result holds its content's resample estimates.
+        results, _ = pipeline.inferred
+        twins = 0
+        for r in results:
+            first = pipeline.bootstraps[pipeline.content_ids[r.cell_id]]
+            assert r.resample_estimates is first.resample_estimates
+            twins += r is not first
+        assert twins > 0
 
 
 class TestInferFamilies:

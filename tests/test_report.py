@@ -156,7 +156,20 @@ class TestInferenceSerialization:
 
         results = [
             InferenceResult(
-                "surface", "word_count", "math", 0.05, 0.01, 0.001, 0.004, TIER_BH, 200, 8, 150, 3
+                view="surface",
+                feature="word_count",
+                task_group="math",
+                estimate=0.05,
+                se=0.01,
+                p_value=0.001,
+                q_value=0.004,
+                tier=TIER_BH,
+                resample_estimates=np.zeros(200),
+                valid_resamples=200,
+                n_blocks=8,
+                distinct_resamples=150,
+                discarded=3,
+                nonconverged=0,
             )
         ]
         content = {"surface:word_count:math": "surface:char_count:math"}

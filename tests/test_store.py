@@ -131,6 +131,22 @@ class TestParseRecord:
         assert record.extras == {"run_id": "abc", "note": 7}
         assert record.to_json()["run_id"] == "abc"
 
+    @pytest.mark.parametrize("annotated", [True, False])
+    def test_to_json_round_trips_through_parse_record(self, annotated):
+        prompt = {"instruction_text": "Solve.", "demos": [{"q": "1", "a": "2"}]}
+        doc = base_doc(
+            before={**prompt, "raw_payload": {"id": 3, "tags": ["x"]}},
+            after=prompt,
+            gain=0.1,
+            run_id="abc",
+            note=[1, {"k": None}],
+        )
+        if annotated:
+            doc.update(annotations_before={"Clarity": 5.5}, annotations_after={"Demos": 2.0})
+        record = parse_record(doc)
+        assert record.to_json() == {**doc, "gain": record.gain}
+        assert parse_record(record.to_json()) == record
+
     def test_demos_parsed(self):
         doc = base_doc(before={"instruction_text": "x", "demos": [{"q": "1", "a": "2"}]})
         record = parse_record(doc)
