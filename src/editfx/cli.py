@@ -190,12 +190,16 @@ def _write_stage(path: Path, records, line, key) -> None:
 
 
 def _feature_sides(doc: dict) -> tuple[dict, dict]:
-    """A feature cache line's (before, after) vectors, each a number for every feature."""
+    """A feature cache line's (before, after) vectors, each a finite number for every feature.
+
+    A bool, a NaN, an infinity or an integer past a double's range is no feature value.
+    """
     from .surface import FEATURE_ORDER
 
     sides = doc["before"], doc["after"]
-    if not all(isinstance(side[name], (int, float)) for side in sides for name in FEATURE_ORDER):
-        raise TypeError("a feature value is not a number")
+    values = [side[name] for side in sides for name in FEATURE_ORDER]
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+        raise TypeError("a feature value is not a finite number")
     return sides
 
 
@@ -250,9 +254,9 @@ def _out(args) -> Path:
 def _cmd_validate(args) -> int:
     from .store import ingest
 
-    records, stats = ingest(args.input, strict=not args.lenient)
-    print(json.dumps(stats.to_json(), indent=2, sort_keys=True))
-    if args.lenient and stats.skipped_count and args.fail_on_skip:
+    _, stats = ingest(args.input, strict=not args.lenient)
+    print(json.dumps(stats, indent=2, sort_keys=True))
+    if args.lenient and stats["skipped_count"] and args.fail_on_skip:
         return 1
     return 0
 

@@ -437,24 +437,13 @@ class Pipeline:
     def per_dataset(self) -> list[dict]:
         """Each motif feature's naive per-dataset CATE rows."""
         specs = [TreatmentSpec(view="motif", feature_name=f) for f in view_features("motif")]
-        return [
-            {
-                "view": "motif",
-                "feature": spec.feature_name,
-                "dataset": dataset,
-                "cate": stats.cate if stats.defined else None,
-                "n_treated": stats.n_treated,
-                "n_control": stats.n_control,
-            }
-            for spec in specs
-            for dataset, stats in per_dataset_cate(self.prepared, spec).items()
-        ]
+        return [row for spec in specs for row in per_dataset_cate(self.prepared, spec)]
 
     @stage
     def ceiling(self) -> dict:
         """The headroom diagnostics, or a note saying why this corpus has none."""
         try:
-            return ceiling(self.prepared.records, seed=self.cfg.seed).to_json()
+            return ceiling(self.prepared.records, seed=self.cfg.seed)
         except (ConfigError, DegenerateCellError) as exc:
             return {"note": str(exc)}
 
@@ -470,9 +459,9 @@ class Pipeline:
         except ConfigError as exc:
             return {"note": str(exc)}
         return {
-            "validated": sum(1 for r in results if r.validated),
+            "validated": sum(1 for r in results if r["validated"]),
             "total": len(results),
-            "pairs": [{**asdict(r), "validated": r.validated} for r in results],
+            "pairs": results,
         }
 
     @stage
@@ -485,7 +474,7 @@ class Pipeline:
             "artifact": {"name": "editfx", "version": __version__},
             "config": {k: v for k, v in asdict(cfg).items() if k != "workers"},
             **{k: {"version": v.version, "sha256": v.content_hash} for k, v in sources.items()},
-            "corpus": compute_stats(prepared.records).to_json(),
+            "corpus": compute_stats(prepared.records),
             "families": [
                 {
                     "name": family.name,
@@ -591,13 +580,11 @@ def receptivity_section(records: list[ComparisonRecord], estimate_rows: list[dic
             continue
         for group in sorted(estimates_by_group):
             try:
-                score = receptivity(
-                    estimates_by_group[group], fingerprint, group, optimizer=framework
+                scores.append(
+                    receptivity(estimates_by_group[group], fingerprint, group, optimizer=framework)
                 )
             except ConfigError as exc:
                 notes.append(str(exc))
-                continue
-            scores.append(score.to_json())
     doc: dict = {"scores": scores}
     if notes:
         doc["notes"] = sorted(set(notes))

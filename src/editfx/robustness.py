@@ -1,10 +1,14 @@
 """Stability and diagnostic checks around the headline estimates.
 
-Leave-one-dataset-out sign stability, per-dataset naive breakdowns,
-headroom (ceiling) diagnostics, annotation-vs-surface construct
-validity, per-feature spread, and the optimizer receptivity score.
-All per-dataset naive values are diagnostics; nothing here feeds back
-into the weighted estimates.
+Leave-one-dataset-out sign stability (a LooReport), per-dataset naive
+breakdowns, headroom (ceiling) diagnostics, annotation-vs-surface
+construct validity, per-feature spread, and the optimizer receptivity
+score. Every diagnostic but LOO returns the JSON rows the report bundle
+writes: `ceiling` the ceiling.json document, `per_dataset_cate` the
+per_dataset.csv rows, `construct_validity` provenance's validity pairs
+and `receptivity` one receptivity.json score. All per-dataset naive
+values are diagnostics; nothing here feeds back into the weighted
+estimates.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import permutations
 
@@ -294,50 +298,36 @@ def loo_stability(families: list[TestFamily], reversal: SignReversalSpec) -> Loo
     )
 
 
-@dataclass(frozen=True)
-class DatasetCate:
-    cate: float
-    n_treated: int
-    n_control: int
+def per_dataset_cate(prepared: PreparedCorpus, spec: TreatmentSpec) -> list[dict]:
+    """Unweighted treated-minus-control mean gain per dataset, in dataset-code order.
 
-    @property
-    def defined(self) -> bool:
-        return not math.isnan(self.cate)
-
-
-def per_dataset_cate(prepared: PreparedCorpus, spec: TreatmentSpec) -> dict[str, DatasetCate]:
-    """Unweighted treated-minus-control mean gain per dataset.
-
-    Datasets where either arm is empty get cate=nan. Diagnostics only;
-    never aggregated into headline estimates.
+    Each row holds view, feature, dataset, cate, n_treated and n_control;
+    cate is None where either arm is empty. Diagnostics only; never
+    aggregated into headline estimates.
     """
     frame = prepared.frame
     rows, treatment = prepared.units(spec)
     column = CATEGORICAL_COVARIATES.index("dataset")
     datasets = frame.cat_codes[rows, column]
     gain = frame.gain[rows]
-    out: dict[str, DatasetCate] = {}
+    out = []
     for code in present_codes(datasets):
         treated = gain[(datasets == code) & (treatment == 1)]
         control = gain[(datasets == code) & (treatment == 0)]
+        cate = None
         if treated.size and control.size:
             cate = float(np.mean(treated) - np.mean(control))
-        else:
-            cate = math.nan
-        out[frame.cat_levels[column][code]] = DatasetCate(
-            cate=cate, n_treated=treated.size, n_control=control.size
+        out.append(
+            {
+                "view": spec.view,
+                "feature": spec.feature_name,
+                "dataset": frame.cat_levels[column][code],
+                "cate": cate,
+                "n_treated": treated.size,
+                "n_control": control.size,
+            }
         )
     return out
-
-
-@dataclass(frozen=True)
-class CeilingReport:
-    spearman_rho: float
-    spearman_p: float
-    partial_r2: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _rss(design: np.ndarray, y: np.ndarray) -> float:
@@ -374,35 +364,19 @@ def partial_r2(headrooms, gains, groups) -> float:
     return float(min(1.0, max(0.0, value)))
 
 
-def ceiling(records: list[ComparisonRecord], seed: int = 0) -> CeilingReport:
-    """How strongly headroom (1 - base accuracy) drives gain."""
+def ceiling(records: list[ComparisonRecord], seed: int = 0) -> dict:
+    """How strongly headroom (1 - base accuracy) drives gain: rho, p and partial R^2."""
     if len(records) < 3:
         raise ConfigError("ceiling diagnostics need at least 3 records")
     headrooms = [headroom(r) for r in records]
     gains = [r.gain for r in records]
     groups = [r.task_group for r in records]
     rho, p_value = spearman(headrooms, gains, seed=seed)
-    return CeilingReport(
-        spearman_rho=rho,
-        spearman_p=p_value,
-        partial_r2=partial_r2(headrooms, gains, groups),
-    )
-
-
-@dataclass(frozen=True)
-class ValidityResult:
-    """One pair's rank correlation; rho and p_value are None, with a note, when undefined."""
-
-    annotation_feature: str
-    surface_feature: str
-    rho: float | None
-    p_value: float | None
-    n: int
-    note: str | None = None
-
-    @property
-    def validated(self) -> bool:
-        return self.rho is not None and abs(self.rho) > VALIDATED_RHO and self.p_value < VALIDATED_P
+    return {
+        "spearman_rho": rho,
+        "spearman_p": p_value,
+        "partial_r2": partial_r2(headrooms, gains, groups),
+    }
 
 
 def default_validity_pairs() -> list[tuple[str, str]]:
@@ -412,13 +386,15 @@ def default_validity_pairs() -> list[tuple[str, str]]:
 
 def construct_validity(
     prepared: PreparedCorpus, pairs: list[tuple[str, str]] | None = None, seed: int = 0
-) -> list[ValidityResult]:
+) -> list[dict]:
     """Rank-correlate annotation scores with their surface proxies.
 
-    Surface vectors come from the prepared corpus, so they use the run's
-    word lists. Prompt states are pooled across before and after sides and
-    deduplicated by exact text, since consecutive revision pairs
-    share states and double counting would inflate n. A pair with fewer
+    Each pair's row holds annotation_feature, surface_feature, rho,
+    p_value, n, note and validated (|rho| > VALIDATED_RHO and p_value <
+    VALIDATED_P). Surface vectors come from the prepared corpus, so they
+    use the run's word lists. Prompt states are pooled across before and
+    after sides and deduplicated by exact text, since consecutive revision
+    pairs share states and double counting would inflate n. A pair with fewer
     than 3 states, or whose ranks are constant on either side, gets
     rho=None with the reason as its note, and the other pairs are still
     computed; ConfigError, with the first pair's note, when no pair has 3
@@ -459,17 +435,18 @@ def construct_validity(
             except DegenerateCellError as exc:
                 note = str(exc)
         results.append(
-            ValidityResult(
-                annotation_feature=annotation_feature,
-                surface_feature=surface_feature,
-                rho=rho,
-                p_value=p_value,
-                n=len(xs),
-                note=note,
-            )
+            {
+                "annotation_feature": annotation_feature,
+                "surface_feature": surface_feature,
+                "rho": rho,
+                "p_value": p_value,
+                "n": len(xs),
+                "note": note,
+                "validated": rho is not None and abs(rho) > VALIDATED_RHO and p_value < VALIDATED_P,
+            }
         )
-    if results and all(r.n < 3 for r in results):
-        raise ConfigError(results[0].note)
+    if results and all(r["n"] < 3 for r in results):
+        raise ConfigError(results[0]["note"])
     return results
 
 
@@ -479,22 +456,6 @@ def spread(estimates: dict[str, float]) -> float:
         raise ConfigError("spread needs estimates for at least 2 groups")
     values = list(estimates.values())
     return max(values) - min(values)
-
-
-@dataclass(frozen=True)
-class ReceptivityScore:
-    task_group: str
-    optimizer: str
-    score: float
-    fingerprint: dict[str, float]
-
-    def to_json(self) -> dict:
-        return {
-            "task_group": self.task_group,
-            "optimizer": self.optimizer,
-            "score": self.score,
-            "fingerprint": dict(sorted(self.fingerprint.items())),
-        }
 
 
 def fingerprint_from_records(
@@ -532,25 +493,21 @@ def receptivity(
     fingerprint: dict[str, float],
     task_group: str,
     optimizer: str = "all",
-    significant: set[str] | None = None,
-) -> ReceptivityScore:
+) -> dict:
     """score = sum over fingerprint features of estimate(f) * mean delta(f).
 
-    `significant` optionally restricts the fingerprint to features whose
-    cell passed FDR correction; the unfiltered sum is the normative
-    definition.
+    Returns task_group, optimizer, score and the fingerprint, sorted by
+    feature.
     """
-    if significant is not None:
-        fingerprint = {f: d for f, d in fingerprint.items() if f in significant}
     if not fingerprint:
         raise ConfigError("receptivity needs a nonempty fingerprint")
     missing = [f for f in fingerprint if f not in estimates]
     if missing:
         raise ConfigError(f"no estimates for fingerprint features {missing} in '{task_group}'")
     score = sum(estimates[f] * delta for f, delta in fingerprint.items())
-    return ReceptivityScore(
-        task_group=task_group,
-        optimizer=optimizer,
-        score=float(score),
-        fingerprint=dict(fingerprint),
-    )
+    return {
+        "task_group": task_group,
+        "optimizer": optimizer,
+        "score": float(score),
+        "fingerprint": dict(sorted(fingerprint.items())),
+    }

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable
@@ -119,27 +119,6 @@ class ComparisonRecord:
         return doc
 
 
-@dataclass
-class StoreStats:
-    record_count: int
-    per_dataset_counts: dict[str, int]
-    per_group_counts: dict[str, int]
-    per_block_counts: dict[tuple[str, str], int]
-    skipped_count: int = 0
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "record_count": self.record_count,
-            "per_dataset_counts": dict(sorted(self.per_dataset_counts.items())),
-            "per_group_counts": dict(sorted(self.per_group_counts.items())),
-            "per_block_counts": {
-                f"{d}|{b}": n
-                for (d, b), n in sorted(self.per_block_counts.items())
-            },
-            "skipped_count": self.skipped_count,
-        }
-
-
 # The keys a record's fields read; parse_record keeps every other key as an extra.
 _KNOWN_FIELDS = frozenset(item.name for item in fields(ComparisonRecord)) - {"extras"}
 
@@ -173,10 +152,13 @@ def _parse_prompt_state(doc: Any, label: str) -> PromptState:
 
 
 def _number(value: Any, label: str) -> float:
-    """A JSON number as a float; a bool or a string is not a number."""
+    """A JSON number as a float; a bool, a string or an integer past a double's range is not."""
     if type(value) not in (int, float):
         raise IngestError(f"field '{label}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise IngestError(f"field '{label}' does not fit a double") from None
 
 
 def _parse_annotations(doc: Any, label: str) -> dict[str, float]:
@@ -227,6 +209,7 @@ def parse_record(doc: dict[str, Any]) -> ComparisonRecord:
     step_index = int(step_index)
     if step_index < 0:
         raise IngestError(f"step_index {step_index} must be >= 0")
+    _number(step_index, "step_index")  # the unit frame holds it as a double
 
     for name in ("before", "after"):
         if name not in doc:
@@ -246,8 +229,8 @@ def parse_record(doc: dict[str, Any]) -> ComparisonRecord:
     computed_gain = acc_after - acc_before
     if "gain" in doc and doc["gain"] is not None:
         gain = _number(doc["gain"], "gain")
-        if not math.isfinite(gain):
-            raise IngestError(f"gain {gain} is not finite")
+        if not -1.0 <= gain <= 1.0:
+            raise IngestError(f"gain {gain} outside [-1,1]")
         if abs(gain - computed_gain) > GAIN_TOLERANCE:
             raise IngestError(
                 f"gain {gain} disagrees with accuracy_after - accuracy_before "
@@ -287,23 +270,19 @@ def parse_record(doc: dict[str, Any]) -> ComparisonRecord:
     )
 
 
-def compute_stats(
-    records: list[ComparisonRecord], skipped_count: int = 0
-) -> StoreStats:
-    per_dataset: dict[str, int] = {}
-    per_group: dict[str, int] = {}
-    per_block: dict[tuple[str, str], int] = {}
-    for rec in records:
-        per_dataset[rec.dataset] = per_dataset.get(rec.dataset, 0) + 1
-        per_group[rec.task_group] = per_group.get(rec.task_group, 0) + 1
-        per_block[rec.block_id] = per_block.get(rec.block_id, 0) + 1
-    return StoreStats(
-        record_count=len(records),
-        per_dataset_counts=per_dataset,
-        per_group_counts=per_group,
-        per_block_counts=per_block,
-        skipped_count=skipped_count,
-    )
+def compute_stats(records: list[ComparisonRecord], skipped_count: int = 0) -> dict[str, Any]:
+    """Record counts overall, per dataset, per task group and per "dataset|backbone" block."""
+
+    def counts(key) -> dict[str, int]:
+        return dict(sorted(Counter(map(key, records)).items()))
+
+    return {
+        "record_count": len(records),
+        "per_dataset_counts": counts(lambda r: r.dataset),
+        "per_group_counts": counts(lambda r: r.task_group),
+        "per_block_counts": counts(lambda r: f"{r.dataset}|{r.backbone}"),
+        "skipped_count": skipped_count,
+    }
 
 
 # Only a \uD800-\uDFFF escape can decode to a lone surrogate.
@@ -326,13 +305,11 @@ def _load_line(raw: bytes) -> dict[str, Any] | None:
     return doc
 
 
-def ingest(
-    path: str | Path, strict: bool = True
-) -> tuple[list[ComparisonRecord], StoreStats]:
-    """Load a JSONL file of comparison records.
+def ingest(path: str | Path, strict: bool = True) -> tuple[list[ComparisonRecord], dict[str, Any]]:
+    """Load a JSONL file of comparison records, with their compute_stats counts.
 
     In strict mode the first invalid line aborts the whole ingest; in lenient
-    mode invalid lines are skipped and counted in StoreStats.skipped_count.
+    mode invalid lines are skipped and counted in the stats' skipped_count.
     Duplicate pair_ids (on the later line), bytes that are not UTF-8 and
     lone surrogate escapes are invalid in both modes.
     """

@@ -526,7 +526,7 @@ def test_criterion_10_ceiling_diagnostics(capsys):
             )
             for i in range(6)
         ]
-        rho_up = ceiling(monotone, seed=0).spearman_rho
+        rho_up = ceiling(monotone, seed=0)["spearman_rho"]
         antitone = [
             make_record(
                 f"a{i}",
@@ -536,7 +536,7 @@ def test_criterion_10_ceiling_diagnostics(capsys):
             )
             for i in range(6)
         ]
-        rho_down = ceiling(antitone, seed=0).spearman_rho
+        rho_down = ceiling(antitone, seed=0)["spearman_rho"]
         monotone_ok = rho_up == 1.0 and rho_down == -1.0
 
         rng = np.random.default_rng(10)
@@ -552,7 +552,7 @@ def test_criterion_10_ceiling_diagnostics(capsys):
                     gain=gain,
                 )
             )
-        inert_r2 = ceiling(inert, seed=0).partial_r2
+        inert_r2 = ceiling(inert, seed=0)["partial_r2"]
         inert_ok = inert_r2 < 0.01
 
         out_of_bounds = 0

@@ -385,9 +385,7 @@ class TestReportCommand:
         assert main([*argv, "--wordlists", str(lists_path)]) == 0
         written = json.loads((out / "provenance.json").read_text("utf-8"))["construct_validity"]
         expected = construct_validity(PreparedCorpus(records, WordLists.from_json(lists)))
-        assert written["pairs"] == [
-            {**dataclasses.asdict(r), "validated": r.validated} for r in expected
-        ]
+        assert written["pairs"] == expected
         assert expected != construct_validity(PreparedCorpus(records))
 
     def test_full_bundle_then_render_only(self, corpus_path, tmp_path):
@@ -776,6 +774,8 @@ class TestStageCache:
             ("features", lambda doc: doc.pop("pair_id")),
             ("features", lambda doc: doc["before"].update(word_count="many")),
             ("features", lambda doc: doc["after"].pop(FEATURE_ORDER[0])),
+            ("features", lambda doc: doc["after"].update(compression_ratio=float("nan"))),
+            ("features", lambda doc: doc["before"].update(word_count=True)),
             ("motifs", lambda doc: doc.pop("record_labels")),
             ("motifs", lambda doc: doc.update(record_labels="x")),
             ("motifs.keys", None),
@@ -786,6 +786,8 @@ class TestStageCache:
             "no-pair-id",
             "feature-not-a-number",
             "feature-missing",
+            "feature-not-finite",
+            "feature-a-bool",
             "no-record-labels",
             "labels-not-a-list",
             "keys-unparsable",

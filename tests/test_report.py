@@ -39,6 +39,7 @@ from editfx.report import (
     write_text,
 )
 from editfx.robustness import LooReport, LooSplit, SignReversalSpec
+from editfx.store import compute_stats
 from editfx.synth import SynthConfig, generate
 
 from conftest import make_record
@@ -551,6 +552,22 @@ class TestRunReport:
         assert len(per_dataset_lines) > 1
         loo_first = (out / "loo.csv").read_text("utf-8").splitlines()[0]
         assert loo_first.startswith("#")
+
+    def test_diagnostics_return_the_rows_the_bundle_writes(self, tmp_path):
+        records, _ = generate(SynthConfig(n=120, seed=0, annotate=True))
+        prepared = PreparedCorpus(records)
+        out = tmp_path / "bundle"
+        provenance = run_report(prepared, out, seed=0, resamples=8)
+        ceiling_doc = json.loads((out / "ceiling.json").read_text("utf-8"))
+        assert ceiling_doc == robustness.ceiling(records, seed=0)
+        assert provenance["corpus"] == compute_stats(records)
+        pairs = robustness.construct_validity(prepared, seed=0)
+        assert provenance["construct_validity"]["pairs"] == pairs
+        assert any(pair["validated"] for pair in pairs)
+        specs = [TreatmentSpec(view="motif", feature_name=f) for f in design.view_features("motif")]
+        rows = [row for spec in specs for row in robustness.per_dataset_cate(prepared, spec)]
+        assert any(row["cate"] is not None for row in rows)
+        assert (out / "per_dataset.csv").read_text("utf-8") == per_dataset_to_csv(rows)
 
     def test_one_corpus_serves_the_whole_run(self, tmp_path, monkeypatch):
         records, _ = generate(SynthConfig(n=120, seed=0, annotate=True))

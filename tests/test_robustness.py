@@ -213,13 +213,13 @@ class TestCeiling:
 
     def test_monotone_rho(self):
         report = ceiling(self.make_monotone(+1))
-        assert report.spearman_rho == pytest.approx(1.0)
-        assert report.spearman_p == pytest.approx(2.0 / 720.0)
+        assert report["spearman_rho"] == pytest.approx(1.0)
+        assert report["spearman_p"] == pytest.approx(2.0 / 720.0)
         report = ceiling(self.make_monotone(-1))
-        assert report.spearman_rho == pytest.approx(-1.0)
+        assert report["spearman_rho"] == pytest.approx(-1.0)
 
     def test_to_json_fields(self):
-        doc = ceiling(self.make_monotone(+1)).to_json()
+        doc = ceiling(self.make_monotone(+1))
         assert set(doc) == {"spearman_rho", "spearman_p", "partial_r2"}
         assert 0.0 <= doc["partial_r2"] <= 1.0
 
@@ -350,19 +350,20 @@ class TestPerDatasetCate:
             ("d2", "math", True, 0.1, 1),
             ("d2", "math", False, 0.1, 1),
         ]
-        out = per_dataset_cate(PreparedCorpus(effect_corpus(layout)), WORD_SPEC)
-        assert list(out) == ["d1", "d2"]
-        assert out["d1"].cate == pytest.approx(0.1, abs=1e-12)
-        assert out["d1"].n_treated == 2
-        assert out["d1"].n_control == 2
-        assert out["d2"].cate == pytest.approx(0.0, abs=1e-12)
+        rows = per_dataset_cate(PreparedCorpus(effect_corpus(layout)), WORD_SPEC)
+        assert [row["dataset"] for row in rows] == ["d1", "d2"]
+        out = {row["dataset"]: row for row in rows}
+        assert out["d1"]["cate"] == pytest.approx(0.1, abs=1e-12)
+        assert out["d1"]["n_treated"] == 2
+        assert out["d1"]["n_control"] == 2
+        assert out["d2"]["cate"] == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_arm_is_undefined(self):
         layout = [("d1", "math", True, 0.2, 3)]
-        out = per_dataset_cate(PreparedCorpus(effect_corpus(layout)), WORD_SPEC)
-        assert not out["d1"].defined
-        assert math.isnan(out["d1"].cate)
-        assert out["d1"].n_control == 0
+        (row,) = per_dataset_cate(PreparedCorpus(effect_corpus(layout)), WORD_SPEC)
+        assert row["dataset"] == "d1"
+        assert row["cate"] is None
+        assert row["n_control"] == 0
 
 
 class TestConstructValidity:
@@ -394,16 +395,16 @@ class TestConstructValidity:
             pairs=[("Metacognition", "metacog_word_density")],
         )
         assert len(results) == 1
-        assert results[0].rho == pytest.approx(1.0)
-        assert results[0].validated
+        assert results[0]["rho"] == pytest.approx(1.0)
+        assert results[0]["validated"]
 
     def test_anti_monotone_pair_validates_via_absolute_rho(self):
         results = construct_validity(
             PreparedCorpus(self.graded_records(flip=True)),
             pairs=[("Metacognition", "metacog_word_density")],
         )
-        assert results[0].rho == pytest.approx(-1.0)
-        assert results[0].validated
+        assert results[0]["rho"] == pytest.approx(-1.0)
+        assert results[0]["validated"]
 
     def test_states_deduplicated_by_text(self):
         records = self.graded_records()
@@ -418,8 +419,8 @@ class TestConstructValidity:
             PreparedCorpus(records + [clone]), pairs=[("Metacognition", "metacog_word_density")]
         )
         # the clone's states collide with r0's; first-seen annotations win
-        assert results[0].n == 8
-        assert results[0].rho == pytest.approx(1.0)
+        assert results[0]["n"] == 8
+        assert results[0]["rho"] == pytest.approx(1.0)
 
     def test_constant_pair_listed_beside_monotone_pair(self):
         records = [
@@ -432,27 +433,27 @@ class TestConstructValidity:
         ]
         pairs = [("Clarity", "metacog_word_density"), ("Metacognition", "metacog_word_density")]
         constant, monotone = construct_validity(PreparedCorpus(records), pairs=pairs)
-        assert constant.rho is None and constant.p_value is None
-        assert constant.note == "constant input; rank correlation undefined"
-        assert constant.n == 8
-        assert not constant.validated
-        assert monotone.rho == pytest.approx(1.0)
-        assert monotone.note is None
-        assert monotone.validated
+        assert constant["rho"] is None and constant["p_value"] is None
+        assert constant["note"] == "constant input; rank correlation undefined"
+        assert constant["n"] == 8
+        assert not constant["validated"]
+        assert monotone["rho"] == pytest.approx(1.0)
+        assert monotone["note"] is None
+        assert monotone["validated"]
 
     def test_pairs_without_states_listed_beside_computed_pair(self):
         # Annotated for Metacognition only: the other default pairs lack states.
         results = construct_validity(PreparedCorpus(self.graded_records()))
-        by_pair = {(r.annotation_feature, r.surface_feature): r for r in results}
+        by_pair = {(r["annotation_feature"], r["surface_feature"]): r for r in results}
         assert len(results) == len(default_validity_pairs())
         monotone = by_pair["Metacognition", "metacog_word_density"]
-        assert monotone.rho == pytest.approx(1.0)
-        assert monotone.validated
+        assert monotone["rho"] == pytest.approx(1.0)
+        assert monotone["validated"]
         short = by_pair["Intrinsic_load", "word_count"]
-        assert short.rho is None and short.p_value is None
-        assert short.n == 0
-        assert short.note == "pair (Intrinsic_load, word_count) has fewer than 3 states"
-        assert not short.validated
+        assert short["rho"] is None and short["p_value"] is None
+        assert short["n"] == 0
+        assert short["note"] == "pair (Intrinsic_load, word_count) has fewer than 3 states"
+        assert not short["validated"]
 
     def test_no_pair_with_three_states_rejected(self):
         # Two annotated states: the first pair's note is the error.
@@ -487,7 +488,7 @@ class TestConstructValidity:
         )
         results = construct_validity(prepared, pairs=[("Metacognition", "metacog_word_density")])
         assert calls == []
-        assert results[0].rho == pytest.approx(1.0)
+        assert results[0]["rho"] == pytest.approx(1.0)
 
     def test_default_pairs_are_wellformed(self):
         pairs = default_validity_pairs()
@@ -525,34 +526,22 @@ class TestReceptivity:
             fingerprint={"Demos": 0.974, "Intrinsic_load": 0.811},
             task_group="sequential",
         )
-        assert score.score == pytest.approx(-0.0258, abs=1e-4)
-        assert score.task_group == "sequential"
+        assert score["score"] == pytest.approx(-0.0258, abs=1e-4)
+        assert score["task_group"] == "sequential"
 
     def test_single_feature_identity(self):
         score = receptivity({"Demos": 0.05}, {"Demos": 1.0}, "math")
-        assert score.score == pytest.approx(0.05)
+        assert score["score"] == pytest.approx(0.05)
 
     def test_zero_estimates_zero_score(self):
         score = receptivity(
             {"Demos": 0.0, "Clarity": 0.0}, {"Demos": 0.9, "Clarity": -0.7}, "math"
         )
-        assert score.score == 0.0
-
-    def test_significance_filter(self):
-        score = receptivity(
-            estimates={"Demos": -0.044, "Intrinsic_load": 0.021},
-            fingerprint={"Demos": 0.974, "Intrinsic_load": 0.811},
-            task_group="sequential",
-            significant={"Demos"},
-        )
-        assert score.score == pytest.approx(0.974 * -0.044)
-        assert list(score.fingerprint) == ["Demos"]
+        assert score["score"] == 0.0
 
     def test_empty_fingerprint_rejected(self):
         with pytest.raises(ConfigError):
             receptivity({"Demos": 0.1}, {}, "math")
-        with pytest.raises(ConfigError):
-            receptivity({"Demos": 0.1}, {"Demos": 1.0}, "math", significant=set())
 
     def test_missing_estimate_rejected(self):
         with pytest.raises(ConfigError):
@@ -562,7 +551,7 @@ class TestReceptivity:
         score = receptivity(
             {"Demos": 0.1, "Clarity": 0.2}, {"Demos": 1.0, "Clarity": 0.8}, "math"
         )
-        assert list(score.to_json()["fingerprint"]) == ["Clarity", "Demos"]
+        assert list(score["fingerprint"]) == ["Clarity", "Demos"]
 
 
 class TestFingerprint:

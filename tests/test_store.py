@@ -184,6 +184,10 @@ class TestIngest:
             {"accuracy_after": "0.8"},
             {"gain": False},
             {"gain": "0.1"},
+            # numbers that a double cannot hold, and a gain outside [-1, 1]
+            {"accuracy_before": 10**400},
+            {"step_index": 10**400},
+            {"accuracy_before": 0.0, "accuracy_after": 1.0, "gain": 1.0000000005},
         ],
     )
     def test_invalid_numbers_name_the_line_or_are_skipped(self, tmp_path, bad):
@@ -199,7 +203,7 @@ class TestIngest:
         assert str(err.value).startswith("line 2: ")
         records, stats = ingest(path, strict=False)
         assert [r.pair_id for r in records] == ["x1"]
-        assert stats.skipped_count == 1
+        assert stats["skipped_count"] == 1
 
     def test_paired_surrogate_escape_is_text(self, tmp_path):
         doc = base_doc(before={"instruction_text": "Solve \U0001f600 it.", "demos": []})
@@ -217,7 +221,7 @@ class TestIngest:
         ]
         records, stats = ingest(self.write(tmp_path, lines), strict=False)
         assert [r.pair_id for r in records] == ["x1", "x3"]
-        assert stats.skipped_count == 2
+        assert stats["skipped_count"] == 2
 
     def test_duplicate_pair_id_rejected_both_modes(self, tmp_path):
         lines = [json.dumps(base_doc()), json.dumps(base_doc())]
@@ -225,12 +229,12 @@ class TestIngest:
         with pytest.raises(IngestError, match="duplicate"):
             ingest(path, strict=True)
         records, stats = ingest(path, strict=False)
-        assert len(records) == 1 and stats.skipped_count == 1
+        assert len(records) == 1 and stats["skipped_count"] == 1
 
     def test_blank_lines_ignored(self, tmp_path):
         path = self.write(tmp_path, [json.dumps(base_doc()), "", "  "])
         records, stats = ingest(path, strict=True)
-        assert len(records) == 1 and stats.skipped_count == 0
+        assert len(records) == 1 and stats["skipped_count"] == 0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="not found"):
@@ -261,12 +265,11 @@ class TestStatsAndPartition:
 
     def test_compute_stats_counts_sum(self):
         stats = compute_stats(self.records())
-        assert stats.record_count == 3
-        assert sum(stats.per_dataset_counts.values()) == 3
-        assert sum(stats.per_group_counts.values()) == 3
-        assert sum(stats.per_block_counts.values()) == 3
-        doc = stats.to_json()
-        assert doc["per_block_counts"]["gsm8k|bb_beta"] == 1
+        assert stats["record_count"] == 3
+        assert sum(stats["per_dataset_counts"].values()) == 3
+        assert sum(stats["per_group_counts"].values()) == 3
+        assert sum(stats["per_block_counts"].values()) == 3
+        assert stats["per_block_counts"]["gsm8k|bb_beta"] == 1
 
     def test_partition_disjoint_exhaustive(self):
         records = self.records()

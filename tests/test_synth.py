@@ -141,7 +141,7 @@ class TestGenerate:
         path = tmp_path / "corpus.jsonl"
         serialize(records, path)
         loaded, stats = ingest(path)
-        assert stats.skipped_count == 0
+        assert stats["skipped_count"] == 0
         assert len(loaded) == len(records)
         again = tmp_path / "again.jsonl"
         serialize(loaded, again)
