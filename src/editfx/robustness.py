@@ -402,7 +402,7 @@ def construct_validity(
     """
     if pairs is None:
         pairs = default_validity_pairs()
-    states: dict[str, tuple[dict, dict[str, float]]] = {}
+    states: dict[tuple[str, str], tuple[dict, dict[str, float]]] = {}
     for record in prepared.records:
         for side, state, annotations in (
             (0, record.before, record.annotations_before),
@@ -410,7 +410,7 @@ def construct_validity(
         ):
             if annotations is None:
                 continue
-            key = state.instruction_text + "\x00" + state.demo_text()
+            key = (state.instruction_text, state.demo_text())
             if key not in states:
                 states[key] = (prepared.surface_pair(record)[side], dict(annotations))
             else:

@@ -119,36 +119,15 @@ class ComparisonRecord:
         return doc
 
 
-# The keys a record's fields read; parse_record keeps every other key as an extra.
-_KNOWN_FIELDS = frozenset(item.name for item in fields(ComparisonRecord)) - {"extras"}
-
-
 def headroom(record: ComparisonRecord) -> float:
     """Remaining room for improvement: 1 - accuracy_before."""
     return 1.0 - record.accuracy_before
 
 
-def _parse_prompt_state(doc: Any, label: str) -> PromptState:
-    if not isinstance(doc, dict):
-        raise IngestError(f"field '{label}' must be an object")
-    if "instruction_text" not in doc:
-        raise IngestError(f"missing required field '{label}.instruction_text'")
-    text = doc["instruction_text"]
-    if not isinstance(text, str):
-        raise IngestError(f"'{label}.instruction_text' must be a string")
-    demos_raw = doc.get("demos", [])
-    if not isinstance(demos_raw, list):
-        raise IngestError(f"'{label}.demos' must be a list")
-    demos = []
-    for entry in demos_raw:
-        if not isinstance(entry, dict):
-            raise IngestError(f"'{label}.demos' entries must be objects")
-        demos.append({str(k): str(v) for k, v in entry.items()})
-    return PromptState(
-        instruction_text=text,
-        demos=tuple(demos),
-        raw_payload=doc.get("raw_payload"),
-    )
+def _string(value: Any, label: str) -> str:
+    if not isinstance(value, str):
+        raise IngestError(f"field '{label}' must be a string")
+    return value
 
 
 def _number(value: Any, label: str) -> float:
@@ -161,20 +140,84 @@ def _number(value: Any, label: str) -> float:
         raise IngestError(f"field '{label}' does not fit a double") from None
 
 
-def _parse_annotations(doc: Any, label: str) -> dict[str, float]:
-    if not isinstance(doc, dict):
+def _integer(value: Any, label: str) -> int:
+    """A JSON number that is integral, at least 0 and fits a double (`3` or `3.0`, not `"3"`)."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise IngestError(f"field '{label}' must be an integer, got {value!r}")
+    if _number(value, label) < 0:
+        raise IngestError(f"field '{label}' must be >= 0, got {value!r}")
+    return int(value)
+
+
+def _demos(value: Any, label: str) -> tuple[dict[str, str], ...]:
+    if not isinstance(value, list):
+        raise IngestError(f"field '{label}' must be a list")
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise IngestError(f"field '{label}[{i}]' must be an object")
+        for key, text in entry.items():
+            _string(text, f"{label}[{i}].{key}")
+    return tuple(map(dict, value))
+
+
+# A prompt state's keys; any JSON value passes as its raw_payload.
+_PROMPT_FIELDS = {
+    "instruction_text": (_string, True),
+    "demos": (_demos, False),
+    "raw_payload": (lambda value, label: value, False),
+}
+
+
+def _prompt(value: Any, label: str) -> PromptState:
+    if not isinstance(value, dict):
+        raise IngestError(f"field '{label}' must be an object")
+    for key in value:
+        if key not in _PROMPT_FIELDS:
+            raise IngestError(f"unknown field '{label}.{key}'")
+    return PromptState(**_fields(value, _PROMPT_FIELDS, f"{label}."))
+
+
+def _scores(value: Any, label: str) -> dict[str, float]:
+    if not isinstance(value, dict):
         raise IngestError(f"field '{label}' must be an object")
     scores: dict[str, float] = {}
-    for name, value in doc.items():
+    for name, score in value.items():
         if name not in ANNOTATION_FEATURES:
             raise IngestError(f"unknown annotation feature '{name}' in '{label}'")
-        score = _number(value, f"{label}.{name}")
-        if not (1.0 <= score <= 10.0):
-            raise IngestError(
-                f"annotation score {name}={score} outside [1,10] in '{label}'"
-            )
-        scores[name] = score
+        scores[name] = _number(score, f"{label}.{name}")
+        if not (1.0 <= scores[name] <= 10.0):
+            raise IngestError(f"annotation score {name}={scores[name]} outside [1,10] in '{label}'")
     return scores
+
+
+# Each top-level field: the parser for its JSON kind, and whether a record
+# must carry it. parse_record keeps every other key as an extra.
+FIELDS = {
+    "pair_id": (_string, True),
+    "framework": (_string, True),
+    "backbone": (_string, True),
+    "dataset": (_string, True),
+    "task_group": (_string, False),
+    "step_index": (_integer, True),
+    "before": (_prompt, True),
+    "after": (_prompt, True),
+    "accuracy_before": (_number, True),
+    "accuracy_after": (_number, True),
+    "gain": (_number, False),
+    "annotations_before": (_scores, False),
+    "annotations_after": (_scores, False),
+}
+
+
+def _fields(doc: dict[str, Any], table: dict, prefix: str = "") -> dict[str, Any]:
+    """Each present field of `table` parsed by its kind; a null counts as absent."""
+    values = {}
+    for name, (parse, required) in table.items():
+        if (value := doc.get(name)) is not None:
+            values[name] = parse(value, prefix + name)
+        elif required:
+            raise IngestError(f"missing required field '{prefix}{name}'")
+    return values
 
 
 def parse_record(doc: dict[str, Any]) -> ComparisonRecord:
@@ -182,92 +225,28 @@ def parse_record(doc: dict[str, Any]) -> ComparisonRecord:
 
     Raises IngestError on any malformed, missing, or out-of-range field.
     """
-    for name in ("pair_id", "framework", "backbone", "dataset"):
-        if name not in doc:
-            raise IngestError(f"missing required field '{name}'")
-        if not isinstance(doc[name], str):
-            raise IngestError(f"field '{name}' must be a string")
-
-    task_group = doc.get("task_group")
-    if task_group is None:
-        task_group = DATASET_GROUPS.get(str(doc["dataset"]).lower())
-        if task_group is None:
+    values = _fields(doc, FIELDS)
+    if "task_group" not in values:
+        values["task_group"] = DATASET_GROUPS.get(values["dataset"].lower())
+        if values["task_group"] is None:
             raise IngestError(
                 f"missing required field 'task_group' and dataset "
-                f"'{doc['dataset']}' is not in the bundled group table"
+                f"'{values['dataset']}' is not in the bundled group table"
             )
-    if task_group not in TASK_GROUPS:
-        raise IngestError(f"unknown task_group '{task_group}'")
-
-    if "step_index" not in doc:
-        raise IngestError("missing required field 'step_index'")
-    step_index = doc["step_index"]
-    if isinstance(step_index, bool) or (
-        isinstance(step_index, float) and not step_index.is_integer()
-    ):
-        raise IngestError(f"step_index {step_index!r} must be an integer")
-    step_index = int(step_index)
-    if step_index < 0:
-        raise IngestError(f"step_index {step_index} must be >= 0")
-    _number(step_index, "step_index")  # the unit frame holds it as a double
-
-    for name in ("before", "after"):
-        if name not in doc:
-            raise IngestError(f"missing required field '{name}'")
-    before = _parse_prompt_state(doc["before"], "before")
-    after = _parse_prompt_state(doc["after"], "after")
-
+    if values["task_group"] not in TASK_GROUPS:
+        raise IngestError(f"unknown task_group '{values['task_group']}'")
     for name in ("accuracy_before", "accuracy_after"):
-        if name not in doc:
-            raise IngestError(f"missing required field '{name}'")
-    acc_before = _number(doc["accuracy_before"], "accuracy_before")
-    acc_after = _number(doc["accuracy_after"], "accuracy_after")
-    for name, acc in (("accuracy_before", acc_before), ("accuracy_after", acc_after)):
-        if not (0.0 <= acc <= 1.0):
-            raise IngestError(f"accuracy outside [0,1]: {name}={acc}")
-
-    computed_gain = acc_after - acc_before
-    if "gain" in doc and doc["gain"] is not None:
-        gain = _number(doc["gain"], "gain")
-        if not -1.0 <= gain <= 1.0:
-            raise IngestError(f"gain {gain} outside [-1,1]")
-        if abs(gain - computed_gain) > GAIN_TOLERANCE:
-            raise IngestError(
-                f"gain {gain} disagrees with accuracy_after - accuracy_before "
-                f"= {computed_gain}"
-            )
-    else:
-        gain = computed_gain
-
-    annotations_before = None
-    if doc.get("annotations_before") is not None:
-        annotations_before = _parse_annotations(
-            doc["annotations_before"], "annotations_before"
+        if not (0.0 <= values[name] <= 1.0):
+            raise IngestError(f"accuracy outside [0,1]: {name}={values[name]}")
+    computed_gain = values["accuracy_after"] - values["accuracy_before"]
+    gain = values.setdefault("gain", computed_gain)
+    if not -1.0 <= gain <= 1.0:
+        raise IngestError(f"gain {gain} outside [-1,1]")
+    if abs(gain - computed_gain) > GAIN_TOLERANCE:
+        raise IngestError(
+            f"gain {gain} disagrees with accuracy_after - accuracy_before = {computed_gain}"
         )
-    annotations_after = None
-    if doc.get("annotations_after") is not None:
-        annotations_after = _parse_annotations(
-            doc["annotations_after"], "annotations_after"
-        )
-
-    extras = {k: v for k, v in doc.items() if k not in _KNOWN_FIELDS}
-
-    return ComparisonRecord(
-        pair_id=str(doc["pair_id"]),
-        framework=str(doc["framework"]),
-        backbone=str(doc["backbone"]),
-        dataset=str(doc["dataset"]),
-        task_group=task_group,
-        step_index=step_index,
-        before=before,
-        after=after,
-        accuracy_before=acc_before,
-        accuracy_after=acc_after,
-        gain=gain,
-        annotations_before=annotations_before,
-        annotations_after=annotations_after,
-        extras=extras,
-    )
+    return ComparisonRecord(**values, extras={k: v for k, v in doc.items() if k not in FIELDS})
 
 
 def compute_stats(records: list[ComparisonRecord], skipped_count: int = 0) -> dict[str, Any]:

@@ -422,6 +422,23 @@ class TestConstructValidity:
         assert results[0]["n"] == 8
         assert results[0]["rho"] == pytest.approx(1.0)
 
+    def test_states_differing_only_across_a_nul_both_count(self):
+        # Joined with a NUL, "a\x00b" + "c" and "a" + "b\x00c" read the same.
+        records = self.graded_records()
+        extra = [
+            make_record(
+                f"nul{i}",
+                before_text=text,
+                demos_before=[{"q": demo}],
+                annotations_before={"Metacognition": 1.0},
+            )
+            for i, (text, demo) in enumerate([("a\x00b", "c"), ("a", "b\x00c")])
+        ]
+        results = construct_validity(
+            PreparedCorpus(records + extra), pairs=[("Metacognition", "metacog_word_density")]
+        )
+        assert results[0]["n"] == 10
+
     def test_constant_pair_listed_beside_monotone_pair(self):
         records = [
             dataclasses.replace(

@@ -3,10 +3,14 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from editfx.design import PreparedCorpus
 from editfx.errors import IngestError
+from editfx.report import run_report
 from editfx.store import (
     ANNOTATION_FEATURES,
+    FIELDS,
     TASK_GROUPS,
     ComparisonRecord,
     PromptState,
@@ -16,6 +20,7 @@ from editfx.store import (
     parse_record,
     serialize,
 )
+from editfx.synth import SynthConfig, generate
 
 from conftest import make_record
 from oracles import partition
@@ -101,9 +106,23 @@ class TestParseRecord:
 
     def test_step_index_must_be_integral(self):
         assert parse_record(base_doc(step_index=4.0)).step_index == 4
-        for value in (3.7, True, False):
+        for value in (3.7, True, False, "3", None, [1]):
             with pytest.raises(IngestError, match="step_index"):
                 parse_record(base_doc(step_index=value))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"after": {"instruction_text": "S", "demos": [{"q": None}]}}, "'after.demos[0].q'"),
+            ({"after": {"instruction_text": "S", "demos": ["q"]}}, "'after.demos[0]'"),
+            ({"before": {"instruction_text": "S", "zzz": 1}}, "unknown field 'before.zzz'"),
+            ({"after": {"instruction_text": "S", "zzz": 1}}, "unknown field 'after.zzz'"),
+        ],
+    )
+    def test_bad_prompt_state_names_the_field(self, bad, message):
+        with pytest.raises(IngestError) as err:
+            parse_record(base_doc(**bad))
+        assert message in str(err.value)
 
     def test_annotations_validated(self):
         doc = base_doc(annotations_before={"Clarity": 7, "Demos": 1})
@@ -188,6 +207,15 @@ class TestIngest:
             {"accuracy_before": 10**400},
             {"step_index": 10**400},
             {"accuracy_before": 0.0, "accuracy_after": 1.0, "gain": 1.0000000005},
+            # a step_index that is not a JSON number
+            {"step_index": "3"},
+            {"step_index": None},
+            {"step_index": [1]},
+            # demo values that are not strings, and a key no prompt state has
+            {"after": {"instruction_text": "Solve.", "demos": [{"q": None}]}},
+            {"after": {"instruction_text": "Solve.", "demos": [{"q": True}]}},
+            {"after": {"instruction_text": "Solve.", "demos": [{"q": 3}]}},
+            {"before": {"instruction_text": "Solve the problem.", "demos": [], "zzz": 1}},
         ],
     )
     def test_invalid_numbers_name_the_line_or_are_skipped(self, tmp_path, bad):
@@ -253,6 +281,128 @@ class TestIngest:
         serialize(records2, out2)
         assert records == records2
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# Hostile JSON values, as the text of a line: every JSON type, numeric
+# strings, literals json.loads takes beyond JSON, numbers a double cannot
+# hold, lone surrogates, NUL, empty strings, nested containers and
+# duplicate keys.
+HOSTILE = [
+    "null", "true", "false", "0", "1", "-1", "3", "3.0", "3.7", "-0.0", "5.5", "1e-320",
+    "1e400", str(10**400), "NaN", "Infinity", "-Infinity",
+    '""', '"3"', '"0.5"', '"NaN"', '"math"', '"x"', '"\\ud800"', '"a\\udc80b"',
+    '"\\u0000"', '"a\\u0000 b"', '"\\ud83d\\ude00"',
+    "[]", "[1]", '["x"]', '[{"q": "a"}]', '[{"q": null}]', '[{}]', '[[], {"k": [null]}]',
+    "{}", '{"q": "a"}', '{"instruction_text": "x"}', '{"instruction_text": "x", "demos": 3}',
+    '{"Clarity": 5}', '{"k": 1, "k": 2}', '{"instruction_text": 3, "instruction_text": "x"}',
+]
+# One record's keys, a prompt state's and a demo's, plus a key none of them holds.
+DEMO = {"input": "two plus two", "output": "four"}
+PROMPT_KEYS = ("instruction_text", "demos", "raw_payload", "zzz")
+TOP_KEYS = (*base_doc(), "gain", "annotations_before", "annotations_after", "note")
+PATHS = st.one_of(
+    st.tuples(st.sampled_from(TOP_KEYS)),
+    st.tuples(st.sampled_from(("before", "after")), st.sampled_from(PROMPT_KEYS)),
+    st.tuples(
+        st.sampled_from(("before", "after")), st.just("demos"), st.just(0),
+        st.sampled_from((*DEMO, "note")),
+    ),
+    st.tuples(
+        st.sampled_from(("annotations_before", "annotations_after")),
+        st.sampled_from((*ANNOTATION_FEATURES[:3], "Verbosity")),
+    ),
+)
+MUTATIONS = st.tuples(
+    PATHS,
+    st.one_of(
+        st.sampled_from(HOSTILE),
+        st.text(max_size=8).map(json.dumps),
+        st.integers().map(str),
+        st.floats().map(json.dumps),
+    ),
+    st.sampled_from(("replace", "delete", "hostile-first", "hostile-last")),
+)
+SENTINEL = "\x00mutant\x00"
+
+
+def mutant_line(doc, mutation):
+    """One JSON line: doc with the value at `path` replaced, deleted or doubled."""
+    path, hostile, mode = mutation
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    if mode == "delete":
+        parent.pop(key, None)
+        return json.dumps(doc)
+    original = parent.get(key)
+    parent[key] = SENTINEL
+    if mode == "hostile-first" and original is not None:
+        hostile = f"{hostile}, {json.dumps(key)}: {json.dumps(original)}"
+    elif mode == "hostile-last" and original is not None:
+        hostile = f"{json.dumps(original)}, {json.dumps(key)}: {hostile}"
+    return json.dumps(doc).replace(json.dumps(SENTINEL), hostile)
+
+
+@pytest.fixture(scope="module")
+def annotated_corpus():
+    records, _ = generate(SynthConfig(n=120, seed=0, annotate=True))
+    docs = [record.to_json() for record in records]
+    docs[6]["before"]["demos"] = docs[6]["after"]["demos"] = [DEMO]
+    return docs
+
+
+class TestIngestContract:
+    """Whatever a line holds, ingest names the line or keeps what it read."""
+
+    def ingest_mutant(self, path, docs, at, mutation):
+        """The records of docs with docs[at] mutated, checked to keep what that line gave;
+        None when ingest names the line instead."""
+        lines = [json.dumps(doc) for doc in docs]
+        lines[at] = mutant_line(docs[at], mutation)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            records = ingest(path, strict=True)[0]
+        except IngestError as exc:
+            assert str(exc).startswith(f"line {at + 1}: ")
+            assert exc.line_number == at + 1
+            return None
+        # Every value the line gave is kept as read; a null field counts as absent.
+        given, kept = json.loads(lines[at]), records[at].to_json()
+        given = {k: v for k, v in given.items() if v is not None or k not in FIELDS}
+        for side in ("before", "after"):
+            given[side] = {"demos": [], **{k: v for k, v in given[side].items() if v is not None}}
+        assert {k: kept.get(k) for k in given} == given
+        return records
+
+    @settings(
+        max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(mutation=MUTATIONS)
+    def test_error_names_the_line_or_round_trip_is_exact(
+        self, tmp_path, annotated_corpus, mutation
+    ):
+        records = self.ingest_mutant(
+            tmp_path / "corpus.jsonl", [annotated_corpus[0], annotated_corpus[6]], 1, mutation
+        )
+        if records is not None:
+            serialize(records, tmp_path / "again.jsonl")
+            assert ingest(tmp_path / "again.jsonl", strict=True)[0] == records
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(mutation=MUTATIONS, include_demos=st.booleans())
+    def test_accepted_mutant_reports(self, tmp_path, annotated_corpus, mutation, include_demos):
+        records = self.ingest_mutant(tmp_path / "corpus.jsonl", annotated_corpus, 6, mutation)
+        if records is not None:
+            run_report(
+                PreparedCorpus(records, include_demos=include_demos),
+                tmp_path / "bundle",
+                resamples=8,
+                include_demos=include_demos,
+            )
 
 
 class TestStatsAndPartition:
