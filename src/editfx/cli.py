@@ -245,6 +245,15 @@ def _load_cache(path: Path, what: str, records, key, value) -> tuple[dict | None
     return None, {"stage": path.stem, "reason": reason}
 
 
+def _check_out(path: str) -> None:
+    """Reject an --out that is, or lies under, a file or a dangling link; creates nothing."""
+    for where in (Path(path), *Path(path).parents):
+        if where.exists() or where.is_symlink():
+            if not where.is_dir():
+                raise ConfigError(f"--out {path}: {where} is not a directory")
+            return
+
+
 def _out(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -535,6 +544,8 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except EditfxError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import CellData, SharedDesign, TestCell, TestFamily, map_cells, present_codes
+from .design import CellData, SharedDesign, TestCell, TestFamily, contents, map_cells, present_codes
 from .errors import ConfigError, DegenerateCellError, PositivityError, SchemaError
 
 RIDGE_LAMBDA = 1e-4
@@ -72,30 +72,6 @@ class WeightVector:
     weights: np.ndarray
     raw: np.ndarray
     cap_hits: int
-
-
-@dataclass(frozen=True)
-class CellEstimate:
-    view: str
-    feature: str
-    task_group: str
-    acmgd_sipw: float
-    acmgd_naive: float
-    n_treated: int
-    n_control: int
-    cap_hits: int
-    converged: bool
-    ess_treated: float
-    ess_control: float
-    max_raw_weight: float
-
-    @property
-    def confounding_magnitude(self) -> float:
-        return abs(self.acmgd_sipw - self.acmgd_naive)
-
-    @property
-    def cell_id(self) -> str:
-        return f"{self.view}:{self.feature}:{self.task_group}"
 
 
 class _Rows:
@@ -838,8 +814,8 @@ def estimate_cell(
     probabilities: np.ndarray | None = None,
     rate: float | None = None,
     converged: bool = True,
-) -> CellEstimate:
-    """Point estimates and weight health for one cell.
+) -> dict:
+    """One cell's estimates.json row, but its content: point estimates and weight health.
 
     By default the propensity model is fitted on the cell itself. The
     cell's probabilities under a model fitted on a wider population (and
@@ -857,25 +833,26 @@ def estimate_cell(
     else:
         estimate, wv = sipw(data, probabilities, rate)
     naive = weighted_difference(t, data.outcome, np.ones_like(t))
-    return CellEstimate(
-        view=cell.spec.view,
-        feature=cell.spec.feature_name,
-        task_group=cell.task_group,
-        acmgd_sipw=estimate,
-        acmgd_naive=naive,
-        n_treated=n_treated,
-        n_control=n_control,
-        cap_hits=wv.cap_hits,
-        converged=converged,
-        ess_treated=kish_ess(wv.weights[t == 1.0]),
-        ess_control=kish_ess(wv.weights[t == 0.0]),
-        max_raw_weight=float(np.max(wv.raw)),
-    )
+    return {
+        "view": cell.spec.view,
+        "feature": cell.spec.feature_name,
+        "task_group": cell.task_group,
+        "acmgd_sipw": estimate,
+        "acmgd_naive": naive,
+        "confounding_magnitude": abs(estimate - naive),
+        "n_treated": n_treated,
+        "n_control": n_control,
+        "cap_hits": wv.cap_hits,
+        "converged": converged,
+        "ess_treated": kish_ess(wv.weights[t == 1.0]),
+        "ess_control": kish_ess(wv.weights[t == 0.0]),
+        "max_raw_weight": float(np.max(wv.raw)),
+    }
 
 
 @dataclass
 class EstimateBundle:
-    estimates: list[CellEstimate]
+    estimates: list[dict]
     skipped: list[tuple[str, str]] = field(default_factory=list)
     family_confounding: dict[str, float] = field(default_factory=dict)
 
@@ -884,17 +861,19 @@ def estimate_all(
     families: list[TestFamily],
     scope: str = "cell",
 ) -> EstimateBundle:
-    """Estimates for every cell of every family, in family cell order.
+    """Every cell's estimates.json row, in family cell order.
 
     scope="cell" fits the propensity per cell; scope="pooled" fits one
     model per feature on all of its groups pooled, and gives each cell
     that model's probabilities on its own rows of the pooled design,
     with the pooled marginal rate. Cells that fail positivity or
-    degenerate are recorded as skipped, not raised.
+    degenerate are recorded as skipped, not raised. Each row's content
+    is the cell_id of its content's first cell (design.contents).
     """
     if scope not in ("cell", "pooled"):
         raise ConfigError("scope must be 'cell' or 'pooled'")
     bundle = EstimateBundle(estimates=[])
+    content = contents(families)
     for family in families:
         if not family.cells:
             raise ConfigError(f"family '{family.name}' has no cells")
@@ -917,15 +896,16 @@ def estimate_all(
             for c, start, stop in zip(group, bounds, bounds[1:]):
                 pooled[c.cell_id] = (probabilities[start:stop], rate, converged)
 
-        def one(cell: TestCell) -> CellEstimate:
+        def one(cell: TestCell) -> dict:
             probabilities, rate, converged = pooled.get(cell.cell_id, (None, None, True))
-            return estimate_cell(cell, probabilities, rate, converged)
+            row = estimate_cell(cell, probabilities, rate, converged)
+            return {**row, "content": content[cell.cell_id].cell_id}
 
         gaps = []
         for item in map_cells(one, family.cells, (PositivityError, DegenerateCellError)):
-            if isinstance(item, CellEstimate):
+            if isinstance(item, dict):
                 bundle.estimates.append(item)
-                gaps.append(item.confounding_magnitude)
+                gaps.append(item["confounding_magnitude"])
             else:
                 bundle.skipped.append(item)
         if gaps:

@@ -40,13 +40,17 @@ class BootstrapResult:
 
 @dataclass(frozen=True)
 class InferenceResult(BootstrapResult):
-    """One tested cell: its content's bootstrap, with the cell's name, q-value and tier."""
+    """One tested cell: its content's bootstrap, with the cell's name, q-value and tier.
+
+    content is the cell_id of the content's first cell, whose seed the bootstrap used.
+    """
 
     view: str
     feature: str
     task_group: str
     q_value: float
     tier: str
+    content: str
 
     @property
     def marker(self) -> str:
@@ -263,6 +267,7 @@ def infer_all(
                     task_group=cell.task_group,
                     q_value=float(q),
                     tier=tier_of(res.p_value, float(q), alpha),
+                    content=content[cell.cell_id].cell_id,
                 )
             )
     return results, skipped

@@ -23,7 +23,6 @@ from .design import (
     VIEWS,
     PreparedCorpus,
     TreatmentSpec,
-    contents,
     enumerate_families,
     view_features,
 )
@@ -71,6 +70,9 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.scope not in ("cell", "pooled"):
             raise ConfigError(f"scope must be 'cell' or 'pooled', got {self.scope!r}")
+        for name in ("min_cell", "min_arm"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.resamples < 2:
             raise ConfigError(f"resamples must be >= 2, got {self.resamples}")
         if not 0.0 < self.alpha < 1.0:
@@ -111,13 +113,12 @@ INFERENCE_COLUMNS = (
     "tier",
     "valid_resamples",
 )
-# Point-fit health per cell, in estimates.json only.
-FIT_HEALTH_COLUMNS = ("converged", "ess_treated", "ess_control", "max_raw_weight")
 # Bootstrap health per cell, in inference.json only.
 HEALTH_COLUMNS = ("n_blocks", "distinct_resamples", "discarded", "nonconverged")
 # Columns that the display CSVs round to 3 decimals.
 ROUNDED = {
-    "acmgd_sipw", "acmgd_naive", "confounding_magnitude", "estimate", "se", "p_value", "q_value"
+    "acmgd_sipw", "acmgd_naive", "confounding_magnitude", "estimate", "se", "p_value", "q_value",
+    "estimate_a", "estimate_b",
 }
 
 
@@ -145,16 +146,10 @@ def _ordered_groups(groups) -> list[str]:
     return ordered
 
 
-def estimates_to_json(bundle: EstimateBundle, content: dict[str, str]) -> dict:
-    """The estimates document; `content` maps each cell_id to its content's (design.contents)."""
+def estimates_to_json(bundle: EstimateBundle) -> dict:
+    """The estimates document: estimate_all's rows, skips and family confounding."""
     return {
-        "estimates": [
-            {
-                **{name: getattr(e, name) for name in ESTIMATE_COLUMNS + FIT_HEALTH_COLUMNS},
-                "content": content[e.cell_id],
-            }
-            for e in bundle.estimates
-        ],
+        "estimates": bundle.estimates,
         "skipped": [list(item) for item in bundle.skipped],
         "family_confounding": dict(sorted(bundle.family_confounding.items())),
     }
@@ -165,20 +160,12 @@ def estimates_to_csv(rows: list[dict]) -> str:
     return csv_text(ESTIMATE_COLUMNS, lines)
 
 
-def inference_to_json(
-    results: list[InferenceResult], skipped, alpha: float, content: dict[str, str]
-) -> dict:
-    """The inference document; `content` maps each cell_id to the cell_id whose seed
-    its bootstrap used, its content's (design.contents)."""
+def inference_to_json(results: list[InferenceResult], skipped, alpha: float) -> dict:
+    """The inference document: infer_all's results as rows, and its skips."""
+    columns = (*INFERENCE_COLUMNS, *HEALTH_COLUMNS, "content")
     return {
         "alpha": alpha,
-        "results": [
-            {
-                **{name: getattr(r, name) for name in INFERENCE_COLUMNS + HEALTH_COLUMNS},
-                "content": content[r.cell_id],
-            }
-            for r in results
-        ],
+        "results": [{name: getattr(r, name) for name in columns} for r in results],
         "skipped": [list(item) for item in skipped],
     }
 
@@ -282,15 +269,7 @@ def loo_to_csv(report: LooReport | None, note: str = "") -> str:
         f"stable {report.stable_count}/{report.total}\n"
     )
     lines = (
-        [
-            split.excluded_dataset,
-            reversal.spec.feature_name,
-            reversal.group_a,
-            reversal.group_b,
-            _fmt(split.estimate_a),
-            _fmt(split.estimate_b),
-            "✓" if split.stable else "✗",
-        ]
+        [*(_display(split, name) for name in LOO_COLUMNS[:-1]), "✓" if split["stable"] else "✗"]
         for split in report.splits
     )
     return header + csv_text(LOO_COLUMNS, lines)
@@ -391,14 +370,9 @@ class Pipeline:
         return [family for family in self.families if family.cells]
 
     @stage
-    def content_ids(self) -> dict[str, str]:
-        """Each cell's content, by cell_id: the cell_id of its content's first cell."""
-        return {cell_id: first.cell_id for cell_id, first in contents(self.families).items()}
-
-    @stage
     def estimates(self) -> dict:
         bundle = estimate_all(self.tested, scope=self.cfg.scope)
-        return estimates_to_json(bundle, self.content_ids)
+        return estimates_to_json(bundle)
 
     @stage
     def inferred(self) -> tuple[list[InferenceResult], list[tuple[str, str]]]:
@@ -417,11 +391,11 @@ class Pipeline:
     def bootstraps(self) -> dict[str, InferenceResult]:
         """Each bootstrapped content's result, by content id: its first cell's."""
         results, _ = self.inferred
-        return {r.cell_id: r for r in results if self.content_ids[r.cell_id] == r.cell_id}
+        return {r.cell_id: r for r in results if r.content == r.cell_id}
 
     @stage
     def inference(self) -> dict:
-        return inference_to_json(*self.inferred, self.cfg.alpha, self.content_ids)
+        return inference_to_json(*self.inferred, self.cfg.alpha)
 
     @stage
     def loo(self) -> tuple[LooReport | None, str]:
@@ -467,7 +441,7 @@ class Pipeline:
     @stage
     def provenance(self) -> dict:
         """The run's inputs, settings and counts; `write` adds the files it wrote as outputs."""
-        cfg, prepared, content_ids = self.cfg, self.prepared, self.content_ids
+        cfg, prepared = self.cfg, self.prepared
         loo_report, loo_note = self.loo
         sources = {"wordlists": prepared.wordlists, "ruleset": prepared.ruleset}
         doc = {
@@ -480,7 +454,7 @@ class Pipeline:
                     "name": family.name,
                     "m": family.m,
                     "cells": family.m,
-                    "contents": len({content_ids[cell.cell_id] for cell in family.cells}),
+                    "contents": len({cell.data for cell in family.cells}),
                     "excluded": [list(item) for item in family.excluded],
                 }
                 for family in self.families
@@ -491,8 +465,8 @@ class Pipeline:
             },
             "inference": {
                 "skipped": self.inference["skipped"],
-                "cells": len(content_ids),
-                "contents": len(set(content_ids.values())),
+                "cells": sum(family.m for family in self.families),
+                "contents": len({cell.data for family in self.families for cell in family.cells}),
             },
             "loo": {
                 "selection": loo_note,

@@ -1,14 +1,14 @@
 """Stability and diagnostic checks around the headline estimates.
 
-Leave-one-dataset-out sign stability (a LooReport), per-dataset naive
-breakdowns, headroom (ceiling) diagnostics, annotation-vs-surface
-construct validity, per-feature spread, and the optimizer receptivity
-score. Every diagnostic but LOO returns the JSON rows the report bundle
-writes: `ceiling` the ceiling.json document, `per_dataset_cate` the
-per_dataset.csv rows, `construct_validity` provenance's validity pairs
-and `receptivity` one receptivity.json score. All per-dataset naive
-values are diagnostics; nothing here feeds back into the weighted
-estimates.
+Leave-one-dataset-out sign stability, per-dataset naive breakdowns,
+headroom (ceiling) diagnostics, annotation-vs-surface construct
+validity, per-feature spread, and the optimizer receptivity score. Every
+diagnostic returns the rows the report bundle writes: `loo_stability`
+the loo.csv rows (a LooReport's splits), `ceiling` the ceiling.json
+document, `per_dataset_cate` the per_dataset.csv rows,
+`construct_validity` provenance's validity pairs and `receptivity` one
+receptivity.json score. All per-dataset naive values are diagnostics;
+nothing here feeds back into the weighted estimates.
 """
 
 from __future__ import annotations
@@ -184,20 +184,12 @@ class SignReversalSpec:
             raise ConfigError("baseline signs must be one '+' and one '-'")
 
 
-@dataclass(frozen=True)
-class LooSplit:
-    excluded_dataset: str
-    estimate_a: float
-    estimate_b: float
-    stable: bool
-
-
 @dataclass
 class LooReport:
     reversal: SignReversalSpec
     baseline_a: float
     baseline_b: float
-    splits: list[LooSplit]
+    splits: list[dict]
     skipped: list[tuple[str, str]] = field(default_factory=list)
 
     @property
@@ -206,7 +198,7 @@ class LooReport:
 
     @property
     def stable_count(self) -> int:
-        return sum(1 for s in self.splits if s.stable)
+        return sum(1 for s in self.splits if s["stable"])
 
 
 def sign_of(value: float) -> str:
@@ -227,7 +219,8 @@ def loo_stability(families: list[TestFamily], reversal: SignReversalSpec) -> Loo
     cell's rows outside the held-out dataset, as their own population; a
     unit depends only on its own record, so these are the units the
     remaining records would give. A split whose exclusion empties a cell
-    or an arm is skipped with a note rather than scored. Reversal cells
+    or an arm is skipped with a note rather than scored; each scored
+    split is one loo.csv row, its estimates unrounded. Reversal cells
     that draw on a single dataset produce total=0 and a warning. Signs
     left as None take the baseline estimates' signs, which must then be
     one '+' and one '-'.
@@ -273,20 +266,19 @@ def loo_stability(families: list[TestFamily], reversal: SignReversalSpec) -> Loo
             cell_kept.append(mask.astype(np.float64))
     # Each cell's splits are fitted together, as one stack.
     estimates = [sipw_stack(c.data, split)[0] if split else [] for c, split in zip(cells, kept)]
-    splits: list[LooSplit] = []
-    for dataset, estimate_a, estimate_b in zip(held_out, *estimates):
-        stable = (
-            sign_of(estimate_a) == reversal.baseline_sign_a
-            and sign_of(estimate_b) == reversal.baseline_sign_b
-        )
-        splits.append(
-            LooSplit(
-                excluded_dataset=dataset,
-                estimate_a=estimate_a,
-                estimate_b=estimate_b,
-                stable=stable,
-            )
-        )
+    signs = (reversal.baseline_sign_a, reversal.baseline_sign_b)
+    splits = [
+        {
+            "excluded_dataset": dataset,
+            "feature": spec.feature_name,
+            "group_a": reversal.group_a,
+            "group_b": reversal.group_b,
+            "estimate_a": estimate_a,
+            "estimate_b": estimate_b,
+            "stable": (sign_of(estimate_a), sign_of(estimate_b)) == signs,
+        }
+        for dataset, estimate_a, estimate_b in zip(held_out, *estimates)
+    ]
     if not splits:
         warnings.warn("no evaluable leave-one-out splits for this reversal", stacklevel=2)
     return LooReport(

@@ -117,12 +117,12 @@ def test_criterion_01_synthetic_debiasing(capsys):
         cell = TestCell(spec=WORD_COUNT_SPEC, task_group="math", data=data)
         est = estimate_cell(cell)
         elapsed = time.monotonic() - t0
-        naive_biased = abs(est.acmgd_naive - 0.05) > 0.03
-        sipw_close = abs(est.acmgd_sipw - 0.05) < 0.015
+        naive_biased = abs(est["acmgd_naive"] - 0.05) > 0.03
+        sipw_close = abs(est["acmgd_sipw"] - 0.05) < 0.015
         c["ok"] = naive_biased and sipw_close and elapsed < 10.0
         c["details"] = (
-            f"naive={est.acmgd_naive:+.4f} (needs |err|>0.030), "
-            f"sipw={est.acmgd_sipw:+.4f} (needs |err|<0.015), "
+            f"naive={est['acmgd_naive']:+.4f} (needs |err|>0.030), "
+            f"sipw={est['acmgd_sipw']:+.4f} (needs |err|<0.015), "
             f"elapsed={elapsed:.1f}s (<10s)"
         )
 
@@ -198,7 +198,7 @@ def test_criterion_03_weight_contracts(capsys):
         est = estimate_cell(
             cell, probabilities=predict_probabilities(constant, encode(data)), rate=pbar
         )
-        reduction = abs(est.acmgd_sipw - est.acmgd_naive)
+        reduction = abs(est["acmgd_sipw"] - est["acmgd_naive"])
         reduction_ok = reduction < 1e-12
 
         c["ok"] = bounded and checked > 0 and means_ok and reduction_ok
@@ -400,7 +400,7 @@ def test_criterion_08_leave_one_out(capsys):
         surface = ("surface",)
         families = enumerate_families(PreparedCorpus(effect_corpus(layout)), views=surface)
         report = loo_stability(families, reversal)
-        flagged = [s.excluded_dataset for s in report.splits if not s.stable]
+        flagged = [s["excluded_dataset"] for s in report.splits if not s["stable"]]
         contaminated_ok = (
             report.total == 6 and report.stable_count == 5 and flagged == ["m4"]
         )

@@ -559,8 +559,10 @@ class TestRunConfig:
         [
             ("infer", ["--resamples", "1"], "resamples must be >= 2"),
             ("report", ["--alpha", "1.5"], "alpha must lie in (0, 1)"),
+            ("report", ["--min-arm", "0"], "min_arm must be >= 1, got 0"),
+            ("estimate", ["--min-cell", "0"], "min_cell must be >= 1, got 0"),
         ],
-        ids=["infer-resamples", "report-alpha"],
+        ids=["infer-resamples", "report-alpha", "report-min-arm", "estimate-min-cell"],
     )
     def test_bad_setting_fails_before_any_output(
         self, corpus_path, tmp_path, capsys, command, flags, message
@@ -571,6 +573,34 @@ class TestRunConfig:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["min_cell", "min_arm"])
+    def test_cell_minimum_below_one_in_config_fails(self, corpus_path, tmp_path, capsys, key):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({key: 0}), encoding="utf-8")
+        out = tmp_path / "x"
+        argv = ["report", "--input", str(corpus_path), "--out", str(out), "--config", str(cfg_path)]
+        assert main(argv) == 1
+        assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "features"])
+    @pytest.mark.parametrize("kind", ["file", "under-file", "dangling-link"])
+    def test_out_on_a_file_fails_before_the_corpus(self, tmp_path, capsys, command, kind):
+        # The corpus is not JSON, so reading it first would fail another way.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"not json\n")
+        taken = tmp_path / "taken"
+        if kind == "dangling-link":
+            taken.symlink_to(tmp_path / "nowhere")
+        else:
+            taken.write_bytes(b"keep\n")
+        out = taken / "bundle" if kind == "under-file" else taken
+        assert main([command, "--input", str(corpus), "--out", str(out)]) == 1
+        assert f"--out {out}: {taken} is not a directory" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [corpus, taken]
+        if kind != "dangling-link":
+            assert taken.read_bytes() == b"keep\n"
 
     @pytest.mark.parametrize(
         "command", ["estimate", "infer", "report", "receptivity", "features", "ceiling"]

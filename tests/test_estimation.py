@@ -744,13 +744,13 @@ class TestEstimateCell:
     def test_sipw_debiases_confounded_cell(self):
         cell = make_cell(n=4000, seed=1, tau=0.05, beta_x=0.1, gamma=1.0)
         est = estimate_cell(cell)
-        assert abs(est.acmgd_naive - 0.05) > 0.03
-        assert abs(est.acmgd_sipw - 0.05) < 0.02
-        assert est.confounding_magnitude == pytest.approx(
-            abs(est.acmgd_sipw - est.acmgd_naive)
+        assert abs(est["acmgd_naive"] - 0.05) > 0.03
+        assert abs(est["acmgd_sipw"] - 0.05) < 0.02
+        assert est["confounding_magnitude"] == pytest.approx(
+            abs(est["acmgd_sipw"] - est["acmgd_naive"])
         )
-        assert est.cell_id == "surface:word_count:math"
-        assert est.n_treated + est.n_control == 4000
+        assert (est["view"], est["feature"], est["task_group"]) == ("surface", "word_count", "math")
+        assert est["n_treated"] + est["n_control"] == 4000
 
     def test_constant_propensity_reduces_to_naive(self):
         cell = make_cell(n=300, seed=6)
@@ -767,7 +767,7 @@ class TestEstimateCell:
         est = estimate_cell(
             cell, probabilities=predict_probabilities(constant, encode(data)), rate=pbar
         )
-        assert abs(est.acmgd_sipw - est.acmgd_naive) < 1e-12
+        assert abs(est["acmgd_sipw"] - est["acmgd_naive"]) < 1e-12
 
     def test_empty_arm_raises(self):
         spec = TreatmentSpec(view="surface", feature_name="word_count")
@@ -788,11 +788,11 @@ class TestEstimateAll:
     def test_sorted_output_and_family_confounding(self):
         family = self.make_family()
         bundle = estimate_all([family])
-        assert [(e.feature, e.task_group) for e in bundle.estimates] == [
+        assert [(e["feature"], e["task_group"]) for e in bundle.estimates] == [
             ("word_count", "logical"),
             ("word_count", "math"),
         ]
-        gaps = [e.confounding_magnitude for e in bundle.estimates]
+        gaps = [e["confounding_magnitude"] for e in bundle.estimates]
         assert bundle.family_confounding["surface"] == pytest.approx(float(np.mean(gaps)))
 
     def test_degenerate_cell_is_skipped_not_raised(self):
@@ -814,7 +814,7 @@ class TestEstimateAll:
         pooled_scope = estimate_all([family], scope="pooled")
         assert len(pooled_scope.estimates) == len(cell_scope.estimates)
         assert any(
-            abs(a.acmgd_sipw - b.acmgd_sipw) > 1e-9
+            abs(a["acmgd_sipw"] - b["acmgd_sipw"]) > 1e-9
             for a, b in zip(cell_scope.estimates, pooled_scope.estimates)
         )
 
@@ -835,14 +835,14 @@ class TestEstimateAll:
         probabilities = predict_probabilities(fit_propensity(pooled), encode(pooled))
         rate = float(pooled.treatment.mean())
         rows = {"logical": slice(0, 150), "math": slice(150, 270)}
-        assert [e.task_group for e in bundle.estimates] == ["logical", "math"]
+        assert [e["task_group"] for e in bundle.estimates] == ["logical", "math"]
         for cell, est in zip((logical, math), bundle.estimates):
             data = cell.data
             t = data.treatment.astype(np.float64)
             wv = stabilized_weights(t, probabilities[rows[cell.task_group]], marginal_rate=rate)
             expected = weighted_difference(t, data.outcome, wv.weights)
-            assert est.acmgd_sipw == pytest.approx(expected, abs=1e-12)
-            assert est.cap_hits == wv.cap_hits
+            assert est["acmgd_sipw"] == pytest.approx(expected, abs=1e-12)
+            assert est["cap_hits"] == wv.cap_hits
 
     def test_pooled_scope_predicts_once_per_feature(self, monkeypatch):
         math = make_units(n=120, seed=10, task_group="math")
@@ -869,8 +869,8 @@ class TestEstimateAll:
         bounds = {"logical": slice(0, 150), "math": slice(150, 270)}
         for cell, est in zip((logical, math), bundle.estimates):
             rate = float(np.mean(np.r_[logical.data.treatment, math.data.treatment]))
-            expected = estimate_cell(cell, full[bounds[cell.task_group]], rate, est.converged)
-            assert est == expected
+            expected = estimate_cell(cell, full[bounds[cell.task_group]], rate, est["converged"])
+            assert est == {**expected, "content": cell.cell_id}
 
     def test_pooled_scope_recovers_synthetic_ground_truth(self):
         records, _ = generate(
@@ -898,8 +898,8 @@ class TestEstimateAll:
         bundle = estimate_all([TestFamily(name="surface", cells=cells)], scope="pooled")
         assert len(bundle.estimates) == 2
         for est in bundle.estimates:
-            assert abs(est.acmgd_naive - 0.05) > 0.03
-            assert abs(est.acmgd_sipw - 0.05) < 0.015
+            assert abs(est["acmgd_naive"] - 0.05) > 0.03
+            assert abs(est["acmgd_sipw"] - 0.05) < 0.015
 
     def test_pooled_scope_rejects_cells_on_different_frames(self):
         cells = [

@@ -242,6 +242,7 @@ class TestTiers:
                 distinct_resamples=480,
                 discarded=0,
                 nonconverged=0,
+                content="surface:word_count:math",
             )
 
         assert result(TIER_BH).marker == "★"
@@ -687,7 +688,7 @@ class TestContentBootstrap:
         results, _ = pipeline.inferred
         twins = 0
         for r in results:
-            first = pipeline.bootstraps[pipeline.content_ids[r.cell_id]]
+            first = pipeline.bootstraps[r.content]
             assert r.resample_estimates is first.resample_estimates
             twins += r is not first
         assert twins > 0

@@ -16,7 +16,7 @@ from editfx import design, estimation, motifs, robustness, surface
 from editfx import report as report_mod
 from editfx.design import PreparedCorpus, TreatmentSpec
 from editfx.errors import ConfigError, SchemaError
-from editfx.estimation import CellEstimate, EstimateBundle
+from editfx.estimation import EstimateBundle, estimate_all
 from editfx.report import (
     BUNDLE_FILES,
     LEGEND,
@@ -38,7 +38,7 @@ from editfx.report import (
     write_json,
     write_text,
 )
-from editfx.robustness import LooReport, LooSplit, SignReversalSpec
+from editfx.robustness import LooReport, SignReversalSpec
 from editfx.store import compute_stats
 from editfx.synth import SynthConfig, generate
 
@@ -93,21 +93,32 @@ class TestWriters:
         assert "\\u" not in path.read_text("utf-8")
 
 
-class TestEstimateSerialization:
-    # Two cells with the same content, named by its first cell.
-    CONTENT = {
-        "surface:word_count:math": "surface:word_count:logical",
-        "surface:word_count:logical": "surface:word_count:logical",
+def health(converged, ess_treated, ess_control, max_raw_weight, content):
+    return {
+        "converged": converged,
+        "ess_treated": ess_treated,
+        "ess_control": ess_control,
+        "max_raw_weight": max_raw_weight,
+        "content": content,
     }
 
+
+class TestEstimateSerialization:
     def bundle(self):
+        # Two cells with the same content, named by its first cell.
+        content = "surface:word_count:logical"
         estimates = [
-            CellEstimate(
-                "surface", "word_count", "math", 0.0512, 0.0819, 12, 15, 1, True, 11.5, 14.25, 10.5
-            ),
-            CellEstimate(
-                "surface", "word_count", "logical", -0.02, -0.02, 9, 11, 0, False, 9.0, 11.0, 1.0
-            ),
+            {
+                **est_row("surface", "word_count", "math", 0.0512, 0.0819),
+                "cap_hits": 1,
+                **health(True, 11.5, 14.25, 10.5, content),
+            },
+            {
+                **est_row("surface", "word_count", "logical", -0.02, -0.02),
+                "n_treated": 9,
+                "n_control": 11,
+                **health(False, 9.0, 11.0, 1.0, content),
+            },
         ]
         return EstimateBundle(
             estimates=estimates,
@@ -116,7 +127,7 @@ class TestEstimateSerialization:
         )
 
     def test_json_shape(self):
-        doc = estimates_to_json(self.bundle(), self.CONTENT)
+        doc = estimates_to_json(self.bundle())
         assert set(doc) == {"estimates", "skipped", "family_confounding"}
         first = doc["estimates"][0]
         assert first == {
@@ -139,7 +150,7 @@ class TestEstimateSerialization:
         assert list(doc["family_confounding"]) == ["motif", "surface"]
 
     def test_csv_rounds_to_three_decimals(self):
-        rows = estimates_to_json(self.bundle(), self.CONTENT)["estimates"]
+        rows = estimates_to_json(self.bundle())["estimates"]
         text = estimates_to_csv(rows)
         lines = text.splitlines()
         assert lines[0] == (
@@ -171,10 +182,10 @@ class TestInferenceSerialization:
                 distinct_resamples=150,
                 discarded=3,
                 nonconverged=0,
+                content="surface:char_count:math",
             )
         ]
-        content = {"surface:word_count:math": "surface:char_count:math"}
-        doc = inference_to_json(results, [("surface:char_count:math", "unstable")], 0.1, content)
+        doc = inference_to_json(results, [("surface:char_count:math", "unstable")], 0.1)
         assert doc["alpha"] == 0.1
         assert doc["results"][0]["content"] == "surface:char_count:math"
         assert doc["results"][0]["q_value"] == 0.004
@@ -257,9 +268,11 @@ class TestLooCsv:
             baseline_sign_a="+",
             baseline_sign_b="-",
         )
+        pair = {"feature": "word_count", "group_a": "math", "group_b": "logical"}
+        names = ("excluded_dataset", "estimate_a", "estimate_b", "stable")
         splits = [
-            LooSplit("ds_a", 0.3, -0.2, True),
-            LooSplit("ds_b", -0.01, -0.25, False),
+            {**pair, **dict(zip(names, ("ds_a", 0.3, -0.2, True)))},
+            {**pair, **dict(zip(names, ("ds_b", -0.01, -0.25, False)))},
         ]
         return LooReport(reversal=reversal, baseline_a=0.31, baseline_b=-0.22, splits=splits)
 
@@ -731,6 +744,12 @@ class TestPipeline:
         assert {id(d) for d in whole_cell_fits} == datas
         assert len(results) == len(estimates) >= len(datas) > 0
 
+    @pytest.mark.parametrize("scope", ["cell", "pooled"])
+    def test_estimate_rows_are_written_as_estimate_all_returns_them(self, small_corpus, scope):
+        pipeline = Pipeline(PreparedCorpus(small_corpus), RunConfig(scope=scope))
+        bundle = estimate_all(pipeline.tested, scope=scope)
+        assert pipeline.estimates["estimates"] == bundle.estimates
+
     def test_prepared_corpus_must_match_config(self, small_corpus, tmp_path):
         prepared = PreparedCorpus(small_corpus, include_demos=True)
         with pytest.raises(ConfigError, match="include_demos"):
@@ -748,6 +767,8 @@ class TestPipeline:
             {"resamples": 0},
             {"alpha": 1.5},
             {"scope": "bogus"},
+            {"min_cell": 0},
+            {"min_arm": 0},
         ],
     )
     def test_run_report_rejects_bad_settings(self, small_corpus, tmp_path, settings):

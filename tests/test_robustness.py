@@ -263,11 +263,11 @@ class TestLooStability:
         assert report.baseline_b < 0.0
         assert report.total == 6
         assert report.stable_count == 5
-        by_dataset = {s.excluded_dataset: s for s in report.splits}
-        assert not by_dataset["m4"].stable
-        assert by_dataset["m4"].estimate_a < 0.0
+        by_dataset = {s["excluded_dataset"]: s for s in report.splits}
+        assert not by_dataset["m4"]["stable"]
+        assert by_dataset["m4"]["estimate_a"] < 0.0
         for dataset in ("m1", "m2", "m3", "l1", "l2"):
-            assert by_dataset[dataset].stable
+            assert by_dataset[dataset]["stable"]
 
     def test_single_dataset_corpus_warns_with_zero_splits(self):
         layout = [
@@ -296,7 +296,7 @@ class TestLooStability:
         records = effect_corpus(layout)
         report = loo_stability(surface_families(records), self.reversal())
         assert ("m2", "exclusion empties a treatment arm") in report.skipped
-        assert all(s.excluded_dataset != "m2" for s in report.splits)
+        assert all(s["excluded_dataset"] != "m2" for s in report.splits)
 
     def test_unknown_group_rejected(self):
         records = self.contaminated_corpus()
