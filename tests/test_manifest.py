@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from update_manifest import CASES, MANIFEST, run_case
+from update_manifest import CASES, MANIFEST, STAGED, run_case
 
 
 def test_manifest_names_every_case():
@@ -14,3 +14,9 @@ def test_manifest_names_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bundle_matches_manifest(tmp_path, name):
     assert run_case(name, tmp_path) == json.loads(MANIFEST.read_text("utf-8"))[name]
+
+
+@pytest.mark.parametrize("name", STAGED)
+def test_report_over_stage_caches_writes_the_uncached_bundle(name):
+    case = json.loads(MANIFEST.read_text("utf-8"))[name]
+    assert case["cached_files"] == case["files"]

@@ -9,9 +9,12 @@ synth config) plus the ``editfx report`` flags it runs with. Each case
 is built in process, the same way ``test_manifest.py`` rebuilds it, and
 the manifest records the corpus's sha256, the exit code and stdout
 sha256 of ``validate`` and ``report``, and the sha256 of every file the
-bundle holds. A change that means to move bundle bytes reruns this
-script and names in ``CHANGES.md`` every case and file that moved, and
-why.
+bundle holds. For the cases in STAGED it also runs ``features`` and
+``motifs`` with the report's flags, records the same for them and the
+sha256 of every stage file they write, and records the files of a
+``report --cache-dir`` over those caches. A change that means to move
+bundle bytes reruns this script and names in ``CHANGES.md`` every case
+and file that moved, and why.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ def _cases() -> dict[str, tuple[dict, tuple[str, ...]]]:
 
 
 CASES = _cases()
+# Cases whose features and motifs stages are recorded too, with a report over their caches.
+STAGED = ("longtext", "synth7-annotated")
 
 
 def _sha256(data: bytes) -> str:
@@ -74,6 +79,10 @@ def _run(argv: list[str]) -> dict:
     return {"exit_code": code, "stdout_sha256": _sha256(out.getvalue().encode())}
 
 
+def _files(directory: Path) -> dict[str, str]:
+    return {p.name: _sha256(p.read_bytes()) for p in sorted(directory.iterdir())}
+
+
 def run_case(name: str, work: Path) -> dict:
     """Build case `name`'s corpus under `work`, validate it, report on it, hash what was made."""
     recipe, flags = CASES[name]
@@ -83,20 +92,26 @@ def run_case(name: str, work: Path) -> dict:
         records, _ = generate(SynthConfig(**recipe["synth"]))
         corpus = work / "corpus.jsonl"
         serialize(records, corpus)
-    bundle = work / "bundle"
-    # The report's stdout names its output directory, so run it from `work`.
+    found = {
+        "corpus_sha256": _sha256(corpus.read_bytes()),
+        "validate": _run(["validate", "--input", str(corpus)]),
+    }
+    # Each command's stdout names its output directory, so run them from `work`.
     cwd = Path.cwd()
     os.chdir(work)
     try:
-        report = _run(["report", "--input", str(corpus), "--out", bundle.name, *flags])
+        found["report"] = _run(["report", "--input", str(corpus), "--out", "bundle", *flags])
+        found["files"] = _files(work / "bundle")
+        if name in STAGED:
+            for command in ("features", "motifs"):
+                found[command] = _run([command, "--input", str(corpus), "--out", "stages", *flags])
+            found["stage_files"] = _files(work / "stages")
+            cached = ["report", "--input", str(corpus), "--out", "cached", "--cache-dir", "stages"]
+            _run([*cached, *flags])
+            found["cached_files"] = _files(work / "cached")
     finally:
         os.chdir(cwd)
-    return {
-        "corpus_sha256": _sha256(corpus.read_bytes()),
-        "validate": _run(["validate", "--input", str(corpus)]),
-        "report": report,
-        "files": {p.name: _sha256(p.read_bytes()) for p in sorted(bundle.iterdir())},
-    }
+    return found
 
 
 def main() -> int:
