@@ -178,29 +178,28 @@ def _keyer(*settings):
     return key
 
 
-def _write_stage(path: Path, records, line, key) -> None:
-    """One JSON line per record, plus a sidecar of each record's cache key."""
+def _write_stage(path: Path, records, lines, key) -> None:
+    """One JSON line per record (`lines`, in `records` order), plus a sidecar of their keys."""
     from .report import write_json
 
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(line(record), sort_keys=True))
+        for line in lines:
+            fh.write(json.dumps(line, sort_keys=True))
             fh.write("\n")
     write_json(path.with_suffix(".keys.json"), {r.pair_id: key(r) for r in records})
 
 
-def _feature_sides(doc: dict) -> tuple[dict, dict]:
-    """A feature cache line's (before, after) vectors, each a finite number for every feature.
+def _feature_sides(doc: dict) -> tuple[list, list]:
+    """A feature cache line's (before, after) vectors, lists of finite numbers in FEATURE_ORDER.
 
     A bool, a NaN, an infinity or an integer past a double's range is no feature value.
     """
     from .surface import FEATURE_ORDER
 
-    sides = doc["before"], doc["after"]
-    values = [side[name] for side in sides for name in FEATURE_ORDER]
-    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+    before, after = ([doc[side][name] for name in FEATURE_ORDER] for side in ("before", "after"))
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in before + after):
         raise TypeError("a feature value is not a finite number")
-    return sides
+    return before, after
 
 
 def _motif_labels(doc: dict) -> dict[str, int]:
@@ -271,23 +270,21 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    from .surface import delta as surface_delta
+    from .surface import FEATURE_ORDER
 
     _, prepared = _analysis(args)
     records = prepared.records
     out = _out(args)
 
-    def line(record) -> dict:
-        before_vec, after_vec = prepared.surface_pair(record)
-        return {
-            "pair_id": record.pair_id,
-            "before": before_vec,
-            "after": after_vec,
-            "delta": surface_delta(before_vec, after_vec),
-        }
+    def vector(row) -> dict:
+        return dict(zip(FEATURE_ORDER, row.tolist()))
 
+    lines = (
+        {"pair_id": r.pair_id, "before": vector(b), "after": vector(a), "delta": vector(a - b)}
+        for r, b, a in zip(records, *prepared.surface_arrays())
+    )
     key = _keyer(prepared.wordlists.content_hash)
-    _write_stage(out / "features.jsonl", records, line, key)
+    _write_stage(out / "features.jsonl", records, lines, key)
     print(f"wrote {out / 'features.jsonl'} ({len(records)} records)")
     return 0
 
@@ -303,7 +300,8 @@ def _cmd_motifs(args) -> int:
     out = _out(args)
     results = prepared.motif_results()
     key = _keyer(prepared.ruleset.content_hash, cfg.include_demos)
-    _write_stage(out / "motifs.jsonl", records, lambda r: results[r.pair_id].to_json(), key)
+    docs = (results[r.pair_id].to_json() for r in records)
+    _write_stage(out / "motifs.jsonl", records, docs, key)
     matrix = cooccurrence_matrix([results[r.pair_id] for r in records])
     rates = ("rate_all", "rate_labeled")
     lines = (

@@ -291,9 +291,10 @@ class PreparedCorpus:
     motif diffs and the unit frame are computed at most once per record,
     and each treatment spec's units once, no matter how many features or
     steps draw on them; the two text stages share one token list per text
-    (see prepare_text). Precomputed stages (for example read back from
-    stage caches) can be injected; `stale_caches` lists the stage caches a
-    run ignored, with the reason.
+    (see prepare_text); record i's surface vectors are row i of the two
+    `surface_arrays()`, the one surface accessor. Precomputed stages (for
+    example read back from stage caches) can be injected; `stale_caches`
+    lists the stage caches a run ignored, with the reason.
     """
 
     def __init__(
@@ -302,7 +303,7 @@ class PreparedCorpus:
         wordlists: surface_mod.WordLists | None = None,
         ruleset: motifs_mod.MotifRuleset | None = None,
         include_demos: bool = False,
-        surface_cache: dict[str, tuple[dict, dict]] | None = None,
+        surface_cache: dict[str, tuple[list[float], list[float]]] | None = None,
         motif_cache: dict[str, dict[str, int]] | None = None,
         stale_caches: list[dict[str, str]] | None = None,
     ):
@@ -314,7 +315,7 @@ class PreparedCorpus:
         self._surface: tuple[np.ndarray, np.ndarray] | None = None
         if surface_cache:
             self._surface = tuple(
-                _pack([_in_order(surface_cache[r.pair_id][side]) for r in self.records])
+                _pack([surface_cache[r.pair_id][side] for r in self.records])
                 for side in (0, 1)
             )
         self._motif: dict[str, dict[str, int]] | None = dict(motif_cache) if motif_cache else None
@@ -358,7 +359,7 @@ class PreparedCorpus:
                     vector = vectors.get(key)
                     if vector is None:
                         found = surface_mod.extract(state, self.wordlists, tokens(key[0]))
-                        vector = vectors[key] = _in_order(found)
+                        vector = vectors[key] = [found[name] for name in FEATURE_ORDER]
                     side.append(vector)
             if motifs:
                 results[record.pair_id] = motifs_mod.record_motifs(
@@ -375,15 +376,6 @@ class PreparedCorpus:
         if self._surface is None:
             self.prepare_text(motifs=False)
         return self._surface
-
-    def surface_pair(self, record: ComparisonRecord) -> tuple[dict, dict]:
-        """One record's (before, after) surface vectors as feature -> value dicts."""
-        row = self._rows[record.pair_id]
-        return tuple(dict(zip(FEATURE_ORDER, side[row].tolist())) for side in self.surface_arrays())
-
-    @cached_property
-    def _rows(self) -> dict[str, int]:
-        return {record.pair_id: row for row, record in enumerate(self.records)}
 
     def motif_results(self) -> dict[str, motifs_mod.MotifResult]:
         if self._motif_results is None:
@@ -430,10 +422,6 @@ class PreparedCorpus:
             },
             task_group=[r.task_group for r in records],
         )
-
-
-def _in_order(vector: dict[str, float]) -> list[float]:
-    return [vector[name] for name in FEATURE_ORDER]
 
 
 def _pack(vectors: list[list[float]]) -> np.ndarray:

@@ -115,10 +115,10 @@ INFERENCE_COLUMNS = (
 )
 # Bootstrap health per cell, in inference.json only.
 HEALTH_COLUMNS = ("n_blocks", "distinct_resamples", "discarded", "nonconverged")
-# Columns that the display CSVs round to 3 decimals.
+# Columns that the display CSVs round to 3 decimals; they write None as NA.
 ROUNDED = {
     "acmgd_sipw", "acmgd_naive", "confounding_magnitude", "estimate", "se", "p_value", "q_value",
-    "estimate_a", "estimate_b",
+    "estimate_a", "estimate_b", "cate",
 }
 
 
@@ -136,7 +136,10 @@ def csv_text(header, rows) -> str:
 
 
 def _display(row: dict, name: str):
-    return _fmt(row[name]) if name in ROUNDED else row[name]
+    value = row[name]
+    if value is None:
+        return "NA"
+    return _fmt(value) if name in ROUNDED else value
 
 
 def _ordered_groups(groups) -> list[str]:
@@ -307,19 +310,12 @@ def choose_reversal(estimate_rows: list[dict]) -> SignReversalSpec | None:
     return best[1] if best else None
 
 
+PER_DATASET_COLUMNS = ("view", "feature", "dataset", "cate", "n_treated", "n_control")
+
+
 def per_dataset_to_csv(rows: list[dict]) -> str:
-    lines = (
-        [
-            row["view"],
-            row["feature"],
-            row["dataset"],
-            "NA" if row["cate"] is None else _fmt(row["cate"]),
-            row["n_treated"],
-            row["n_control"],
-        ]
-        for row in rows
-    )
-    return csv_text(["view", "feature", "dataset", "cate", "n_treated", "n_control"], lines)
+    lines = ([_display(row, name) for name in PER_DATASET_COLUMNS] for row in rows)
+    return csv_text(PER_DATASET_COLUMNS, lines)
 
 
 def _sha256_file(path: Path) -> str:

@@ -383,41 +383,41 @@ def construct_validity(
 
     Each pair's row holds annotation_feature, surface_feature, rho,
     p_value, n, note and validated (|rho| > VALIDATED_RHO and p_value <
-    VALIDATED_P). Surface vectors come from the prepared corpus, so they
-    use the run's word lists. Prompt states are pooled across before and
-    after sides and deduplicated by exact text, since consecutive revision
-    pairs share states and double counting would inflate n. A pair with fewer
-    than 3 states, or whose ranks are constant on either side, gets
-    rho=None with the reason as its note, and the other pairs are still
-    computed; ConfigError, with the first pair's note, when no pair has 3
-    states.
+    VALIDATED_P). Prompt states are pooled across before and after sides
+    and deduplicated by exact instruction and demo text, since consecutive
+    revision pairs share states and double counting would inflate n. A
+    state's surface vector is the prepared corpus's array row of its
+    first annotated occurrence (so the run's word lists); its scores
+    merge first-seen-wins per feature, so a repeat can add a feature. A
+    pair with fewer than 3 states scored on its annotation feature, or
+    whose ranks are constant on either side, gets rho=None with the
+    reason as its note, and the other pairs are still computed;
+    ConfigError, with the first pair's note, when no pair has 3 states.
     """
     if pairs is None:
         pairs = default_validity_pairs()
-    states: dict[tuple[str, str], tuple[dict, dict[str, float]]] = {}
-    for record in prepared.records:
-        for side, state, annotations in (
+    n = len(prepared.records)
+    states: dict[tuple[str, str], tuple[int, dict[str, float]]] = {}
+    for row, record in enumerate(prepared.records):
+        for offset, state, annotations in (
             (0, record.before, record.annotations_before),
-            (1, record.after, record.annotations_after),
+            (n, record.after, record.annotations_after),
         ):
             if annotations is None:
                 continue
             key = (state.instruction_text, state.demo_text())
-            if key not in states:
-                states[key] = (prepared.surface_pair(record)[side], dict(annotations))
-            else:
-                existing = states[key][1]
-                for feature, score in annotations.items():
-                    existing.setdefault(feature, score)
+            merged = states.setdefault(key, (offset + row, {}))[1]
+            for feature, score in annotations.items():
+                merged.setdefault(feature, score)
+    vectors = np.concatenate(prepared.surface_arrays())[[index for index, _ in states.values()]]
+    scores = [annotations for _, annotations in states.values()]
     results = []
     for annotation_feature, surface_feature in pairs:
         if surface_feature not in surface_mod.FEATURE_ORDER:
             raise ConfigError(f"unknown surface feature '{surface_feature}'")
-        xs, ys = [], []
-        for vector, annotations in states.values():
-            if annotation_feature in annotations:
-                xs.append(annotations[annotation_feature])
-                ys.append(vector[surface_feature])
+        scored = [k for k, annotations in enumerate(scores) if annotation_feature in annotations]
+        xs = [scores[k][annotation_feature] for k in scored]
+        ys = vectors[scored, surface_mod.FEATURE_ORDER.index(surface_feature)]
         rho, p_value, note = None, None, None
         if len(xs) < 3:
             note = f"pair ({annotation_feature}, {surface_feature}) has fewer than 3 states"

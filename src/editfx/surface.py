@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import repeat
 
-from .errors import SchemaError
 from .store import PromptState
 
 FEATURE_ORDER = (
@@ -190,9 +189,3 @@ def extract(
         "uppercase_ratio": upper / letters if letters else 0.0,
     }
 
-
-def delta(before: dict[str, float], after: dict[str, float]) -> dict[str, float]:
-    """Per-feature after - before. Both vectors must share the schema."""
-    if set(before) != set(after):
-        raise SchemaError("surface vectors have mismatched feature schemas")
-    return {name: after[name] - before[name] for name in before}

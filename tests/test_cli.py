@@ -105,11 +105,11 @@ class TestStageCommands:
         assert main(["features", "--input", str(corpus_path), "--out", str(out)]) == 0
         lines = (out / "features.jsonl").read_text("utf-8").splitlines()
         assert len(lines) == 120
-        doc = json.loads(lines[0])
-        assert set(doc) == {"pair_id", "before", "after", "delta"}
-        assert doc["delta"]["word_count"] == pytest.approx(
-            doc["after"]["word_count"] - doc["before"]["word_count"]
-        )
+        for doc in map(json.loads, lines):
+            assert set(doc) == {"pair_id", "before", "after", "delta"}
+            assert set(doc["delta"]) == set(FEATURE_ORDER)
+            for name in FEATURE_ORDER:
+                assert doc["delta"][name] == doc["after"][name] - doc["before"][name]
 
     def test_motifs_writes_results_and_audit(self, corpus_path, tmp_path):
         out = tmp_path / "motifs"

@@ -294,11 +294,12 @@ class TestPreparedText:
         assert calls == {"tokenize": 7 + include_demos}
         monkeypatch.undo()
         results = prepared.motif_results()
-        for record in records:
+        arrays = prepared.surface_arrays()
+        for row, record in enumerate(records):
             expected = motifs.record_motifs(record, include_demos=include_demos)
             assert results[record.pair_id] == expected
-            vectors = (surface.extract(record.before), surface.extract(record.after))
-            assert prepared.surface_pair(record) == vectors
+            for side, state in zip(arrays, (record.before, record.after)):
+                assert dict(zip(surface.FEATURE_ORDER, side[row].tolist())) == surface.extract(state)
 
     def test_repeated_states_are_extracted_once(self, monkeypatch):
         base = "table value record input"
@@ -319,7 +320,7 @@ class TestPreparedText:
         prepared.prepare_text(motifs=False)
         assert calls == {"extract": 4}
         prepared.prepare_text(surface=False)
-        prepared.surface_pair(records[0])
+        prepared.surface_arrays()
         prepared.motif_treatments()
         assert calls == {"extract": 4, "record_motifs": 3}
 
@@ -348,12 +349,16 @@ class TestPreparedText:
     def test_injected_stages_are_skipped(self, monkeypatch):
         records = trajectory(3)
         fresh = PreparedCorpus(records)
-        surface_cache = {r.pair_id: fresh.surface_pair(r) for r in records}
+        before, after = fresh.surface_arrays()
+        surface_cache = {
+            r.pair_id: (before[row].tolist(), after[row].tolist()) for row, r in enumerate(records)
+        }
         motif_cache = fresh.motif_treatments()
         calls = {}
         self.counting(monkeypatch, surface, "tokenize", calls)
         prepared = PreparedCorpus(records, surface_cache=surface_cache, motif_cache=motif_cache)
-        assert [prepared.surface_pair(r) for r in records] == list(surface_cache.values())
+        injected = prepared.surface_arrays()
+        assert [(b.tolist(), a.tolist()) for b, a in zip(*injected)] == list(surface_cache.values())
         assert prepared.motif_treatments() == motif_cache
         for spec in (("surface", "word_count"), ("motif", "meta_instruction")):
             spec = TreatmentSpec(*spec)

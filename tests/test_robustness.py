@@ -496,8 +496,7 @@ class TestConstructValidity:
     def test_reads_vectors_from_the_prepared_corpus(self, monkeypatch):
         records = self.graded_records()
         prepared = PreparedCorpus(records)
-        for record in records:
-            prepared.surface_pair(record)
+        prepared.surface_arrays()
         calls = []
         extract = surface.extract
         monkeypatch.setattr(
@@ -506,6 +505,72 @@ class TestConstructValidity:
         results = construct_validity(prepared, pairs=[("Metacognition", "metacog_word_density")])
         assert calls == []
         assert results[0]["rho"] == pytest.approx(1.0)
+
+    def test_a_repeated_state_adds_features_but_keeps_its_first_scores(self):
+        # S0 is first seen without a Metacognition score; its repeat adds
+        # one. S1's repeat scores it 0, which would break the monotone rank.
+        s0, s1, s2 = (self.graded_text(k) for k in range(3))
+        records = [
+            make_record(
+                "r0",
+                before_text=s0,
+                after_text=s1,
+                annotations_before={"Intrinsic_load": 1.0},
+                annotations_after={"Metacognition": 2.0},
+            ),
+            make_record(
+                "r1",
+                before_text=s2,
+                after_text=s0,
+                annotations_before={"Metacognition": 3.0},
+                annotations_after={"Metacognition": 1.0, "Intrinsic_load": 9.0},
+            ),
+            make_record(
+                "r2",
+                before_text=s1,
+                after_text=s2,
+                annotations_before={"Metacognition": 0.0},
+                annotations_after={"Metacognition": 3.0},
+            ),
+        ]
+        metacog, load = construct_validity(
+            PreparedCorpus(records),
+            pairs=[("Metacognition", "metacog_word_density"), ("Intrinsic_load", "word_count")],
+        )
+        assert metacog["n"] == 3
+        assert metacog["rho"] == pytest.approx(1.0)
+        assert load["n"] == 1
+
+    def test_a_repeated_state_keeps_its_first_vector(self):
+        # A's later copy has the same demo text in three demos instead of
+        # one, so its n_demos is 3; the pooled state keeps A's first row.
+        one_demo, three_demos = [{"q": "a b c"}], [{"q": "a"}, {"q": "b"}, {"q": "c"}]
+        records = [
+            make_record(
+                "r0",
+                before_text="A",
+                after_text="B",
+                demos_before=one_demo,
+                demos_after=[{"q": "x"}, {"q": "y"}],
+                annotations_before={"Metacognition": 1.0},
+                annotations_after={"Metacognition": 2.0},
+            ),
+            make_record(
+                "r1",
+                before_text="C",
+                after_text="A",
+                demos_before=[{"q": "x"}, {"q": "y"}, {"q": "z"}, {"q": "w"}],
+                demos_after=three_demos,
+                annotations_before={"Metacognition": 3.0},
+                annotations_after={"Metacognition": 1.0},
+            ),
+        ]
+        prepared = PreparedCorpus(records)
+        n_demos = FEATURE_ORDER.index("n_demos")
+        assert prepared.surface_arrays()[1][1, n_demos] == 3.0
+        (result,) = construct_validity(prepared, pairs=[("Metacognition", "n_demos")])
+        assert result["n"] == 3
+        assert result["rho"] == pytest.approx(1.0)
 
     def test_default_pairs_are_wellformed(self):
         pairs = default_validity_pairs()

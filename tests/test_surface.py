@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from editfx.cli import _from_file
-from editfx.errors import SchemaError
 from editfx.store import PromptState
 from editfx.surface import (
     _TOKEN,
@@ -18,7 +17,6 @@ from editfx.surface import (
     WordLists,
     compression_ratio,
     default_wordlists,
-    delta,
     extract,
     letter_counts,
     sentence_count,
@@ -319,20 +317,6 @@ class TestFeatures:
     def test_given_tokens_give_the_same_vector(self, text, demos):
         state = PromptState(instruction_text=text, demos=tuple({} for _ in range(demos)))
         assert extract(state, tokens=tokenize(text)) == extract(state)
-
-
-class TestDelta:
-    def test_subtraction(self):
-        d = delta(vec("one two"), vec("one two three four"))
-        assert d["word_count"] == 2
-        assert delta(vec("same"), vec("same")) == {name: 0.0 for name in FEATURE_ORDER}
-
-    def test_schema_mismatch(self):
-        before = vec("x")
-        after = dict(vec("x"))
-        del after["word_count"]
-        with pytest.raises(SchemaError):
-            delta(before, after)
 
 
 class TestWordLists:
