@@ -34,13 +34,12 @@ from .robustness import (
     SignReversalSpec,
     ceiling,
     construct_validity,
-    fingerprint_from_records,
     loo_stability,
     per_dataset_cate,
     receptivity,
     spread,
 )
-from .store import ComparisonRecord, TASK_GROUPS, compute_stats
+from .store import TASK_GROUPS, compute_stats
 
 LEGEND = "★ = BH-FDR q<0.05; * = uncorrected p<0.05"
 
@@ -419,7 +418,7 @@ class Pipeline:
 
     @stage
     def receptivity(self) -> dict:
-        return receptivity_section(self.prepared.records, self.estimates["estimates"])
+        return receptivity(self.prepared, self.estimates["estimates"])
 
     @stage
     def validity(self) -> dict:
@@ -524,41 +523,6 @@ def run_report(prepared: PreparedCorpus, out_dir: str | Path, **settings) -> dic
     pipeline = Pipeline(prepared, RunConfig(**settings))
     pipeline.write(out_dir, [*BUNDLE_FILES, *pipeline.tables])
     return verify_bundle(out_dir)
-
-
-def receptivity_section(records: list[ComparisonRecord], estimate_rows: list[dict]) -> dict:
-    annotated = any(
-        r.annotations_before is not None and r.annotations_after is not None for r in records
-    )
-    if not annotated:
-        return {"note": "receptivity requires annotation vectors; none present"}
-    estimates_by_group: dict[str, dict[str, float]] = {}
-    for row in estimate_rows:
-        if row["view"] == "annotation":
-            estimates_by_group.setdefault(row["task_group"], {})[row["feature"]] = row[
-                "acmgd_sipw"
-            ]
-    if not estimates_by_group:
-        return {"note": "no annotation-view estimates available"}
-    frameworks = sorted({r.framework for r in records})
-    scores = []
-    notes = []
-    for framework in frameworks:
-        fingerprint = fingerprint_from_records(records, framework=framework)
-        if not fingerprint:
-            notes.append(f"framework '{framework}' has no fingerprint features over threshold")
-            continue
-        for group in sorted(estimates_by_group):
-            try:
-                scores.append(
-                    receptivity(estimates_by_group[group], fingerprint, group, optimizer=framework)
-                )
-            except ConfigError as exc:
-                notes.append(str(exc))
-    doc: dict = {"scores": scores}
-    if notes:
-        doc["notes"] = sorted(set(notes))
-    return doc
 
 
 def render_from_artifacts(

@@ -6,8 +6,8 @@ validity, per-feature spread, and the optimizer receptivity score. Every
 diagnostic returns the rows the report bundle writes: `loo_stability`
 the loo.csv rows (a LooReport's splits), `ceiling` the ceiling.json
 document, `per_dataset_cate` the per_dataset.csv rows,
-`construct_validity` provenance's validity pairs and `receptivity` one
-receptivity.json score. All per-dataset naive values are diagnostics;
+`construct_validity` provenance's validity pairs and `receptivity` the
+receptivity.json document. All per-dataset naive values are diagnostics;
 nothing here feeds back into the weighted estimates.
 """
 
@@ -386,9 +386,9 @@ def construct_validity(
     VALIDATED_P). Prompt states are pooled across before and after sides
     and deduplicated by exact instruction and demo text, since consecutive
     revision pairs share states and double counting would inflate n. A
-    state's surface vector is the prepared corpus's array row of its
-    first annotated occurrence (so the run's word lists); its scores
-    merge first-seen-wins per feature, so a repeat can add a feature. A
+    state's surface vector is the run's array row of its first annotated
+    occurrence (an empty annotation object is none); its scores merge
+    first-seen-wins per feature, so a repeat can add a feature. A
     pair with fewer than 3 states scored on its annotation feature, or
     whose ranks are constant on either side, gets rho=None with the
     reason as its note, and the other pairs are still computed;
@@ -397,26 +397,30 @@ def construct_validity(
     if pairs is None:
         pairs = default_validity_pairs()
     n = len(prepared.records)
-    states: dict[tuple[str, str], tuple[int, dict[str, float]]] = {}
+    states: dict[tuple[str, str], int] = {}
+    indices: list[int] = []
+    # Each annotation feature's column: pooled state number -> first score.
+    columns: dict[str, dict[int, float]] = {}
     for row, record in enumerate(prepared.records):
         for offset, state, annotations in (
             (0, record.before, record.annotations_before),
             (n, record.after, record.annotations_after),
         ):
-            if annotations is None:
+            if not annotations:
                 continue
-            key = (state.instruction_text, state.demo_text())
-            merged = states.setdefault(key, (offset + row, {}))[1]
+            k = states.setdefault((state.instruction_text, state.demo_text()), len(states))
+            if k == len(indices):
+                indices.append(offset + row)
             for feature, score in annotations.items():
-                merged.setdefault(feature, score)
-    vectors = np.concatenate(prepared.surface_arrays())[[index for index, _ in states.values()]]
-    scores = [annotations for _, annotations in states.values()]
+                columns.setdefault(feature, {}).setdefault(k, score)
+    vectors = np.concatenate(prepared.surface_arrays())[indices]
     results = []
     for annotation_feature, surface_feature in pairs:
         if surface_feature not in surface_mod.FEATURE_ORDER:
             raise ConfigError(f"unknown surface feature '{surface_feature}'")
-        scored = [k for k, annotations in enumerate(scores) if annotation_feature in annotations]
-        xs = [scores[k][annotation_feature] for k in scored]
+        column = columns.get(annotation_feature, {})
+        scored = sorted(column)
+        xs = [column[k] for k in scored]
         ys = vectors[scored, surface_mod.FEATURE_ORDER.index(surface_feature)]
         rho, p_value, note = None, None, None
         if len(xs) < 3:
@@ -450,56 +454,56 @@ def spread(estimates: dict[str, float]) -> float:
     return max(values) - min(values)
 
 
-def fingerprint_from_records(
-    records: list[ComparisonRecord],
-    framework: str | None = None,
-    threshold: float = FINGERPRINT_THRESHOLD,
-) -> dict[str, float]:
-    """Features an optimizer predominantly changes: |mean delta| > threshold.
+def receptivity(prepared: PreparedCorpus, estimate_rows: list[dict]) -> dict:
+    """The receptivity.json document: each optimizer's score in each task group.
 
-    Deltas are annotation-scale (after minus before) means over the
-    optimizer's records (all records when framework is None).
+    An optimizer's fingerprint is the features whose mean annotation delta
+    (after minus before) over its records with both vectors exceeds
+    FINGERPRINT_THRESHOLD in magnitude; its score in a group sums, in
+    feature order, the group's annotation-view estimate times that delta.
+    A corpus without annotation vectors or estimates gets a note instead,
+    and an optimizer without a fingerprint, or a group without an estimate
+    for one of its features, a note beside the scores.
     """
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for record in records:
-        if framework is not None and record.framework != framework:
+    if not prepared.annotated:
+        return {"note": "receptivity requires annotation vectors; none present"}
+    estimates: dict[str, dict[str, float]] = {}
+    for row in estimate_rows:
+        if row["view"] == "annotation":
+            estimates.setdefault(row["task_group"], {})[row["feature"]] = row["acmgd_sipw"]
+    if not estimates:
+        return {"note": "no annotation-view estimates available"}
+    frameworks = sorted({r.framework for r in prepared.records})
+    totals: dict[str, dict[str, list]] = {framework: {} for framework in frameworks}
+    for row, before, after in prepared.annotated:
+        framework_totals = totals[prepared.records[row].framework]
+        for feature, before_score in before.items():
+            if feature in after:
+                total = framework_totals.setdefault(feature, [0.0, 0])
+                total[0] += after[feature] - before_score
+                total[1] += 1
+    scores, notes = [], []
+    for framework, framework_totals in totals.items():
+        means = {f: total / count for f, (total, count) in sorted(framework_totals.items())}
+        fingerprint = {f: delta for f, delta in means.items() if abs(delta) > FINGERPRINT_THRESHOLD}
+        if not fingerprint:
+            notes.append(f"framework '{framework}' has no fingerprint features over threshold")
             continue
-        if record.annotations_before is None or record.annotations_after is None:
-            continue
-        for feature, before_score in record.annotations_before.items():
-            if feature in record.annotations_after:
-                sums[feature] = sums.get(feature, 0.0) + (
-                    record.annotations_after[feature] - before_score
-                )
-                counts[feature] = counts.get(feature, 0) + 1
-    return {
-        feature: sums[feature] / counts[feature]
-        for feature in sorted(sums)
-        if abs(sums[feature] / counts[feature]) > threshold
-    }
-
-
-def receptivity(
-    estimates: dict[str, float],
-    fingerprint: dict[str, float],
-    task_group: str,
-    optimizer: str = "all",
-) -> dict:
-    """score = sum over fingerprint features of estimate(f) * mean delta(f).
-
-    Returns task_group, optimizer, score and the fingerprint, sorted by
-    feature.
-    """
-    if not fingerprint:
-        raise ConfigError("receptivity needs a nonempty fingerprint")
-    missing = [f for f in fingerprint if f not in estimates]
-    if missing:
-        raise ConfigError(f"no estimates for fingerprint features {missing} in '{task_group}'")
-    score = sum(estimates[f] * delta for f, delta in fingerprint.items())
-    return {
-        "task_group": task_group,
-        "optimizer": optimizer,
-        "score": float(score),
-        "fingerprint": dict(sorted(fingerprint.items())),
-    }
+        for group, group_estimates in sorted(estimates.items()):
+            missing = [f for f in fingerprint if f not in group_estimates]
+            if missing:
+                notes.append(f"no estimates for fingerprint features {missing} in '{group}'")
+                continue
+            score = sum(group_estimates[f] * delta for f, delta in fingerprint.items())
+            scores.append(
+                {
+                    "task_group": group,
+                    "optimizer": framework,
+                    "score": float(score),
+                    "fingerprint": fingerprint,
+                }
+            )
+    doc: dict = {"scores": scores}
+    if notes:
+        doc["notes"] = sorted(set(notes))
+    return doc

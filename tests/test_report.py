@@ -29,7 +29,6 @@ from editfx.report import (
     inference_to_json,
     loo_to_csv,
     per_dataset_to_csv,
-    receptivity_section,
     render_family_table,
     render_from_artifacts,
     render_heatmap,
@@ -38,7 +37,7 @@ from editfx.report import (
     write_json,
     write_text,
 )
-from editfx.robustness import LooReport, SignReversalSpec
+from editfx.robustness import LooReport, SignReversalSpec, receptivity
 from editfx.store import compute_stats
 from editfx.synth import SynthConfig, generate
 
@@ -366,16 +365,21 @@ class TestReceptivitySection:
         return records
 
     def test_no_annotations_note(self):
-        doc = receptivity_section([make_record("r0")], [est_row("annotation", "Demos", "math", 0.1)])
+        doc = receptivity(
+            PreparedCorpus([make_record("r0")]), [est_row("annotation", "Demos", "math", 0.1)]
+        )
         assert doc == {"note": "receptivity requires annotation vectors; none present"}
 
     def test_no_annotation_estimates_note(self):
-        doc = receptivity_section(self.annotated_records(), [est_row("surface", "word_count", "math", 0.1)])
+        doc = receptivity(
+            PreparedCorpus(self.annotated_records()),
+            [est_row("surface", "word_count", "math", 0.1)],
+        )
         assert doc == {"note": "no annotation-view estimates available"}
 
     def test_scores_are_fingerprint_weighted(self):
-        doc = receptivity_section(
-            self.annotated_records(), [est_row("annotation", "Demos", "math", 0.25)]
+        doc = receptivity(
+            PreparedCorpus(self.annotated_records()), [est_row("annotation", "Demos", "math", 0.25)]
         )
         assert len(doc["scores"]) == 1
         score = doc["scores"][0]

@@ -20,7 +20,6 @@ from editfx.robustness import (
     ceiling,
     construct_validity,
     default_validity_pairs,
-    fingerprint_from_records,
     loo_stability,
     partial_r2,
     per_dataset_cate,
@@ -572,6 +571,34 @@ class TestConstructValidity:
         assert result["n"] == 3
         assert result["rho"] == pytest.approx(1.0)
 
+    def test_an_empty_annotation_object_claims_no_vector(self):
+        # A is first seen with {} and one demo; its scored copy has the same
+        # demo text in three demos, so the pooled state reads the copy's row.
+        one_demo, three_demos = [{"q": "a b c"}], [{"q": "a"}, {"q": "b"}, {"q": "c"}]
+        records = [
+            make_record(
+                "r0",
+                before_text="A",
+                after_text="B",
+                demos_before=one_demo,
+                demos_after=[{"q": "x"}, {"q": "y"}],
+                annotations_before={},
+                annotations_after={"Demos": 2.0},
+            ),
+            make_record(
+                "r1",
+                before_text="C",
+                after_text="A",
+                demos_before=[{"q": "x"}, {"q": "y"}, {"q": "z"}, {"q": "w"}],
+                demos_after=three_demos,
+                annotations_before={"Demos": 4.0},
+                annotations_after={"Demos": 3.0},
+            ),
+        ]
+        (result,) = construct_validity(PreparedCorpus(records), pairs=[("Demos", "n_demos")])
+        assert result["n"] == 3
+        assert result["rho"] == pytest.approx(1.0)
+
     def test_default_pairs_are_wellformed(self):
         pairs = default_validity_pairs()
         assert len(pairs) == 19
@@ -601,53 +628,106 @@ class TestSpread:
             spread({"math": 0.1})
 
 
+def shifted(pair_id, deltas, framework="synthopt"):
+    """A record whose annotation scores move from 5 by each feature's delta."""
+    return make_record(
+        pair_id,
+        framework=framework,
+        annotations_before={feature: 5.0 for feature in deltas},
+        annotations_after={feature: 5.0 + delta for feature, delta in deltas.items()},
+    )
+
+
+def annotation_rows(estimates, group="math"):
+    """Annotation-view estimate rows of one task group."""
+    return [
+        {"view": "annotation", "feature": feature, "task_group": group, "acmgd_sipw": value}
+        for feature, value in estimates.items()
+    ]
+
+
 class TestReceptivity:
     def test_reported_example(self):
-        score = receptivity(
-            estimates={"Demos": -0.044, "Intrinsic_load": 0.021},
-            fingerprint={"Demos": 0.974, "Intrinsic_load": 0.811},
-            task_group="sequential",
+        doc = receptivity(
+            PreparedCorpus([shifted("r0", {"Demos": 0.974, "Intrinsic_load": 0.811})]),
+            annotation_rows({"Demos": -0.044, "Intrinsic_load": 0.021}, group="sequential"),
         )
+        (score,) = doc["scores"]
         assert score["score"] == pytest.approx(-0.0258, abs=1e-4)
         assert score["task_group"] == "sequential"
+        assert "notes" not in doc
 
     def test_single_feature_identity(self):
-        score = receptivity({"Demos": 0.05}, {"Demos": 1.0}, "math")
-        assert score["score"] == pytest.approx(0.05)
+        doc = receptivity(
+            PreparedCorpus([shifted("r0", {"Demos": 1.0})]), annotation_rows({"Demos": 0.05})
+        )
+        assert doc["scores"][0]["score"] == pytest.approx(0.05)
 
     def test_zero_estimates_zero_score(self):
-        score = receptivity(
-            {"Demos": 0.0, "Clarity": 0.0}, {"Demos": 0.9, "Clarity": -0.7}, "math"
+        doc = receptivity(
+            PreparedCorpus([shifted("r0", {"Demos": 0.9, "Clarity": -0.7})]),
+            annotation_rows({"Demos": 0.0, "Clarity": 0.0}),
         )
-        assert score["score"] == 0.0
+        assert doc["scores"][0]["score"] == 0.0
 
     def test_empty_fingerprint_rejected(self):
-        with pytest.raises(ConfigError):
-            receptivity({"Demos": 0.1}, {}, "math")
+        doc = receptivity(
+            PreparedCorpus([shifted("r0", {"Demos": 0.4})]), annotation_rows({"Demos": 0.1})
+        )
+        assert doc == {
+            "scores": [],
+            "notes": ["framework 'synthopt' has no fingerprint features over threshold"],
+        }
 
     def test_missing_estimate_rejected(self):
-        with pytest.raises(ConfigError):
-            receptivity({"Demos": 0.1}, {"Demos": 1.0, "Clarity": 0.8}, "math")
+        # The group missing Clarity gets a note; the complete group is still scored.
+        doc = receptivity(
+            PreparedCorpus([shifted("r0", {"Demos": 1.0, "Clarity": 0.8})]),
+            annotation_rows({"Demos": 0.1})
+            + annotation_rows({"Demos": 0.1, "Clarity": 0.2}, group="logical"),
+        )
+        assert [score["task_group"] for score in doc["scores"]] == ["logical"]
+        assert doc["notes"] == ["no estimates for fingerprint features ['Clarity'] in 'math'"]
 
     def test_to_json_sorts_fingerprint(self):
-        score = receptivity(
-            {"Demos": 0.1, "Clarity": 0.2}, {"Demos": 1.0, "Clarity": 0.8}, "math"
+        doc = receptivity(
+            PreparedCorpus([shifted("r0", {"Demos": 1.0, "Clarity": 0.8})]),
+            annotation_rows({"Demos": 0.1, "Clarity": 0.2}),
         )
-        assert list(score["fingerprint"]) == ["Clarity", "Demos"]
+        assert list(doc["scores"][0]["fingerprint"]) == ["Clarity", "Demos"]
+
+    def test_opposite_fingerprints_score_with_opposite_signs(self):
+        records = [
+            shifted("a0", {"Demos": 2.0, "Clarity": 1.0}, framework="ape"),
+            shifted("o0", {"Demos": -2.0, "Clarity": -1.0}, framework="opro"),
+        ]
+        doc = receptivity(PreparedCorpus(records), annotation_rows({"Demos": 0.1, "Clarity": 0.05}))
+        ape, opro = doc["scores"]
+        assert (ape["optimizer"], opro["optimizer"]) == ("ape", "opro")
+        assert ape["score"] == pytest.approx(0.25)
+        assert opro["score"] == pytest.approx(-0.25)
+
+    def test_empty_annotation_objects_are_no_annotations(self):
+        records = [
+            make_record(f"r{i}", annotations_before={}, annotations_after={}) for i in range(3)
+        ]
+        doc = receptivity(PreparedCorpus(records), annotation_rows({"Demos": 0.1}))
+        assert doc == {"note": "receptivity requires annotation vectors; none present"}
 
 
 class TestFingerprint:
     def test_threshold_and_framework_filter(self):
+        # Clarity's mean delta is 0 and Intrinsic_load's exactly the threshold.
         records = [
             make_record(
                 "r1",
-                annotations_before={"Demos": 3.0, "Clarity": 5.0},
-                annotations_after={"Demos": 4.0, "Clarity": 5.2},
+                annotations_before={"Demos": 3.0, "Clarity": 5.0, "Intrinsic_load": 5.0},
+                annotations_after={"Demos": 4.0, "Clarity": 5.2, "Intrinsic_load": 5.5},
             ),
             make_record(
                 "r2",
-                annotations_before={"Demos": 2.0, "Clarity": 5.0},
-                annotations_after={"Demos": 2.9, "Clarity": 4.8},
+                annotations_before={"Demos": 2.0, "Clarity": 5.0, "Intrinsic_load": 5.0},
+                annotations_after={"Demos": 2.9, "Clarity": 4.8, "Intrinsic_load": 5.5},
             ),
             make_record(
                 "other",
@@ -656,11 +736,21 @@ class TestFingerprint:
                 annotations_after={"Demos": 1.0},
             ),
         ]
-        fingerprint = fingerprint_from_records(records, framework="synthopt")
-        assert fingerprint == {"Demos": pytest.approx(0.95)}
-        unfiltered = fingerprint_from_records(records)
-        assert unfiltered["Demos"] == pytest.approx((1.0 + 0.9 - 4.0) / 3)
+        estimates = {"Demos": 0.1, "Clarity": 0.2, "Intrinsic_load": 0.3}
+        doc = receptivity(PreparedCorpus(records), annotation_rows(estimates))
+        ape, synthopt = doc["scores"]
+        assert synthopt["fingerprint"] == {"Demos": pytest.approx(0.95)}
+        assert ape["fingerprint"] == {"Demos": -4.0}
         assert FINGERPRINT_THRESHOLD == 0.5
 
     def test_records_without_annotations_ignored(self):
-        assert fingerprint_from_records([make_record("r1")]) == {}
+        # r1 does not dilute synthopt's mean, and ape has no annotated record.
+        records = [
+            shifted("r0", {"Demos": 1.0}),
+            make_record("r1"),
+            make_record("r2", framework="ape"),
+        ]
+        doc = receptivity(PreparedCorpus(records), annotation_rows({"Demos": 0.1}))
+        (score,) = doc["scores"]
+        assert (score["optimizer"], score["fingerprint"]) == ("synthopt", {"Demos": 1.0})
+        assert doc["notes"] == ["framework 'ape' has no fingerprint features over threshold"]
